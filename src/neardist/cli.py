@@ -1,22 +1,30 @@
 """Command-line front end: generate, count, check-hypothesis, verify, search,
 analyze, diameter.
 
-Every command writes its outputs plus a manifest.json into the output
-directory; re-running the same command reproduces the outputs byte for byte
-(all randomness is seeded, manifests carry no timestamps, paths are stored
-relative to the output directory).
+Each `cmd_*` only parses and computes, returning a `Result`; `run` alone
+creates the output directory, writes the outputs and manifest.json, prints
+the summary and maps errors to exit codes. Re-running a command reproduces
+its outputs byte for byte (all randomness is seeded, manifests carry no
+timestamps, output paths are relative to the output directory). --output-dir,
+--format and --seed work before or after the subcommand; the later one wins.
 
-Exit codes: 0 success (and, for verify and check-hypothesis, the semantic
-positive); 1 semantic negative (bound exceeded or near-sum check fails);
-2 malformed input or invalid parameters; 3 structurally valid input in an
-unsupported dimension.
+Exit codes: 0 success (for verify and check-hypothesis, the positive
+verdict); 1 semantic negative (bound exceeded or near-sum check fails); 2
+malformed input, invalid parameters or an unusable output directory, with a
+one-line "error:" on stderr and no traceback; 3 unsupported dimension.
+
+Outputs are strict JSON or CSV of finite numbers. Float flags must be finite,
+coordinates |x|, |y| <= 2**510 and interval ends t_k + alpha <= 2**511, so
+squared distances stay finite. verify writes a one-point set's min_distance
+as null.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -31,14 +39,15 @@ from .counting import count_pairs
 from .fileio import (
     InputFormatError,
     UnsupportedDimensionError,
+    intervals_from_dict,
     load_intervals,
+    load_json,
     load_point_set,
-    save_intervals,
     save_point_set,
     write_json,
     write_text,
 )
-from .geometry import IntervalFamily, check_hypothesis, diameter, verify_bound
+from .geometry import PointSet, check_hypothesis, diameter, verify_bound
 from .graphs import (
     TriangleCase,
     angle_diagnostic,
@@ -46,6 +55,7 @@ from .graphs import (
     classify_label_triple,
     find_tripartite,
     homogenize,
+    triangle_angle_bounds,
 )
 from .search import SearchConfig, anneal
 
@@ -55,218 +65,140 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 
 
-def _write_manifest(
-    out_dir: Path,
-    command: str,
-    params: dict,
-    input_paths: list[str],
-    output_paths: list[str],
-    seed: int | None,
-) -> None:
-    write_json(
-        out_dir / "manifest.json",
-        {
-            "command": command,
-            "params": params,
-            "input_paths": input_paths,
-            "output_paths": output_paths,
-            "seed": seed,
-            "tool_version": __version__,
-        },
-    )
+@dataclass(frozen=True)
+class Result:
+    """What one command computed; `run` writes it out.
+
+    outputs maps file name to payload in manifest order: a dict is written
+    as JSON, a str as text, a PointSet by its file suffix.
+    """
+
+    outputs: dict[str, dict | str | PointSet]
+    params: dict
+    input_paths: list[str]
+    summary: str
+    seed: int | None = None
+    code: int = EXIT_OK
 
 
-def _out_dir(args) -> Path:
-    out = Path(getattr(args, "output_dir", ".") or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _points_name(args) -> str:
-    return "points.csv" if getattr(args, "format", "json") == "csv" else "points.json"
-
-
-def cmd_generate(args) -> int:
-    out = _out_dir(args)
-    seed = getattr(args, "seed", None)
+def cmd_generate(args) -> Result:
     name = args.construction
+    needs = {"random": ["box"], "remark2": ["t1", "t2"]}.get(name, ["t"])
+    if any(getattr(args, flag) is None for flag in needs):
+        raise InputFormatError(f"{name} needs " + " and ".join(f"--{flag}" for flag in needs))
+    points = "points.csv" if args.format == "csv" else "points.json"
+    if name == "random":
+        seed = 0 if args.seed is None else args.seed
+        ps = random_separated(args.n, args.box, seed)
+        params = {"n": args.n, "box": args.box, "seed": seed}
+        sidecar = {"name": name, "params": params, "predicted_count": None}
+        return Result(
+            {points: ps, "construction.json": sidecar},
+            params | {"construction": name},
+            [],
+            f"generated random n={ps.n} -> {Path(args.output_dir) / points}",
+            seed,
+        )
     if name == "two-column":
         built = two_column(args.n, args.k, args.t, args.eps)
     elif name == "remark2":
         built = three_column(args.n, args.t1, args.t2)
     elif name == "emp1":
         built = column_chain(args.n, args.k, args.t)
-    elif name == "problem3":
-        built = augmented_chain(args.n, args.k, args.t)
     else:
-        seed = seed if seed is not None else 0
-        ps = random_separated(args.n, args.box, seed)
-        points_path = out / _points_name(args)
-        save_point_set(ps, points_path)
-        sidecar = {
-            "name": "random",
-            "params": {"n": args.n, "box": args.box, "seed": seed},
-            "predicted_count": None,
-        }
-        write_json(out / "construction.json", sidecar)
-        _write_manifest(
-            out,
-            "generate",
-            sidecar["params"] | {"construction": "random"},
-            [],
-            [points_path.name, "construction.json"],
-            seed,
-        )
-        print(f"generated random n={ps.n} -> {points_path}")
-        return EXIT_OK
-
-    points_path = out / _points_name(args)
-    save_point_set(built.ps, points_path)
-    save_intervals(built.iv, out / "intervals.json")
-    write_json(
-        out / "construction.json",
-        {"name": name, "params": built.params, "predicted_count": built.predicted_count},
-    )
-    _write_manifest(
-        out,
-        "generate",
+        built = augmented_chain(args.n, args.k, args.t)
+    sidecar = {"name": name, "params": built.params, "predicted_count": built.predicted_count}
+    return Result(
+        {points: built.ps, "intervals.json": built.iv.to_dict(), "construction.json": sidecar},
         built.params | {"construction": name},
         [],
-        [points_path.name, "intervals.json", "construction.json"],
-        seed,
-    )
-    print(
         f"generated {name} n={built.ps.n} k={built.iv.k} "
-        f"predicted_count={built.predicted_count} -> {out}"
+        f"predicted_count={built.predicted_count} -> {Path(args.output_dir)}",
+        args.seed,
     )
-    return EXIT_OK
 
 
-def cmd_count(args) -> int:
-    out = _out_dir(args)
+def cmd_count(args) -> Result:
     ps = load_point_set(args.points)
     iv = load_intervals(args.intervals)
     report = count_pairs(ps, iv, method=args.method)
-    write_json(out / "count.json", report.to_dict())
-    _write_manifest(
-        out,
-        "count",
+    return Result(
+        {"count.json": report.to_dict()},
         {"method": args.method},
-        [str(args.points), str(args.intervals)],
-        ["count.json"],
-        None,
+        [args.points, args.intervals],
+        f"n={ps.n} total={report.total} method={report.method}",
     )
-    print(f"n={ps.n} total={report.total} method={report.method}")
-    return EXIT_OK
 
 
-def cmd_check_hypothesis(args) -> int:
-    out = _out_dir(args)
+def cmd_check_hypothesis(args) -> Result:
     iv = load_intervals(args.intervals)
     report = check_hypothesis(iv, args.delta)
-    write_json(out / "hypothesis.json", report.to_dict())
-    _write_manifest(
-        out,
-        "check-hypothesis",
+    return Result(
+        {"hypothesis.json": report.to_dict()},
         {"delta": args.delta},
-        [str(args.intervals)],
-        ["hypothesis.json"],
-        None,
+        [args.intervals],
+        f"k={iv.k} delta={args.delta} holds={report.holds} violations={len(report.violations)}",
+        code=EXIT_OK if report.holds else EXIT_NEGATIVE,
     )
-    print(f"k={iv.k} delta={args.delta} holds={report.holds} violations={len(report.violations)}")
-    return EXIT_OK if report.holds else EXIT_NEGATIVE
 
 
-def cmd_verify(args) -> int:
-    out = _out_dir(args)
+def cmd_verify(args) -> Result:
     ps = load_point_set(args.points)
     iv = load_intervals(args.intervals)
     report = verify_bound(ps, iv, args.delta, args.C)
-    write_json(out / "verify.json", report.to_dict())
-    _write_manifest(
-        out,
-        "verify",
+    return Result(
+        {"verify.json": report.to_dict()},
         {"delta": args.delta, "C": args.C},
-        [str(args.points), str(args.intervals)],
-        ["verify.json"],
-        None,
-    )
-    print(
+        [args.points, args.intervals],
         f"n={ps.n} separated={report.separated} hypothesis={report.hypothesis.holds} "
-        f"count={report.count.total} bound={report.bound_value} within_bound={report.within_bound}"
+        f"count={report.count.total} bound={report.bound_value} within_bound={report.within_bound}",
+        code=EXIT_OK if report.within_bound and report.hypothesis.holds else EXIT_NEGATIVE,
     )
-    return EXIT_OK if report.within_bound and report.hypothesis.holds else EXIT_NEGATIVE
 
 
-def cmd_search(args) -> int:
-    out = _out_dir(args)
-    input_paths: list[str] = []
+def cmd_search(args) -> Result:
     if args.config:
-        input_paths.append(str(args.config))
+        input_paths = [args.config]
+        raw = load_json(args.config)
+        iv = intervals_from_dict(raw.get("intervals"), f"{args.config}: intervals")
+        names = {f.name for f in fields(SearchConfig)} - {"iv"}
         try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputFormatError(f"cannot parse {args.config}: {exc}") from exc
-        if not isinstance(raw, dict) or "intervals" not in raw:
-            raise InputFormatError(f"{args.config}: expected an object with 'intervals'")
-        iv = IntervalFamily(raw["intervals"].get("t", []), raw["intervals"].get("alpha", 0))
-        known = {
-            "n",
-            "iterations",
-            "seed",
-            "initial_temperature",
-            "cooling_factor",
-            "jitter_sigma",
-            "teleport_probability",
-            "restarts",
-        }
-        fields = {k: v for k, v in raw.items() if k in known}
-        try:
-            config = SearchConfig(iv=iv, **fields)
+            config = SearchConfig(iv=iv, **{k: v for k, v in raw.items() if k in names})
         except TypeError as exc:
             raise InputFormatError(f"{args.config}: {exc}") from exc
     else:
         if args.intervals is None or args.n is None or args.iterations is None:
             raise InputFormatError("search needs --config, or --intervals with --n and --iterations")
-        input_paths.append(str(args.intervals))
-        iv = load_intervals(args.intervals)
+        input_paths = [args.intervals]
         config = SearchConfig(
             n=args.n,
-            iv=iv,
+            iv=load_intervals(args.intervals),
             iterations=args.iterations,
-            seed=getattr(args, "seed", None) or 0,
+            seed=args.seed or 0,
             restarts=args.restarts,
         )
-
     initial = None
     if args.initial:
-        input_paths.append(str(args.initial))
+        input_paths.append(args.initial)
         initial = load_point_set(args.initial)
 
     result = anneal(config, initial)
-    save_point_set(result.best_ps, out / "best_points.json")
-    write_json(
-        out / "search.json",
-        result.summary_dict()
-        | {"iterations": config.iterations, "restarts": config.restarts, "seed": config.seed},
-    )
-    lines = ["iteration,count"] + [f"{i},{c}" for i, c in result.trajectory]
-    write_text(out / "trajectory.csv", "\n".join(lines) + "\n")
-    _write_manifest(
-        out,
-        "search",
+    summary = result.summary_dict()
+    summary |= {"iterations": config.iterations, "restarts": config.restarts, "seed": config.seed}
+    trajectory = "iteration,count\n" + "".join(f"{i},{c}\n" for i, c in result.trajectory)
+    return Result(
+        {"best_points.json": result.best_ps, "search.json": summary, "trajectory.csv": trajectory},
         {"n": config.n, "iterations": config.iterations, "restarts": config.restarts},
         input_paths,
-        ["best_points.json", "search.json", "trajectory.csv"],
+        f"n={config.n} best_count={result.best_count} accepted={result.accepted_moves}",
         config.seed,
     )
-    print(f"n={config.n} best_count={result.best_count} accepted={result.accepted_moves}")
-    return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    out = _out_dir(args)
+def cmd_analyze(args) -> Result:
+    if not 1 <= args.m <= args.s:
+        raise InputFormatError(f"analyze needs 1 <= m <= s, got m={args.m}, s={args.s}")
+    triangle_angle_bounds(args.delta)
     ps = load_point_set(args.points)
     iv = load_intervals(args.intervals)
     graph = build_graph(ps, iv)
@@ -292,139 +224,144 @@ def cmd_analyze(args) -> int:
                 payload["angle_check"] = angle_diagnostic(ps, triangle, iv, args.delta).to_dict()
         else:
             payload["witness"] = witness.to_dict() | {"B2": None, "D2": None, "labels": None}
-    write_json(out / "analysis.json", payload)
-    _write_manifest(
-        out,
-        "analyze",
+    return Result(
+        {"analysis.json": payload},
         {"s": args.s, "m": args.m, "delta": args.delta},
-        [str(args.points), str(args.intervals)],
-        ["analysis.json"],
-        None,
-    )
-    print(
+        [args.points, args.intervals],
         f"n={graph.n} edges={graph.edge_count} "
-        f"witness={'found' if witness is not None else 'none'}"
+        f"witness={'found' if witness is not None else 'none'}",
     )
-    return EXIT_OK
 
 
-def cmd_diameter(args) -> int:
-    out = _out_dir(args)
+def cmd_diameter(args) -> Result:
     ps = load_point_set(args.points)
     value = diameter(ps)
-    write_json(out / "diameter.json", {"n": ps.n, "diameter": value})
-    _write_manifest(out, "diameter", {}, [str(args.points)], ["diameter.json"], None)
-    print(f"n={ps.n} diameter={value!r}")
-    return EXIT_OK
+    return Result(
+        {"diameter.json": {"n": ps.n, "diameter": value}},
+        {},
+        [args.points],
+        f"n={ps.n} diameter={value!r}",
+    )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--output-dir", default=argparse.SUPPRESS, help="directory for outputs")
-    parser.add_argument(
+def run(args) -> int:
+    """Run a parsed command: compute, write outputs and manifest, print; exit code."""
+    try:
+        out = Path(args.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        result = args.func(args)
+        for name, payload in result.outputs.items():
+            if isinstance(payload, PointSet):
+                save_point_set(payload, out / name)
+            elif isinstance(payload, str):
+                write_text(out / name, payload)
+            else:
+                write_json(out / name, payload)
+        manifest = {
+            "command": args.command,
+            "params": result.params,
+            "input_paths": result.input_paths,
+            "output_paths": list(result.outputs),
+            "seed": result.seed,
+            "tool_version": __version__,
+        }
+        write_json(out / "manifest.json", manifest)
+    # Input read errors arrive as InputFormatError, so an OSError here is the
+    # output directory; OverflowError comes from parameters too large for a float.
+    except (ValueError, OverflowError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedDimensionError) else EXIT_INPUT
+    print(result.summary)
+    return result.code
+
+
+def finite(text: str) -> float:
+    """argparse type of the float flags: NaN and infinities fail at parse."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # Every parser shares these three actions with SUPPRESSed defaults, so a
+    # subcommand that omits a flag keeps the value given before it; main()
+    # supplies the defaults.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--output-dir", default=argparse.SUPPRESS, help="directory for outputs (default .)"
+    )
+    common.add_argument(
         "--format",
         choices=["json", "csv"],
         default=argparse.SUPPRESS,
         help="point file format (default json)",
     )
-    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="random seed")
-
-
-def build_parser() -> argparse.ArgumentParser:
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="random seed")
     parser = argparse.ArgumentParser(
         prog="neardist",
         description="Count, construct, verify, and search near-equal distances "
         "in separated planar point sets.",
+        parents=[common],
     )
-    parser.add_argument("--output-dir", default=".", help="directory for outputs")
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--seed", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="generate a construction or random set")
+    def command(name, func, help_text):
+        cmd = sub.add_parser(name, parents=[common], help=help_text)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    gen = command("generate", cmd_generate, "generate a construction or random set")
     gen.add_argument(
         "construction", choices=["two-column", "remark2", "emp1", "problem3", "random"]
     )
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--k", type=int, default=2)
-    gen.add_argument("--t", type=float, default=None)
-    gen.add_argument("--eps", type=float, default=0.1)
-    gen.add_argument("--t1", type=float, default=None)
-    gen.add_argument("--t2", type=float, default=None)
-    gen.add_argument("--box", type=float, default=None)
-    _add_common(gen)
-    gen.set_defaults(func=cmd_generate)
+    gen.add_argument("--t", type=finite, default=None)
+    gen.add_argument("--eps", type=finite, default=0.1)
+    gen.add_argument("--t1", type=finite, default=None)
+    gen.add_argument("--t2", type=finite, default=None)
+    gen.add_argument("--box", type=finite, default=None)
 
-    cnt = sub.add_parser("count", help="count qualifying pairs")
+    cnt = command("count", cmd_count, "count qualifying pairs")
     cnt.add_argument("points")
     cnt.add_argument("intervals")
     cnt.add_argument("--method", choices=["brute", "pruned"], default="brute")
-    _add_common(cnt)
-    cnt.set_defaults(func=cmd_count)
 
-    chk = sub.add_parser("check-hypothesis", help="near-sum check on interval values")
+    chk = command("check-hypothesis", cmd_check_hypothesis, "near-sum check on interval values")
     chk.add_argument("intervals")
-    chk.add_argument("--delta", type=float, required=True)
-    _add_common(chk)
-    chk.set_defaults(func=cmd_check_hypothesis)
+    chk.add_argument("--delta", type=finite, required=True)
 
-    ver = sub.add_parser("verify", help="count and compare against n^2/4 + C*n")
+    ver = command("verify", cmd_verify, "count and compare against n^2/4 + C*n")
     ver.add_argument("points")
     ver.add_argument("intervals")
-    ver.add_argument("--delta", type=float, required=True)
-    ver.add_argument("--C", type=float, required=True)
-    _add_common(ver)
-    ver.set_defaults(func=cmd_verify)
+    ver.add_argument("--delta", type=finite, required=True)
+    ver.add_argument("--C", type=finite, required=True)
 
-    sea = sub.add_parser("search", help="simulated annealing over point positions")
+    sea = command("search", cmd_search, "simulated annealing over point positions")
     sea.add_argument("--config", default=None, help="SearchConfig JSON file")
     sea.add_argument("--intervals", default=None)
     sea.add_argument("--n", type=int, default=None)
     sea.add_argument("--iterations", type=int, default=None)
     sea.add_argument("--restarts", type=int, default=1)
     sea.add_argument("--initial", default=None, help="starting point set")
-    _add_common(sea)
-    sea.set_defaults(func=cmd_search)
 
-    ana = sub.add_parser("analyze", help="extract tripartite witnesses")
+    ana = command("analyze", cmd_analyze, "extract tripartite witnesses")
     ana.add_argument("points")
     ana.add_argument("intervals")
     ana.add_argument("--s", type=int, default=2)
     ana.add_argument("--m", type=int, default=1)
-    ana.add_argument("--delta", type=float, default=0.1)
-    _add_common(ana)
-    ana.set_defaults(func=cmd_analyze)
+    ana.add_argument("--delta", type=finite, default=0.1)
 
-    dia = sub.add_parser("diameter", help="maximum pairwise distance")
+    dia = command("diameter", cmd_diameter, "maximum pairwise distance")
     dia.add_argument("points")
-    _add_common(dia)
-    dia.set_defaults(func=cmd_diameter)
 
     return parser
 
 
-def _validate_generate_args(args) -> None:
-    name = args.construction
-    if name in ("two-column", "emp1", "problem3") and args.t is None:
-        raise InputFormatError(f"{name} needs --t")
-    if name == "remark2" and (args.t1 is None or args.t2 is None):
-        raise InputFormatError("remark2 needs --t1 and --t2")
-    if name == "random" and args.box is None:
-        raise InputFormatError("random needs --box")
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        if args.command == "generate":
-            _validate_generate_args(args)
-        return args.func(args)
-    except UnsupportedDimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (InputFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    defaults = argparse.Namespace(output_dir=".", format="json", seed=None)
+    return run(build_parser().parse_args(argv, defaults))
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ Point sets: {"dim": 2, "points": [[x, y], ...]} in JSON, or one "x,y" row per
 point in CSV. Interval families: {"alpha": a, "t": [...]}. Floats are written
 with Python's shortest round-trip representation, so JSON round-trips are
 bit-exact and CSV carries full precision. All writes are atomic (temp file
-plus rename).
+plus rename), and JSON is written strictly: a NaN or infinity raises
+ValueError instead of producing a non-standard token.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ __all__ = [
     "UnsupportedDimensionError",
     "load_point_set",
     "save_point_set",
+    "load_json",
     "load_intervals",
+    "intervals_from_dict",
     "save_intervals",
     "write_json",
     "write_text",
@@ -53,10 +56,11 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    write_text(path, json.dumps(payload, indent=2) + "\n")
+    write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def _load_json(path: str | Path) -> dict:
+def load_json(path: str | Path) -> dict:
+    """Parse a JSON file that must hold an object; InputFormatError otherwise."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -72,7 +76,7 @@ def load_point_set(path: str | Path) -> PointSet:
     path = Path(path)
     if path.suffix.lower() == ".csv":
         return _load_point_set_csv(path)
-    payload = _load_json(path)
+    payload = load_json(path)
     dim = payload.get("dim")
     if dim != 2:
         raise UnsupportedDimensionError(f"{path}: only dim 2 is supported, got {dim!r}")
@@ -127,15 +131,17 @@ def save_point_set(ps: PointSet, path: str | Path) -> None:
 
 
 def load_intervals(path: str | Path) -> IntervalFamily:
-    payload = _load_json(path)
-    t = payload.get("t")
-    alpha = payload.get("alpha")
-    if not isinstance(t, list):
-        raise InputFormatError(f"{path}: 't' must be a list")
+    return intervals_from_dict(load_json(path), path)
+
+
+def intervals_from_dict(payload: object, source: str | Path) -> IntervalFamily:
+    """Interval family from a parsed {"alpha": a, "t": [...]}; source names it in errors."""
+    if not isinstance(payload, dict) or not isinstance(payload.get("t"), list):
+        raise InputFormatError(f"{source}: expected an object whose 't' is a list")
     try:
-        return IntervalFamily([float(v) for v in t], float(alpha))
+        return IntervalFamily([float(v) for v in payload["t"]], float(payload.get("alpha")))
     except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"{path}: bad interval family: {exc}") from exc
+        raise InputFormatError(f"{source}: bad interval family: {exc}") from exc
 
 
 def save_intervals(iv: IntervalFamily, path: str | Path) -> None:

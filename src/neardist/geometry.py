@@ -10,6 +10,9 @@ Floating-point convention used throughout the package: interval membership is
 decided by comparing the squared distance dx*dx + dy*dy against the squared
 bounds t_l*t_l and (t_l + alpha)**2, with exact binary comparison and no
 epsilon slack. Pairs at exactly representable endpoints therefore count.
+
+Coordinates are limited to |x|, |y| <= 2**510 and interval ends to
+t_k + alpha <= 2**511, so dx*dx + dy*dy <= 2**1023 and (t_k + alpha)**2 <= 2**1022.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ __all__ = [
     "check_hypothesis",
     "verify_bound",
 ]
+
+_MAX_COORDINATE = 2.0**510
+_MAX_INTERVAL_END = 2.0**511
 
 
 @dataclass(frozen=True)
@@ -62,8 +68,8 @@ class PointSet:
             raise ValueError(f"expected an (n, 2) coordinate array, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("a point set must contain at least one point")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("point coordinates must be finite")
+        if not np.all(np.abs(arr) <= _MAX_COORDINATE):
+            raise ValueError("point coordinates must be finite with magnitude at most 2**510")
         arr.setflags(write=False)
         self._coords = arr
 
@@ -127,6 +133,8 @@ class IntervalFamily:
             raise ValueError(f"interval values must be strictly increasing, got {values}")
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
+        if values[-1] + alpha > _MAX_INTERVAL_END:
+            raise ValueError(f"t_k + alpha must be at most 2**511, got {values[-1] + alpha}")
         object.__setattr__(self, "t", values)
         object.__setattr__(self, "alpha", float(alpha))
 
@@ -263,7 +271,8 @@ class VerifierReport:
     """Combined separation / near-sum / count / bound report for one input.
 
     bound_value is n^2/4 + C*n with a caller-supplied constant C. The report
-    only states facts; it never raises on a violated bound.
+    only states facts; it never raises on a violated bound. min_distance is
+    inf for a single point, which has no pairs; to_dict writes it as None.
     """
 
     separated: bool
@@ -278,7 +287,7 @@ class VerifierReport:
     def to_dict(self) -> dict:
         return {
             "separated": self.separated,
-            "min_distance": self.min_distance,
+            "min_distance": self.min_distance if math.isfinite(self.min_distance) else None,
             "hypothesis": self.hypothesis.to_dict(),
             "count": self.count.to_dict(),
             "bound_constant": self.bound_constant,
@@ -300,11 +309,13 @@ def verify_bound(
 
     if C < 0:
         raise ValueError(f"bound constant C must be >= 0, got {C}")
+    n = ps.n
+    bound_value = n * n / 4.0 + C * n
+    if not math.isfinite(bound_value):
+        raise ValueError(f"bound n^2/4 + C*n is not finite for n={n}, C={C}")
     hypothesis = check_hypothesis(iv, delta)
     min_dist, separated = min_pairwise_distance(ps)
     count = count_pairs(ps, iv, method=method)
-    n = ps.n
-    bound_value = n * n / 4.0 + C * n
     return VerifierReport(
         separated=separated,
         min_distance=min_dist,

@@ -57,6 +57,17 @@ class SearchConfig:
     restarts: int = 1
 
     def __post_init__(self) -> None:
+        # Config files pass raw JSON values: check types before comparing them.
+        for name in ("n", "iterations", "seed", "restarts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("initial_temperature", "cooling_factor", "jitter_sigma",
+                     "teleport_probability"):
+            value = getattr(self, name)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if value is not None and not (number and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.iterations < 0:

@@ -8,8 +8,6 @@ zero-iteration behavior) do.
 
 import json
 import math
-import subprocess
-import sys
 import time
 
 import mpmath
@@ -34,6 +32,7 @@ from neardist import (
     two_column,
 )
 
+from conftest import run_cli
 from _oracles import oracle_count, oracle_tripartite_exists, validate_homogeneous, validate_tripartite
 
 
@@ -303,47 +302,38 @@ def test_criterion_09_search_sanity():
     )
 
 
-def _run_cli(*args, cwd):
-    return subprocess.run(
-        [sys.executable, "-m", "neardist", *map(str, args)],
-        cwd=cwd,
-        capture_output=True,
-        text=True,
-    )
-
-
 def test_criterion_10_cli_contract(tmp_path):
-    gen = _run_cli(
+    gen = run_cli(
         "--output-dir", "tc", "generate", "two-column",
         "--n", 20, "--k", 2, "--t", 500, "--eps", 0.1, cwd=tmp_path,
     )
-    cnt = _run_cli(
+    cnt = run_cli(
         "--output-dir", "tc_cnt", "count", "tc/points.json", "tc/intervals.json",
         cwd=tmp_path,
     )
-    ver = _run_cli(
+    ver = run_cli(
         "--output-dir", "tc_ver", "verify", "tc/points.json", "tc/intervals.json",
         "--delta", 0.2, "--C", 2, cwd=tmp_path,
     )
     pipeline_ok = gen.returncode == cnt.returncode == ver.returncode == 0
 
-    _run_cli(
+    run_cli(
         "--output-dir", "rm", "generate", "remark2",
         "--n", 30, "--t1", 2000, "--t2", 2000, cwd=tmp_path,
     )
-    rm_ver = _run_cli(
+    rm_ver = run_cli(
         "--output-dir", "rm_ver", "verify", "rm/points.json", "rm/intervals.json",
         "--delta", 0.2, "--C", 2, cwd=tmp_path,
     )
     negative_ok = rm_ver.returncode == 1
 
     (tmp_path / "broken.json").write_text("{nope")
-    bad = _run_cli("count", "broken.json", "tc/intervals.json", cwd=tmp_path)
+    bad = run_cli("count", "broken.json", "tc/intervals.json", cwd=tmp_path)
     malformed_ok = bad.returncode == 2
 
     args = ["generate", "two-column", "--n", 20, "--k", 2, "--t", 500, "--eps", 0.1]
-    _run_cli("--output-dir", "m1", *args, cwd=tmp_path)
-    _run_cli("--output-dir", "m2", *args, cwd=tmp_path)
+    run_cli("--output-dir", "m1", *args, cwd=tmp_path)
+    run_cli("--output-dir", "m2", *args, cwd=tmp_path)
     names = ["points.json", "intervals.json", "construction.json", "manifest.json"]
     reproducible_ok = all(
         (tmp_path / "m1" / name).read_bytes() == (tmp_path / "m2" / name).read_bytes()

@@ -1,12 +1,17 @@
+import io
 import json
 import math
-import subprocess
-import sys
+import os
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from neardist import IntervalFamily, PointSet
+from neardist import IntervalFamily, PointSet, cli
 from neardist.fileio import (
     InputFormatError,
     UnsupportedDimensionError,
@@ -16,14 +21,7 @@ from neardist.fileio import (
     save_point_set,
 )
 
-
-def run_cli(*args, cwd):
-    return subprocess.run(
-        [sys.executable, "-m", "neardist", *map(str, args)],
-        cwd=cwd,
-        capture_output=True,
-        text=True,
-    )
+from conftest import run_cli
 
 
 class TestFileIO:
@@ -314,3 +312,174 @@ class TestDiameterCommand:
         assert "diameter=5.0" in res.stdout
         payload = json.loads((tmp_path / "out/diameter.json").read_text())
         assert payload == {"n": 2, "diameter": 5.0}
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+PTS = '{"dim": 2, "points": [[0, 0], [0, 1], [0, 2], [5, 0], [5, 1], [5, 2]]}'
+IV = '{"alpha": 1.0, "t": [1.0, 5.0]}'
+CONFIG = {"n": 3, "iterations": 20, "seed": 1, "intervals": {"alpha": 1.0, "t": [5.0]}}
+INPUTS = {"pts.json": PTS, "iv.json": IV}
+HOLES = {
+    "config-intervals-list": (
+        {"cfg.json": json.dumps(CONFIG | {"intervals": [1, 2]})}, ["search", "--config", "cfg.json"]),
+    "config-iterations-float": (
+        {"cfg.json": json.dumps(CONFIG | {"iterations": 10.5})}, ["search", "--config", "cfg.json"]),
+    "config-seed-string": (
+        {"cfg.json": json.dumps(CONFIG | {"seed": "x"})}, ["search", "--config", "cfg.json"]),
+    "config-n-bool": (
+        {"cfg.json": json.dumps(CONFIG | {"n": True})}, ["search", "--config", "cfg.json"]),
+    "analyze-m-above-s": (INPUTS, ["analyze", "pts.json", "iv.json", "--s", 3, "--m", 5]),
+    "analyze-delta-out-of-range": (INPUTS, ["analyze", "pts.json", "iv.json", "--delta", 5]),
+    "output-dir-is-a-file": (INPUTS, ["diameter", "pts.json", "--output-dir", "pts.json"]),
+    "coordinates-beyond-limit": (
+        {"big.json": '{"dim": 2, "points": [[1e200, 0], [-1e200, 0]]}'}, ["diameter", "big.json"]),
+    "interval-end-beyond-limit": (
+        INPUTS | {"big.json": '{"alpha": 1.0, "t": [1e200]}'}, ["count", "pts.json", "big.json"]),
+    "box-nan": ({}, ["generate", "random", "--n", 3, "--box", "nan"]),
+    "C-nan": (INPUTS, ["verify", "pts.json", "iv.json", "--delta", 0.2, "--C", "nan"]),
+    "bound-overflow": (INPUTS, ["verify", "pts.json", "iv.json", "--delta", 0.2, "--C", 1e308]),
+    "interval-value-overflow": ({}, ["generate", "two-column", "--n", 4, "--k", 1000, "--t", 10]),
+}
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("files, args", HOLES.values(), ids=HOLES.keys())
+    def test_bad_input_exits_two_with_one_error_line(self, tmp_path, files, args):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        res = run_cli("--output-dir", "out", *args, cwd=tmp_path)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        lines = res.stderr.splitlines()
+        # run() reports one line; argparse prints its usage above its error line
+        assert lines[-1].startswith("error: ") if len(lines) == 1 else ": error: " in lines[-1]
+        assert res.stdout == ""
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    def test_verify_one_point_writes_null_min_distance(self, tmp_path):
+        (tmp_path / "one.json").write_text('{"dim": 2, "points": [[0.5, 0.25]]}')
+        (tmp_path / "iv.json").write_text(IV)
+        res = run_cli("--output-dir", "out", "verify", "one.json", "iv.json",
+                      "--delta", 0.2, "--C", 1, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        verdict = strict_json((tmp_path / "out/verify.json").read_text())
+        assert verdict["min_distance"] is None and verdict["separated"]
+
+    def test_common_flags_before_or_after_subcommand(self, tmp_path):
+        args = ["generate", "random", "--n", 9, "--box", 6]
+        run_cli("--output-dir", "a", "--format", "csv", "--seed", 3, *args, cwd=tmp_path)
+        run_cli("--seed", 1, *args, "--output-dir", "b", "--format", "csv", "--seed", 3, cwd=tmp_path)
+        for name in ("points.csv", "construction.json", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert strict_json((tmp_path / "b/manifest.json").read_text())["seed"] == 3
+
+
+FUZZ_ARGVS = [
+    ["--output-dir", "out", "generate", "two-column", "--n", "6", "--k", "2", "--t", "500"],
+    ["generate", "random", "--n", "5", "--box", "9", "--seed", "1", "--format", "csv"],
+    ["--output-dir", "out", "generate", "remark2", "--n", "6", "--t1", "20", "--t2", "30"],
+    ["--output-dir", "out", "count", "pts.json", "iv.json", "--method", "pruned"],
+    ["--output-dir", "out", "check-hypothesis", "iv.json", "--delta", "0.2"],
+    ["--output-dir", "out", "verify", "pts.csv", "iv.json", "--delta", "0.2", "--C", "2"],
+    ["--output-dir", "out", "search", "--config", "cfg.json"],
+    ["search", "--intervals", "iv.json", "--n", "3", "--iterations", "20", "--initial", "pts3.json"],
+    ["--output-dir", "out", "analyze", "pts.json", "iv.json", "--s", "1", "--m", "1"],
+    ["diameter", "pts.json", "--output-dir", "out"],
+]
+# Integers stay small so that no mutation asks for a long run or a large allocation.
+FUZZ_TOKENS = [
+    "nan", "inf", "-inf", "1e400", "1e300", "-1", "0", "1", "3", "40", "0.5", "1.5", "abc", "",
+    "--seed", "--format", "csv", "out", "pts.json", "pts.csv", "iv.json", "broken.json",
+    "dim3.json", "big.json", "missing.json", "cfg.json", "afile", "afile/sub",
+]
+FUZZ_VALUES = [
+    True, None, "x", 1.5, -1, 0, 3, float("nan"), float("inf"), 1e300, [1, 2], {}, {"t": 5},
+]
+FUZZ_FILES = {
+    "pts.json": PTS,
+    "pts.csv": "0,0\n0,1\n0,2\n5,0\n5,1\n5,2\n",
+    "pts3.json": '{"dim": 2, "points": [[0.0, 0.0], [0.0, 5.5], [20.0, 0.0]]}',
+    "iv.json": IV,
+    "broken.json": "{nope",
+    "dim3.json": '{"dim": 3, "points": [[1, 2, 3]]}',
+    "big.json": '{"dim": 2, "points": [[1e300, 0]]}',
+    "afile": "",
+}
+
+
+def _mutate(argv, edits):
+    argv = list(argv)
+    for kind, index, token in edits:
+        index %= len(argv) + 1
+        if kind == "insert":
+            argv.insert(index, token)
+        elif index < len(argv):
+            argv[index : index + 1] = [] if kind == "delete" else [token]
+    return argv
+
+
+def _assert_strict(path):
+    text = path.read_text()
+    if path.suffix == ".json":
+        strict_json(text)
+        return
+    assert path.suffix == ".csv", path
+    rows = [line.split(",") for line in text.splitlines()]
+    for row in rows[1:] if rows[:1] == [["iteration", "count"]] else rows:
+        assert len(row) == 2 and all(math.isfinite(float(v)) for v in row), path
+
+
+class TestInputContractFuzz:
+    @given(
+        argv=st.sampled_from(FUZZ_ARGVS),
+        edits=st.lists(
+            st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 15),
+                      st.sampled_from(FUZZ_TOKENS)),
+            max_size=3,
+        ),
+        config_edits=st.dictionaries(
+            st.sampled_from(["n", "iterations", "seed", "restarts", "jitter_sigma",
+                             "teleport_probability", "initial_temperature", "cooling_factor",
+                             "intervals", "t", "alpha"]),
+            st.sampled_from(FUZZ_VALUES),
+            max_size=2,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_argv_and_config_keep_exit_contract(self, argv, edits, config_edits):
+        config = json.loads(json.dumps(CONFIG))
+        for key, value in config_edits.items():
+            if key in ("t", "alpha"):
+                config["intervals"][key] = value
+            else:
+                config[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name, text in (FUZZ_FILES | {"cfg.json": json.dumps(config)}).items():
+                (root / name).write_text(text)
+            before = {path: path.read_bytes() for path in root.iterdir()}
+            stdout, stderr = io.StringIO(), io.StringIO()
+            cwd = os.getcwd()
+            os.chdir(root)
+            try:
+                with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
+                    warnings.simplefilter("error", RuntimeWarning)
+                    code = cli.main(_mutate(argv, edits))
+            except SystemExit as exc:  # argparse rejecting the command line
+                assert exc.code == 2
+                code = None
+            finally:
+                os.chdir(cwd)
+            assert code in (None, 0, 1, 2, 3)
+            if code in (2, 3):
+                assert stderr.getvalue().startswith("error: ")
+                assert stderr.getvalue().count("\n") == 1
+            for path in root.rglob("*"):
+                if path.is_file() and before.get(path) != path.read_bytes():
+                    _assert_strict(path)

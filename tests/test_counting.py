@@ -1,7 +1,8 @@
 import math
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neardist import (
@@ -172,6 +173,25 @@ class TestMethodEquivalence:
         pruned = count_pairs(built.ps, built.iv, "pruned")
         assert brute.per_interval == pruned.per_interval
         assert brute.total == built.predicted_count
+
+    @given(
+        pts=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=2, max_size=12),
+        qs=st.lists(st.integers(1, 15), min_size=1, max_size=4, unique=True),
+        alpha=st.sampled_from([1.0, 2.0**505, 2.0**507]),
+    )
+    @example(pts=[(-4, -4), (4, 4), (-4, 4), (4, -4), (0, 0), (4, 0)], qs=[4, 8, 15], alpha=2.0**507)
+    @settings(max_examples=60, deadline=None)
+    def test_brute_pruned_oracle_agree_at_magnitude_limit(self, pts, qs, alpha):
+        # Multiples of 2**508 reach the 2**510 coordinate limit and land on
+        # interval endpoints exactly; overflow would warn or miscount.
+        pts = [(x * 2.0**508, y * 2.0**508) for x, y in pts]
+        t = sorted(q * 2.0**507 for q in qs)
+        expected = oracle_count(pts, t, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for method in ("brute", "pruned"):
+                report = count_pairs(PointSet(pts), IntervalFamily(t, alpha), method)
+                assert (report.total, list(report.per_interval)) == expected
 
     def test_equivalence_with_colinear_points(self):
         ps = PointSet([(float(i), 0.0) for i in range(50)])

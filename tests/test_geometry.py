@@ -36,6 +36,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             PointSet([(0.0, float("inf"))])
 
+    def test_magnitude_limits(self):
+        corner = 2.0**510
+        ps = PointSet([(-corner, -corner), (corner, corner)])
+        assert diameter(ps) == math.sqrt(2.0**1023)
+        with pytest.raises(ValueError):
+            PointSet([(math.nextafter(corner, math.inf), 0.0)])
+        assert IntervalFamily([corner], corner).t == (corner,)
+        with pytest.raises(ValueError):
+            IntervalFamily([corner], 1.5 * corner)
+
     def test_point_set_is_read_only(self):
         ps = PointSet([(0, 0), (1, 1)])
         with pytest.raises(ValueError):

@@ -39,6 +39,17 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(n=4, iv=IV50, iterations=10, seed=0, restarts=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", True), ("iterations", 10.5), ("seed", "x"), ("restarts", None),
+         ("jitter_sigma", "x"), ("cooling_factor", float("nan")),
+         ("initial_temperature", float("inf")), ("teleport_probability", False)],
+    )
+    def test_field_types(self, field, value):
+        fields = {"n": 4, "iv": IV50, "iterations": 10, "seed": 0} | {field: value}
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**fields)
+
 
 class TestAnneal:
     def test_zero_iterations_returns_initial(self):
