@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import IntervalFamily, PointSet, _blocked_sq_dists
+from .geometry import IntervalFamily, PointSet
 
 __all__ = ["PairCountReport", "count_pairs", "label_pairs"]
 
@@ -54,6 +54,21 @@ class PairCountReport:
             "per_interval": list(self.per_interval),
             "method": self.method,
         }
+
+
+def _blocked_sq_dists(coords: np.ndarray, block: int = 256):
+    """Yield squared distances of all unordered pairs, in (i, j) row-major order."""
+    n = coords.shape[0]
+    xs = coords[:, 0]
+    ys = coords[:, 1]
+    for i0 in range(0, n - 1, block):
+        i1 = min(i0 + block, n)
+        dx = xs[i0:i1, None] - xs[None, i0:]
+        dy = ys[i0:i1, None] - ys[None, i0:]
+        d2 = dx * dx + dy * dy
+        rows = np.arange(i0, i1)[:, None]
+        cols = np.arange(i0, n)[None, :]
+        yield i0, d2, cols > rows
 
 
 def _accumulate_labels(d2: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, per: np.ndarray) -> None:

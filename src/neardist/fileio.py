@@ -83,14 +83,16 @@ def load_point_set(path: str | Path) -> PointSet:
     points = payload.get("points")
     if not isinstance(points, list) or not points:
         raise InputFormatError(f"{path}: 'points' must be a non-empty list")
+    # Exact types, so that JSON true/false (bool subclasses int) are rejected too.
+    if {type(p) for p in points} != {list} or not {
+        type(v) for p in points for v in p
+    } <= {int, float}:
+        raise InputFormatError(f"{path}: every point must be an array of numbers")
+    if {len(p) for p in points} != {2}:
+        raise UnsupportedDimensionError(f"{path}: every point must have 2 coordinates")
     try:
-        rows = [(float(p[0]), float(p[1])) for p in points]
-        if any(len(p) != 2 for p in points):
-            raise UnsupportedDimensionError(f"{path}: every point must have 2 coordinates")
-        return PointSet(rows)
-    except UnsupportedDimensionError:
-        raise
-    except (TypeError, ValueError, IndexError) as exc:
+        return PointSet(points)
+    except (ValueError, OverflowError) as exc:
         raise InputFormatError(f"{path}: bad point data: {exc}") from exc
 
 

@@ -13,6 +13,15 @@ epsilon slack. Pairs at exactly representable endpoints therefore count.
 
 Coordinates are limited to |x|, |y| <= 2**510 and interval ends to
 t_k + alpha <= 2**511, so dx*dx + dy*dy <= 2**1023 and (t_k + alpha)**2 <= 2**1022.
+
+Neither min_pairwise_distance nor diameter scans all pairs, yet both return
+exactly what an all-pairs scan of dx*dx + dy*dy would, bit for bit. The
+minimum searches a grid of cells sized from an upper bound taken from
+neighbours in (x, y) order: O(n log n) plus the pairs in touching cells, O(n)
+memory. The diameter measures every point against a monotone-chain hull kept
+with certified orientation tests, then rescans the few rows that could hold
+the maximum: O(n log n + n * h) for h hull points. Their docstrings give the
+exactness arguments.
 """
 
 from __future__ import annotations
@@ -39,6 +48,19 @@ __all__ = [
 
 _MAX_COORDINATE = 2.0**510
 _MAX_INTERVAL_END = 2.0**511
+# Unit roundoff of float64, and Shewchuk's static bound on the relative error
+# of a 2x2 orientation determinant evaluated in floating point.
+_U = 2.0**-53
+_ORIENT_ERR = (3.0 + 16.0 * _U) * _U
+# Absolute slack covering products that underflow, whose error is not relative.
+_TINY = 2.0**-1022
+# Pair distances are evaluated this many at a time, so memory stays O(n).
+_PAIR_CHUNK = 1 << 16
+# Grid cells per axis at most, so that int64 cell keys stay exact.
+_MAX_CELLS = 2.0**30
+# Pairs per point the closest-pair grid may search before it halves its cell
+# side; above the 139 that points no closer than half the radius can fill.
+_PAIR_BUDGET = 160
 
 
 @dataclass(frozen=True)
@@ -223,47 +245,205 @@ def check_hypothesis(iv: IntervalFamily, delta: float) -> HypothesisReport:
     return HypothesisReport(delta, iv.alpha, not violations, tuple(violations))
 
 
-def _blocked_sq_dists(coords: np.ndarray, block: int = 256):
-    """Yield squared distances of all unordered pairs, in (i, j) row-major order."""
-    n = coords.shape[0]
-    xs = coords[:, 0]
-    ys = coords[:, 1]
-    for i0 in range(0, n - 1, block):
-        i1 = min(i0 + block, n)
-        dx = xs[i0:i1, None] - xs[None, i0:]
-        dy = ys[i0:i1, None] - ys[None, i0:]
-        d2 = dx * dx + dy * dy
-        rows = np.arange(i0, i1)[:, None]
-        cols = np.arange(i0, n)[None, :]
-        yield i0, d2, cols > rows
+def _sq_dists(xs: np.ndarray, ys: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Squared distances of the pairs (i, j), with the package-wide expression."""
+    dx = xs[i] - xs[j]
+    dy = ys[i] - ys[j]
+    return dx * dx + dy * dy
+
+
+def _touching_runs(xs: np.ndarray, ys: np.ndarray, side: float):
+    """Every pair of points whose grid cells are equal or adjacent, as runs.
+
+    Cells are squares of the given side, which must be at least extent /
+    _MAX_CELLS so that int64 cell keys stay exact. Returns (order, first, lo,
+    length): the point order[first[r]] pairs with order[lo[r] + k] for
+    0 <= k < length[r]. Each unordered pair appears once: later points of the
+    same cell, and the cells at the forward offsets (0, 1), (1, -1), (1, 0),
+    (1, 1). There are at most 5n runs, however many pairs they hold.
+    """
+    n = len(xs)
+    ix = np.floor((xs - xs.min()) / side).astype(np.int64)
+    iy = np.floor((ys - ys.min()) / side).astype(np.int64)
+    # A spare row keeps iy - 1 and iy + 1 from wrapping into an occupied cell.
+    stride = int(iy.max()) + 2
+    key = ix * stride + iy
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], skey[1:] != skey[:-1])))
+    ends = np.append(starts[1:], n)
+    cell_keys = skey[starts]
+    cell_of = np.repeat(np.arange(len(starts)), ends - starts)
+
+    pos = np.arange(n)
+    first = [pos]
+    lo = [pos + 1]
+    hi = [ends[cell_of]]
+    for offset in (1, stride - 1, stride, stride + 1):
+        target = cell_keys + offset
+        c = np.minimum(np.searchsorted(cell_keys, target), len(cell_keys) - 1)
+        hit = (cell_keys[c] == target)[cell_of]
+        partner = c[cell_of][hit]
+        first.append(pos[hit])
+        lo.append(starts[partner])
+        hi.append(ends[partner])
+    lo = np.concatenate(lo)
+    return order, np.concatenate(first), lo, np.concatenate(hi) - lo
+
+
+def _run_pairs(order: np.ndarray, first: np.ndarray, lo: np.ndarray, length: np.ndarray):
+    """Yield the pairs of _touching_runs as index arrays (i, j), _PAIR_CHUNK at a time."""
+    run_end = np.cumsum(length)
+    run_start = run_end - length
+    total = int(run_end[-1])
+    for q0 in range(0, total, _PAIR_CHUNK):
+        q1 = min(q0 + _PAIR_CHUNK, total)
+        r0 = int(np.searchsorted(run_end, q0, side="right"))
+        r1 = int(np.searchsorted(run_start, q1, side="left"))
+        taken = np.minimum(run_end[r0:r1], q1) - np.maximum(run_start[r0:r1], q0)
+        run = np.repeat(np.arange(r0, r1), taken)
+        yield order[first[run]], order[lo[run] + (np.arange(q0, q1) - run_start[run])]
 
 
 def min_pairwise_distance(ps: PointSet) -> tuple[float, bool]:
     """Minimum pairwise distance and the separation flag (min >= 1).
 
     A single point has no pairs; returns (inf, True).
+
+    The result equals sqrt of the minimum of dx*dx + dy*dy over all pairs,
+    bit for bit, without scanning all pairs. delta2, the smallest squared
+    distance between points consecutive in (x, y) order, belongs to an actual
+    pair, so it bounds the answer from above; let r = sqrt(delta2). Cells of
+    side 2r are searched over equal and adjacent cells only. A pair whose
+    computed squared distance is at most r*r has |dx|, |dy| <= r * (1 + 3u)
+    with u = 2**-53, at most half a cell, and the rounding of the cell
+    assignment stays far below the other half, so the pair lands in the same
+    or an adjacent cell.
+
+    If those cells hold more than _PAIR_BUDGET * n pairs, the closest pair is
+    at most r / 2 apart, and so, up to a factor 1 + 4u, is the pair with the
+    smallest computed squared distance; r is halved. (Points at least r / 2
+    apart leave disjoint disks of radius r / 4, so at most (4 / pi) * 5**2 < 32
+    of them fit in a cell of side 2r, which makes at most (15 + 4 * 31) * n
+    pairs.) The cell side never drops below extent / _MAX_CELLS; a larger side
+    only adds pairs. The minimum over the pairs searched is therefore the
+    minimum over all pairs.
+
+    Cost: O(n log n) per halving plus at most _PAIR_BUDGET * n pairs, unless
+    the cell side is held at its floor (a tight cluster far from the rest);
+    then all pairs in touching cells, at worst all pairs once each. Memory is
+    O(n).
     """
     if ps.n == 1:
         return math.inf, True
-    best = math.inf
-    for _, d2, mask in _blocked_sq_dists(ps.coords):
-        m = d2[mask].min()
-        if m < best:
-            best = float(m)
+    coords = ps.coords
+    order = np.lexsort((coords[:, 1], coords[:, 0]))
+    xs = coords[order, 0]
+    ys = coords[order, 1]
+    best = float(_sq_dists(xs, ys, np.arange(1, ps.n), np.arange(ps.n - 1)).min())
+    if best > 0.0:
+        floor = max(float(np.ptp(xs)), float(np.ptp(ys))) / _MAX_CELLS
+        r2 = best
+        while True:
+            side = max(2.0 * math.sqrt(r2), floor)
+            cells, first, lo, length = _touching_runs(xs, ys, side)
+            if side == floor or length.sum() <= _PAIR_BUDGET * ps.n:
+                break
+            r2 /= 4.0
+        for i, j in _run_pairs(cells, first, lo, length):
+            best = min(best, float(_sq_dists(xs, ys, i, j).min()))
     dist = math.sqrt(best)
     return dist, dist >= 1.0
 
 
+def _turns_left(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> bool:
+    """Whether o -> a -> b turns strictly left, decided exactly.
+
+    The float determinant decides when Shewchuk's static error bound (plus a
+    slack for underflowed products) certifies its sign. Otherwise the
+    determinant is exactly zero if both products have a zero factor, and
+    else integer arithmetic on the coordinates, each times one common power
+    of two, decides.
+    """
+    left = (ax - ox) * (by - oy)
+    right = (ay - oy) * (bx - ox)
+    det = left - right
+    if abs(det) > _ORIENT_ERR * (abs(left) + abs(right)) + _TINY:
+        return det > 0.0
+    if (ax == ox or by == oy) and (ay == oy or bx == ox):
+        return False
+    ratios = [v.as_integer_ratio() for v in (ox, oy, ax, ay, bx, by)]
+    den = max(d for _, d in ratios)
+    ox, oy, ax, ay, bx, by = (num * (den // d) for num, d in ratios)
+    return (ax - ox) * (by - oy) > (ay - oy) * (bx - ox)
+
+
+def _hull_vertices(xs: list[float], ys: list[float]) -> list[int]:
+    """Positions of the convex hull's vertices, for points given in (x, y) order.
+
+    Andrew's monotone chain with the exact _turns_left: collinear and repeated
+    points are dropped, so what remains are exactly the hull's vertices.
+    """
+
+    def chain(seq) -> list[int]:
+        out: list[int] = []
+        for b in seq:
+            while len(out) >= 2 and not _turns_left(
+                xs[out[-2]], ys[out[-2]], xs[out[-1]], ys[out[-1]], xs[b], ys[b]
+            ):
+                out.pop()
+            out.append(b)
+        return out
+
+    positions = range(len(xs))
+    return chain(positions)[:-1] + chain(reversed(positions))[:-1]
+
+
+def _farthest_sq(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, to: np.ndarray) -> np.ndarray:
+    """For each index in rows, the largest squared distance to the points in to."""
+    out = np.empty(len(rows))
+    step = max(1, _PAIR_CHUNK // len(to))
+    for r0 in range(0, len(rows), step):
+        r = rows[r0 : r0 + step]
+        dx = xs[r, None] - xs[None, to]
+        dy = ys[r, None] - ys[None, to]
+        out[r0 : r0 + step] = (dx * dx + dy * dy).max(axis=1)
+    return out
+
+
 def diameter(ps: PointSet) -> float:
-    """Maximum pairwise distance; 0 for a single point."""
+    """Maximum pairwise distance; 0 for a single point.
+
+    The result equals sqrt of the maximum of dx*dx + dy*dy over all pairs,
+    bit for bit. H, the vertices of the convex hull, comes from a monotone
+    chain with an exact orientation test (see _turns_left). F(p), the
+    largest computed squared distance from p to H, is formed for every p, and
+    D = max F. The exact farthest point from any p is a hull vertex, and each
+    computed squared distance is within a factor (1 +- 4u) of the exact one
+    (u = 2**-53; _TINY covers underflow), so no pair at p computes above
+    F(p) * (1 + 16u) + _TINY. Every p reaching D that way is scanned against
+    the points outside H, which finds every pair that could exceed D.
+
+    Cost: O(n log n) for the hull plus O(n * |H|) for F, plus O(n) per
+    scanned row (usually the few endpoints of the diameter). When every point
+    is a hull vertex, as on a circle, F alone is O(n^2) time, with O(n)
+    memory.
+    """
     if ps.n == 1:
         return 0.0
-    worst = 0.0
-    for _, d2, mask in _blocked_sq_dists(ps.coords):
-        m = d2[mask].max()
-        if m > worst:
-            worst = float(m)
-    return math.sqrt(worst)
+    coords = ps.coords
+    order = np.lexsort((coords[:, 1], coords[:, 0]))
+    xs = coords[order, 0]
+    ys = coords[order, 1]
+    hull = np.array(_hull_vertices(xs.tolist(), ys.tolist()))
+    far = _farthest_sq(xs, ys, np.arange(ps.n), hull)
+    best = float(far.max())
+    # F(p) already covers the hull, so a rescan needs only the other points.
+    others = np.setdiff1d(np.arange(ps.n), hull)
+    if len(others):
+        rescan = np.flatnonzero(far * (1.0 + 16.0 * _U) + _TINY >= best)
+        best = max(best, float(_farthest_sq(xs, ys, rescan, others).max()))
+    return math.sqrt(best)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,16 @@ convention (dx*dx + dy*dy against squared bounds) so endpoint behavior is
 comparable bit for bit.
 """
 
+from fractions import Fraction
 from itertools import combinations
 import math
+
+
+def _sq_dist(a, b):
+    # x * x, not x ** 2: pow(x, 2) is not correctly rounded on every libm.
+    dx = a[0] - b[0]
+    dy = a[1] - b[1]
+    return dx * dx + dy * dy
 
 
 def oracle_count(points, t_values, alpha):
@@ -15,8 +23,7 @@ def oracle_count(points, t_values, alpha):
     k = len(t_values)
     per = [0] * k
     for i, j in combinations(range(len(points)), 2):
-        (x1, y1), (x2, y2) = points[i], points[j]
-        d2 = (x1 - x2) ** 2 + (y1 - y2) ** 2
+        d2 = _sq_dist(points[i], points[j])
         for l in range(k):
             lo = t_values[l] * t_values[l]
             hi = (t_values[l] + alpha) * (t_values[l] + alpha)
@@ -30,8 +37,7 @@ def oracle_labels(points, t_values, alpha):
     """Sorted (i, j, l) triples with 1-based smallest labels, pure Python."""
     out = []
     for i, j in combinations(range(len(points)), 2):
-        (x1, y1), (x2, y2) = points[i], points[j]
-        d2 = (x1 - x2) ** 2 + (y1 - y2) ** 2
+        d2 = _sq_dist(points[i], points[j])
         for l, t in enumerate(t_values, start=1):
             if t * t <= d2 <= (t + alpha) * (t + alpha):
                 out.append((i, j, l))
@@ -42,23 +48,35 @@ def oracle_labels(points, t_values, alpha):
 def oracle_min_distance(points):
     if len(points) < 2:
         return math.inf
-    return math.sqrt(
-        min(
-            (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
-            for a, b in combinations(points, 2)
-        )
-    )
+    return math.sqrt(min(_sq_dist(a, b) for a, b in combinations(points, 2)))
 
 
 def oracle_diameter(points):
     if len(points) < 2:
         return 0.0
-    return math.sqrt(
-        max(
-            (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
-            for a, b in combinations(points, 2)
-        )
-    )
+    return math.sqrt(max(_sq_dist(a, b) for a, b in combinations(points, 2)))
+
+
+def oracle_hull(points):
+    """Set of (x, y) vertices of the convex hull, by exact rational arithmetic."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return set(pts)
+    exact = [(Fraction(x), Fraction(y)) for x, y in pts]
+
+    def chain(seq):
+        out = []
+        for b in seq:
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                if (ax - ox) * (b[1] - oy) - (ay - oy) * (b[0] - ox) > 0:
+                    break
+                out.pop()
+            out.append(b)
+        return out
+
+    hull = chain(exact)[:-1] + chain(exact[::-1])[:-1]
+    return {(float(x), float(y)) for x, y in hull}
 
 
 def oracle_violations(t_values, alpha, delta):

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neardist import IntervalFamily, PointSet, cli
@@ -345,6 +345,9 @@ HOLES = {
     "C-nan": (INPUTS, ["verify", "pts.json", "iv.json", "--delta", 0.2, "--C", "nan"]),
     "bound-overflow": (INPUTS, ["verify", "pts.json", "iv.json", "--delta", 0.2, "--C", 1e308]),
     "interval-value-overflow": ({}, ["generate", "two-column", "--n", 4, "--k", 1000, "--t", 10]),
+    "point-object": (
+        {"obj.json": '{"dim": 2, "points": [{"x": 1, "y": 2}, [0, 0]]}'}, ["diameter", "obj.json"]),
+    "point-string": ({"str.json": '{"dim": 2, "points": ["12", [5, 5]]}'}, ["diameter", "str.json"]),
 }
 
 
@@ -396,7 +399,7 @@ FUZZ_ARGVS = [
 FUZZ_TOKENS = [
     "nan", "inf", "-inf", "1e400", "1e300", "-1", "0", "1", "3", "40", "0.5", "1.5", "abc", "",
     "--seed", "--format", "csv", "out", "pts.json", "pts.csv", "iv.json", "broken.json",
-    "dim3.json", "big.json", "missing.json", "cfg.json", "afile", "afile/sub",
+    "dim3.json", "big.json", "mixed.json", "missing.json", "cfg.json", "afile", "afile/sub",
 ]
 FUZZ_VALUES = [
     True, None, "x", 1.5, -1, 0, 3, float("nan"), float("inf"), 1e300, [1, 2], {}, {"t": 5},
@@ -409,6 +412,7 @@ FUZZ_FILES = {
     "broken.json": "{nope",
     "dim3.json": '{"dim": 3, "points": [[1, 2, 3]]}',
     "big.json": '{"dim": 2, "points": [[1e300, 0]]}',
+    "mixed.json": '{"dim": 2, "points": [[0, 0], {"x": 1, "y": 2}, "12", [true, 1]]}',
     "afile": "",
 }
 
@@ -452,11 +456,14 @@ class TestInputContractFuzz:
         ),
     )
     @settings(max_examples=150, deadline=None)
+    @example(argv=FUZZ_ARGVS[6], edits=[], config_edits={"intervals": True, "t": True})
     def test_mutated_argv_and_config_keep_exit_contract(self, argv, edits, config_edits):
         config = json.loads(json.dumps(CONFIG))
+        # t and alpha edit the original intervals object, even when another edit replaces it.
+        intervals = config["intervals"]
         for key, value in config_edits.items():
             if key in ("t", "alpha"):
-                config["intervals"][key] = value
+                intervals[key] = value
             else:
                 config[key] = value
         with tempfile.TemporaryDirectory() as tmp:

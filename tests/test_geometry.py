@@ -17,8 +17,9 @@ from neardist import (
     two_column,
     verify_bound,
 )
+from neardist.geometry import _MAX_CELLS, _PAIR_BUDGET, _hull_vertices, _touching_runs
 
-from _oracles import oracle_diameter, oracle_min_distance, oracle_violations
+from _oracles import oracle_diameter, oracle_hull, oracle_min_distance, oracle_violations
 
 GRID = [(float(x), float(y)) for x in range(3) for y in range(3)]
 
@@ -99,6 +100,95 @@ class TestDiameter:
     def test_two_column(self):
         ps = two_column(20, 2, 500, 0.1).ps
         assert diameter(ps) == math.sqrt(500**2 + 81)
+
+
+def _circle(n):
+    angles = [2 * math.pi * k / n for k in range(n)]
+    return [(1e3 * math.cos(a), 1e3 * math.sin(a)) for a in angles]
+
+
+def _cluster_and_outlier():
+    rng = np.random.default_rng(5)
+    return [tuple(p) for p in rng.random((300, 2)) * 1e-6] + [(1e6, -1e6)]
+
+
+def _rotated_columns(m, gap, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return [(k * c + off * s, k * s - off * c) for off in (0.0, gap) for k in range(m)]
+
+
+CORNER = 2.0**510
+EXACT_CASES = {
+    "circle-2000": _circle(2000),
+    "collinear-column": [(5.0, float(y)) for y in range(300)],
+    "uncertain-diagonal": [(float(i), 0.5 * i) for i in range(300)],
+    "duplicates": GRID * 3 + [(0.5, 0.5)] * 4,
+    "lattice-at-1e9": [(1e9 + x, 1e9 - y) for x in range(15) for y in range(15)],
+    "corners-2**510": [(sx * CORNER, sy * CORNER) for sx in (-1, 0, 1) for sy in (-1, 1)],
+    "cluster-and-outlier": _cluster_and_outlier(),
+    "interleaved-rows": [(float(i // 2), (i % 2) * 1e6) for i in range(800)],
+    "rotated-columns": _rotated_columns(200, 500.0, 0.3),
+    # The last two points are midpoints of hull edges, so not hull vertices, yet
+    # their computed d2 rounds above every pair of corners.
+    "edge-midpoints": [
+        (-102413.0, 368432.0), (-102377.0, 368414.0), (49329315394.0, 98659204091.0),
+        (49329315466.0, 98659204055.0), (-102395.0, 368423.0), (49329315430.0, 98659204073.0),
+    ],
+}
+
+
+@st.composite
+def hard_point_sets(draw):
+    """Small-integer lattices with ties and collinear runs, scaled, shifted and nudged."""
+    small = st.integers(-4, 4)
+    base = draw(st.lists(st.tuples(small, small), min_size=1, max_size=30))
+    for x, y, dx, dy, m in draw(st.lists(st.tuples(small, small, small, small, st.integers(2, 8)),
+                                         max_size=2)):
+        base += [(x + k * dx, y + k * dy) for k in range(m)]
+    # clipping to [-4, 4] keeps multiples of 2**508 within the 2**510 limit
+    scale = draw(st.sampled_from([1.0, 0.5, 3.0, 2.0**508, 2.0**-530]))
+    shift = draw(st.sampled_from([0.0, 1e9, -1e9 + 0.25]))
+    points = [(max(-4, min(4, x)) * scale + shift, max(-4, min(4, y)) * scale + shift)
+              for x, y in base]
+    for i, axis in draw(st.lists(st.tuples(st.integers(0, len(points) - 1), st.sampled_from("xyb")),
+                                 max_size=4)):
+        x, y = points[i]
+        # one step towards zero, so 2**510 stays in range and 0 stays a duplicate
+        points.append((math.nextafter(x, 0.0) if axis in "xb" else x,
+                       math.nextafter(y, 0.0) if axis in "yb" else y))
+    return points
+
+
+class TestExactAgainstOracle:
+    @pytest.mark.parametrize("points", EXACT_CASES.values(), ids=EXACT_CASES.keys())
+    def test_regression_sets(self, points):
+        ps = PointSet(points)
+        assert min_pairwise_distance(ps)[0] == oracle_min_distance(points)
+        assert diameter(ps) == oracle_diameter(points)
+
+    def test_cluster_raises_cell_side_to_floor(self):
+        xs, ys = zip(*EXACT_CASES["cluster-and-outlier"])
+        extent = max(max(xs) - min(xs), max(ys) - min(ys))
+        assert 2 * oracle_min_distance(EXACT_CASES["cluster-and-outlier"]) < extent / _MAX_CELLS
+
+    def test_interleaved_rows_halve_the_radius(self):
+        xs, ys = np.array(sorted(EXACT_CASES["interleaved-rows"])).T
+        # neighbours in (x, y) order are 1e6 apart, so the first grid is one cell
+        assert _touching_runs(xs, ys, 2e6)[3].sum() > _PAIR_BUDGET * len(xs)
+
+    @given(points=hard_point_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_oracle(self, points):
+        ps = PointSet(points)
+        assert min_pairwise_distance(ps)[0] == oracle_min_distance(points)
+        assert diameter(ps) == oracle_diameter(points)
+
+    # The diameter's rescan margin hides a missing near-collinear vertex in
+    # practice, so the hull is checked on its own: exactness rests on it.
+    @pytest.mark.parametrize("points", EXACT_CASES.values(), ids=EXACT_CASES.keys())
+    def test_hull_is_exact(self, points):
+        xs, ys = map(list, zip(*sorted(points)))
+        assert {(xs[i], ys[i]) for i in _hull_vertices(xs, ys)} == oracle_hull(points)
 
 
 class TestCheckHypothesis:
