@@ -15,7 +15,7 @@ from .constructions import (
     three_column,
     two_column,
 )
-from .counting import PairCountReport, count_pairs, label_pairs
+from .counting import LabeledPairs, PairCountReport, count_pairs, label_pairs
 from .geometry import (
     HypothesisReport,
     IntervalFamily,
@@ -61,6 +61,7 @@ __all__ = [
     "Violation",
     "HypothesisReport",
     "PairCountReport",
+    "LabeledPairs",
     "VerifierReport",
     "min_pairwise_distance",
     "diameter",

@@ -14,17 +14,29 @@ dx*dx + dy*dy and test them against the family's squared bounds, so their
 reports agree exactly, including on interval endpoints. The cell-range bounds
 carry a small relative inflation so that skip and bulk-add decisions stay
 conservative under floating-point rounding.
+
+label_pairs lists the qualifying pairs themselves (the fixed-radius cell-list
+search of Bentley, Stanat and Williams, 1977, over a union of thin annuli).
+Points are bucketed into square cells; the cell offsets whose distance
+bracket meets some interval are enumerated row by row from the annuli, and
+each row's run of offsets is joined to the occupied cells by a search on the
+sorted cell keys, giving for every point a contiguous run of partner points.
+The pairs are evaluated in fixed-size chunks with the same membership test.
+The cell side comes from a cost model over the point counts per cell and the
+offset rows; at its coarsest, one cell, the method is the all-pairs scan, so
+no input costs more than O(n^2) time, and memory stays O(n + chunk + output).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import IntervalFamily, PointSet
+from .geometry import IntervalFamily, PointSet, _bucket_cells, _Cells, _run_pairs
 
-__all__ = ["PairCountReport", "count_pairs", "label_pairs"]
+__all__ = ["PairCountReport", "LabeledPairs", "count_pairs", "label_pairs"]
 
 # Cells per axis are capped so the cell-pair scan stays well below the pair
 # scan; 20 balances scan cost against bracket tightness at desk scales.
@@ -34,6 +46,20 @@ _GRID_CELLS_PER_AXIS = 20
 _BRACKET_SLACK = 4e-9
 
 _METHODS = ("brute", "pruned")
+
+# label_pairs grids have at most 2**_LABEL_LEVELS cells per axis, so the cell
+# assignment rounds by under 2**-31 of a cell and _BRACKET_SLACK covers it.
+_LABEL_LEVELS = 20
+# Extents below this are raised to it, so that cell sides and their squares
+# stay normal floats.
+_MIN_LABEL_EXTENT = 2.0**-480
+# Offset row runs are joined a batch at a time, about this many points' runs.
+_LABEL_BATCH = 1 << 17
+# Relative costs of the label_pairs grid: per occupied cell and per point for
+# each offset row run, and per candidate pair evaluated.
+_COST_CELL = 4.0
+_COST_POINT = 1.0
+_COST_PAIR = 1.5
 
 
 @dataclass(frozen=True)
@@ -71,15 +97,22 @@ def _blocked_sq_dists(coords: np.ndarray, block: int = 256):
         yield i0, d2, cols > rows
 
 
-def _accumulate_labels(d2: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, per: np.ndarray) -> None:
-    """Add smallest-label counts of the given squared distances into per."""
+def _label_hits(d2: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
+    """Yield (l, hit) for each 0-based interval l, hit masking the squared
+    distances whose smallest qualifying interval is l; stops once none is left."""
     remaining = np.ones(d2.shape, dtype=bool)
     for l in range(len(lo2)):
         hit = remaining & (d2 >= lo2[l]) & (d2 <= hi2[l])
-        per[l] += int(np.count_nonzero(hit))
+        yield l, hit
         remaining &= ~hit
         if not remaining.any():
-            break
+            return
+
+
+def _accumulate_labels(d2: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, per: np.ndarray) -> None:
+    """Add smallest-label counts of the given squared distances into per."""
+    for l, hit in _label_hits(d2, lo2, hi2):
+        per[l] += int(np.count_nonzero(hit))
 
 
 def _count_brute(coords: np.ndarray, iv: IntervalFamily) -> np.ndarray:
@@ -90,28 +123,30 @@ def _count_brute(coords: np.ndarray, iv: IntervalFamily) -> np.ndarray:
     return per
 
 
-def _cell_grid(coords: np.ndarray, alpha: float):
+def _cell_grid(coords: np.ndarray, alpha: float) -> _Cells:
     """Bucket points into square cells; side >= max(1, alpha), capped cells per axis."""
     xs = coords[:, 0]
     ys = coords[:, 1]
-    x0 = xs.min()
-    y0 = ys.min()
-    extent = max(float(xs.max() - x0), float(ys.max() - y0))
+    extent = max(float(np.ptp(xs)), float(np.ptp(ys)))
     side = max(1.0, alpha)
     if extent > side * _GRID_CELLS_PER_AXIS:
         side = extent / _GRID_CELLS_PER_AXIS
-    ix = np.floor((xs - x0) / side).astype(np.int64)
-    iy = np.floor((ys - y0) / side).astype(np.int64)
-    stride = int(iy.max()) + 2
-    key = ix * stride + iy
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    n = coords.shape[0]
-    starts = np.flatnonzero(np.concatenate(([True], skey[1:] != skey[:-1])))
-    counts = np.diff(np.concatenate((starts, [n])))
-    cell_ix = skey[starts] // stride
-    cell_iy = skey[starts] % stride
-    return side, order, starts, counts, cell_ix, cell_iy
+    return _bucket_cells(xs, ys, side)
+
+
+def _sq_bracket(da, db, side: float):
+    """Conservative (min, max) of dx*dx + dy*dy over two points in cells whose
+    indices differ by (da, db) >= 0 on the two axes, for cells of the given side.
+
+    A bound that overflows is infinite and stays valid: an infinite maximum
+    skips nothing, and cells more than 2**511 apart hold no pair at all.
+    """
+    gmin_a = np.maximum(da - 1, 0) * side
+    gmin_b = np.maximum(db - 1, 0) * side
+    with np.errstate(over="ignore"):
+        bmin2 = (gmin_a**2 + gmin_b**2) * (1.0 - _BRACKET_SLACK)
+        bmax2 = (((da + 1) * side) ** 2 + ((db + 1) * side) ** 2) * (1.0 + _BRACKET_SLACK)
+    return bmin2, bmax2
 
 
 def _offset_code_table(side: float, span: int, iv: IntervalFamily) -> np.ndarray:
@@ -124,10 +159,7 @@ def _offset_code_table(side: float, span: int, iv: IntervalFamily) -> np.ndarray
     lo2, hi2 = iv.sq_bounds
     k = iv.k
     d = np.arange(span + 1, dtype=np.float64)
-    gmin = np.maximum(d - 1, 0) * side
-    gmax = (d + 1) * side
-    bmin2 = (gmin[:, None] ** 2 + gmin[None, :] ** 2) * (1.0 - _BRACKET_SLACK)
-    bmax2 = (gmax[:, None] ** 2 + gmax[None, :] ** 2) * (1.0 + _BRACKET_SLACK)
+    bmin2, bmax2 = _sq_bracket(d[:, None], d[None, :], side)
     first = np.full((span + 1, span + 1), k, dtype=np.int64)
     for l in range(k - 1, -1, -1):
         first[(bmin2 <= hi2[l]) & (bmax2 >= lo2[l])] = l
@@ -158,9 +190,14 @@ def _count_pruned(coords: np.ndarray, iv: IntervalFamily) -> np.ndarray:
     if n < 2:
         return per
 
-    side, order, starts, counts, cell_ix, cell_iy = _cell_grid(coords, iv.alpha)
-    sx = np.ascontiguousarray(coords[order, 0])
-    sy = np.ascontiguousarray(coords[order, 1])
+    cells = _cell_grid(coords, iv.alpha)
+    side = cells.side
+    starts = cells.starts[:-1]
+    counts = np.diff(cells.starts)
+    cell_ix = cells.keys // cells.stride
+    cell_iy = cells.keys % cells.stride
+    sx = np.ascontiguousarray(coords[cells.order, 0])
+    sy = np.ascontiguousarray(coords[cells.order, 1])
     m = len(starts)
 
     # Pairs within one cell: distance range is [0, side * sqrt(2)], which never
@@ -234,23 +271,165 @@ def count_pairs(ps: PointSet, iv: IntervalFamily, method: str = "brute") -> Pair
     return PairCountReport(total=sum(per_tuple), per_interval=per_tuple, method=method)
 
 
-def label_pairs(ps: PointSet, iv: IntervalFamily) -> list[tuple[int, int, int]]:
-    """All qualifying pairs as (i, j, l) with i < j and l the smallest interval index.
+@dataclass(frozen=True, eq=False)
+class LabeledPairs:
+    """Qualifying pairs as parallel int64 arrays, sorted by (i, j) with i < j.
 
-    Entries are sorted by (i, j); l is 1-based.
+    label holds the 1-based smallest qualifying interval index. len() is the
+    pair count; iteration yields (i, j, label) triples of Python ints.
     """
+
+    i: np.ndarray
+    j: np.ndarray
+    label: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.i)
+
+    def __iter__(self):
+        return zip(self.i.tolist(), self.j.tolist(), self.label.tolist())
+
+
+def _offset_rows(side: float, nx: int, ny: int, lo2: np.ndarray, hi2: np.ndarray):
+    """Every cell offset whose _sq_bracket meets an interval, as row runs.
+
+    Returns (a, b_lo, b_hi): offsets (a, b) for b_lo <= b <= b_hi, over the
+    half-plane a > 0 or a == 0 <= b, with |a| < nx and |b| < ny. The offset
+    (0, 0) stands for the pairs inside one cell. Each interval's offsets in a
+    row form one run of |b| (both bracket ends grow with |b|); a run is found
+    from the annulus by square roots, widened by two, then trimmed with
+    _sq_bracket itself, so nothing proportional to nx * ny is built.
+    """
+    rows = []
+    # No offset inside the grid is farther than this many cells; capping the
+    # radii there changes no run and keeps their squares finite.
+    cap = nx + ny + 4.0
+    for l in range(len(lo2)):
+        # In cell units: bmin2 <= hi2 needs max(a-1, 0)^2 + max(b-1, 0)^2 <= top,
+        # and bmax2 >= lo2 needs (a+1)^2 + (b+1)^2 >= bottom.
+        top = min(math.sqrt(hi2[l] / (1.0 - _BRACKET_SLACK)) / side, cap) ** 2
+        bottom = min(math.sqrt(lo2[l] / (1.0 + _BRACKET_SLACK)) / side, cap) ** 2
+        a_hi = min(nx - 1.0, math.sqrt(top) + 2.0)
+        a_lo = max(0.0, math.sqrt(max(bottom - float(ny) * ny, 0.0)) - 2.0)
+        if a_lo > a_hi:
+            continue
+        a = np.arange(int(a_lo), int(a_hi) + 1, dtype=np.float64)
+        ga = np.maximum(a - 1.0, 0.0)
+        b_hi = np.minimum(np.floor(np.sqrt(np.maximum(top - ga * ga, 0.0))) + 2.0, ny - 1.0)
+        b_lo = np.maximum(np.ceil(np.sqrt(np.maximum(bottom - (a + 1.0) ** 2, 0.0))) - 2.0, 0.0)
+        while True:
+            live = b_lo <= b_hi
+            high = live & (_sq_bracket(a, b_hi, side)[0] > hi2[l])
+            low = live & (_sq_bracket(a, b_lo, side)[1] < lo2[l])
+            if not (high.any() or low.any()):
+                break
+            b_hi -= high
+            b_lo += low
+        rows.append(np.stack((a, b_lo, b_hi))[:, live])
+    a, b_lo, b_hi = np.concatenate(rows or [np.zeros((3, 0))], axis=1).astype(np.int64)
+    if not len(a):
+        return a, b_lo, b_hi
+    # Merge the runs of different intervals that overlap or touch in a row.
+    by = np.lexsort((b_lo, a))
+    a, b_lo, b_hi = a[by], b_lo[by], b_hi[by]
+    # Keys grow with the row first, so a running max never crosses rows.
+    reach = np.maximum.accumulate(a * (ny + 1) + b_hi) - a * (ny + 1)
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (a[1:] != a[:-1]) | (b_lo[1:] > reach[:-1] + 1)
+    a, b_lo = a[new], b_lo[new]
+    b_hi = reach[np.append(np.flatnonzero(new)[1:], len(new)) - 1]
+    # Rows a > 0 take the mirror image too; a run through b = 0 stays whole.
+    mirror = (a > 0) & (b_lo > 0)
+    whole = (a > 0) & (b_lo == 0)
+    return (
+        np.concatenate((a, a[mirror])),
+        np.concatenate((np.where(whole, -b_hi, b_lo), -b_hi[mirror])),
+        np.concatenate((b_hi, -b_lo[mirror])),
+    )
+
+
+def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
+    """The cheapest label grid by a cost model, with its offset rows.
+
+    Sides run from twice the extent (one cell: the all-pairs scan) down by
+    halves to extent / 2**_LABEL_LEVELS. The cost counts, per offset row run,
+    a key search per occupied cell and a run per point, and bounds the
+    candidate pairs of each offset by the sum of squared cell counts
+    (Cauchy-Schwarz). Halving the side never removes a row run or an occupied
+    cell, so the search stops once that overhead alone reaches the best cost.
+    """
+    n = coords.shape[0]
+    extent = max(float(np.ptp(coords[:, 0])), float(np.ptp(coords[:, 1])), _MIN_LABEL_EXTENT)
+    best, best_cost = None, math.inf
+    for level in range(-1, _LABEL_LEVELS + 1):
+        grid = _bucket_cells(coords[:, 0], coords[:, 1], math.ldexp(extent, -level))
+        rows = _offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
+        a, b_lo, b_hi = rows
+        overhead = len(a) * (_COST_CELL * len(grid.keys) + _COST_POINT * n)
+        if overhead >= best_cost:
+            break
+        offsets = float((b_hi - b_lo + 1).sum())
+        cost = overhead + _COST_PAIR * offsets * float((np.diff(grid.starts) ** 2).sum())
+        if cost < best_cost:
+            best, best_cost = (grid, rows), cost
+    return best
+
+
+def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
+    """All qualifying pairs (i, j, l) with i < j and l the smallest interval index.
+
+    Entries are sorted by (i, j); l is 1-based. The result equals, bit for
+    bit, a scan of all pairs with the package's membership test.
+
+    Why no qualifying pair is skipped: cells have side s >= extent / 2**20,
+    so a point's cell coordinate (x - x0) / s is off by less than 2**-31 of a
+    cell after rounding. Two points whose cells differ by (a, b) are then at
+    least max(|a| - 1, 0) and at most |a| + 1 cells apart in x up to that
+    error (likewise in y), and their computed dx*dx + dy*dy lies within a few
+    units in the last place of the exact value; _sq_bracket widens both
+    bounds by _BRACKET_SLACK = 4e-9, which covers the sum of these errors
+    (about 1e-9) four times over. So a pair with its computed squared
+    distance in some [t_l^2, (t_l + alpha)^2] sits at an offset whose bracket
+    meets that interval. _offset_rows keeps every such offset (it trims a row
+    run only where _sq_bracket itself misses the interval), and the join
+    returns every point of every cell at a kept offset. Each unordered pair is
+    met once: offsets cover a half-plane, and inside one cell each point pairs
+    with the later points only.
+    """
+    n = ps.n
+    xs = ps.coords[:, 0]
+    ys = ps.coords[:, 1]
     lo2, hi2 = iv.sq_bounds
-    out: list[tuple[int, int, int]] = []
-    if ps.n < 2:
-        return out
-    for i0, d2, mask in _blocked_sq_dists(ps.coords):
-        labels = np.zeros(d2.shape, dtype=np.int64)
-        remaining = mask.copy()
-        for l in range(iv.k):
-            hit = remaining & (d2 >= lo2[l]) & (d2 <= hi2[l])
-            labels[hit] = l + 1
-            remaining &= ~hit
-        rows, cols = np.nonzero(labels)
-        for r, c in zip(rows, cols):
-            out.append((i0 + int(r), i0 + int(c), int(labels[r, c])))
-    return out
+    grid, (a, b_lo, b_hi) = _choose_label_grid(ps.coords, lo2, hi2)
+    pos = np.arange(n)
+    batch = max(1, _LABEL_BATCH // n)
+    empty = np.zeros(0, dtype=np.int64)
+    found_i, found_j, found_l = [empty], [empty], [empty]
+    for r0 in range(0, len(a), batch):
+        ra, rlo, rhi = a[r0:r0 + batch], b_lo[r0:r0 + batch], b_hi[r0:r0 + batch]
+        shift = ra * grid.stride
+        c_lo = np.searchsorted(grid.keys, grid.keys + (shift + rlo)[:, None], side="left")
+        c_hi = np.searchsorted(grid.keys, grid.keys + (shift + rhi)[:, None], side="right")
+        lo = grid.starts[c_lo][:, grid.cell_of]
+        hi = grid.starts[c_hi][:, grid.cell_of]
+        # Inside one cell, each point pairs with the later points only.
+        same = (ra == 0) & (rlo == 0)
+        lo[same] = pos + 1
+        length = (hi - lo).ravel()
+        keep = np.flatnonzero(length > 0)
+        if not len(keep):
+            continue
+        for i, j in _run_pairs(grid.order, np.tile(pos, len(ra))[keep], lo.ravel()[keep], length[keep]):
+            dx = xs[i] - xs[j]
+            dy = ys[i] - ys[j]
+            for l, hit in _label_hits(dx * dx + dy * dy, lo2, hi2):
+                at = np.flatnonzero(hit)
+                found_i.append(i[at])
+                found_j.append(j[at])
+                found_l.append(np.full(len(at), l + 1))
+    p = np.concatenate(found_i)
+    q = np.concatenate(found_j)
+    i = np.minimum(p, q)
+    j = np.maximum(p, q)
+    by = np.argsort(i * n + j)
+    return LabeledPairs(i[by], j[by], np.concatenate(found_l)[by])

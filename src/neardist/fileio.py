@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -29,6 +30,11 @@ __all__ = [
     "write_json",
     "write_text",
 ]
+
+
+# A plain ASCII decimal literal: Python's float() also takes digit separators
+# ("1_0"), non-ASCII digits, "inf" and "nan".
+_CSV_NUMBER = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 class InputFormatError(ValueError):
@@ -104,16 +110,19 @@ def _load_point_set_csv(path: Path) -> PointSet:
                 line = line.strip()
                 if not line:
                     continue
-                parts = line.split(",")
+                parts = [part.strip(" \t") for part in line.split(",")]
                 if len(parts) != 2:
                     raise InputFormatError(
                         f"{path}:{line_no}: expected 'x,y', got {line!r}"
                     )
+                for part in parts:
+                    if not _CSV_NUMBER.fullmatch(part):
+                        raise InputFormatError(
+                            f"{path}:{line_no}: bad coordinate {part!r}, expected a decimal number"
+                        )
                 rows.append((float(parts[0]), float(parts[1])))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise InputFormatError(f"{path}: bad coordinate: {exc}") from exc
     if not rows:
         raise InputFormatError(f"{path}: no points")
     try:
@@ -140,9 +149,13 @@ def intervals_from_dict(payload: object, source: str | Path) -> IntervalFamily:
     """Interval family from a parsed {"alpha": a, "t": [...]}; source names it in errors."""
     if not isinstance(payload, dict) or not isinstance(payload.get("t"), list):
         raise InputFormatError(f"{source}: expected an object whose 't' is a list")
+    values = payload["t"] + [payload.get("alpha")]
+    # Exact types, as for points: no bools, strings or nulls.
+    if not {type(v) for v in values} <= {int, float}:
+        raise InputFormatError(f"{source}: 't' values and 'alpha' must be numbers")
     try:
-        return IntervalFamily([float(v) for v in payload["t"]], float(payload.get("alpha")))
-    except (TypeError, ValueError) as exc:
+        return IntervalFamily([float(v) for v in payload["t"]], float(payload["alpha"]))
+    except (ValueError, OverflowError) as exc:
         raise InputFormatError(f"{source}: bad interval family: {exc}") from exc
 
 

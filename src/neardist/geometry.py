@@ -252,6 +252,40 @@ def _sq_dists(xs: np.ndarray, ys: np.ndarray, i: np.ndarray, j: np.ndarray) -> n
     return dx * dx + dy * dy
 
 
+class _Cells(NamedTuple):
+    """Points bucketed into square cells of the given side, in cell-key order.
+
+    Cell (ix, iy) counts from the lowest x and y; its key is ix * stride + iy
+    with stride = 2 * ny, so a key shifted by a row offset b with |b| <= ny
+    never reaches a neighbouring column's cells. The points
+    order[starts[c]:starts[c + 1]] lie in the occupied cell keys[c], and
+    cell_of[p] is the cell of the point order[p].
+    """
+
+    side: float
+    nx: int
+    ny: int
+    stride: int
+    order: np.ndarray
+    keys: np.ndarray
+    starts: np.ndarray
+    cell_of: np.ndarray
+
+
+def _bucket_cells(xs: np.ndarray, ys: np.ndarray, side: float) -> _Cells:
+    ix = np.floor((xs - xs.min()) / side).astype(np.int64)
+    iy = np.floor((ys - ys.min()) / side).astype(np.int64)
+    ny = int(iy.max()) + 1
+    stride = 2 * ny
+    key = ix * stride + iy
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    first = np.flatnonzero(np.concatenate(([True], skey[1:] != skey[:-1])))
+    starts = np.append(first, len(skey))
+    cell_of = np.repeat(np.arange(len(first)), np.diff(starts))
+    return _Cells(side, int(ix.max()) + 1, ny, stride, order, skey[first], starts, cell_of)
+
+
 def _touching_runs(xs: np.ndarray, ys: np.ndarray, side: float):
     """Every pair of points whose grid cells are equal or adjacent, as runs.
 
@@ -262,33 +296,23 @@ def _touching_runs(xs: np.ndarray, ys: np.ndarray, side: float):
     same cell, and the cells at the forward offsets (0, 1), (1, -1), (1, 0),
     (1, 1). There are at most 5n runs, however many pairs they hold.
     """
-    n = len(xs)
-    ix = np.floor((xs - xs.min()) / side).astype(np.int64)
-    iy = np.floor((ys - ys.min()) / side).astype(np.int64)
-    # A spare row keeps iy - 1 and iy + 1 from wrapping into an occupied cell.
-    stride = int(iy.max()) + 2
-    key = ix * stride + iy
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    starts = np.flatnonzero(np.concatenate(([True], skey[1:] != skey[:-1])))
-    ends = np.append(starts[1:], n)
-    cell_keys = skey[starts]
-    cell_of = np.repeat(np.arange(len(starts)), ends - starts)
-
-    pos = np.arange(n)
+    cells = _bucket_cells(xs, ys, side)
+    starts, ends = cells.starts[:-1], cells.starts[1:]
+    cell_of = cells.cell_of
+    pos = np.arange(len(xs))
     first = [pos]
     lo = [pos + 1]
     hi = [ends[cell_of]]
-    for offset in (1, stride - 1, stride, stride + 1):
-        target = cell_keys + offset
-        c = np.minimum(np.searchsorted(cell_keys, target), len(cell_keys) - 1)
-        hit = (cell_keys[c] == target)[cell_of]
+    for offset in (1, cells.stride - 1, cells.stride, cells.stride + 1):
+        target = cells.keys + offset
+        c = np.minimum(np.searchsorted(cells.keys, target), len(cells.keys) - 1)
+        hit = (cells.keys[c] == target)[cell_of]
         partner = c[cell_of][hit]
         first.append(pos[hit])
         lo.append(starts[partner])
         hi.append(ends[partner])
     lo = np.concatenate(lo)
-    return order, np.concatenate(first), lo, np.concatenate(hi) - lo
+    return cells.order, np.concatenate(first), lo, np.concatenate(hi) - lo
 
 
 def _run_pairs(order: np.ndarray, first: np.ndarray, lo: np.ndarray, length: np.ndarray):

@@ -2,20 +2,25 @@
 
 The graph on a point set has an edge for every pair whose distance falls in
 the interval family, labeled with the smallest qualifying interval index.
-Witness extraction looks for a K(1, s, s): a hub vertex x and two disjoint
-s-sets B, D with every x-B, x-D and B-D edge present. Homogenization refines a
-witness to subsets on which each of the three edge classes carries a single
-label. Both searches are explicit and deterministic; they are meant for desk
-scale (roughly s <= 4 and n <= 500) and degrade to exponential enumeration
-beyond that.
+The graph is stored as CSR arrays and built from label_pairs' arrays, so
+building it costs about as much as listing its edges. Witness extraction
+looks for a K(1, s, s): a hub vertex x and two disjoint s-sets B, D with
+every x-B, x-D and B-D edge present. Homogenization refines a witness to
+subsets on which each of the three edge classes carries a single label. Both
+searches are explicit and deterministic; they are meant for small witnesses
+(roughly s <= 4) and degrade to exponential enumeration in s and in the
+degree of dense neighbourhoods beyond that.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+
+import numpy as np
 
 from .counting import label_pairs
 from .geometry import IntervalFamily, PointSet
@@ -41,39 +46,73 @@ _DEGENERATE_AREA_RATIO = 1e-9
 
 
 class NearEqualGraph:
-    """Graph of qualifying pairs with smallest-interval edge labels (1-based)."""
+    """Graph of qualifying pairs with smallest-interval edge labels (1-based).
 
-    __slots__ = ("n", "labels", "_adj")
+    Stored as CSR with every edge in both directions: the neighbours of v are
+    indices[indptr[v]:indptr[v + 1]], in increasing order, and labels holds
+    the edge labels alongside. Built from parallel edge arrays (i, j, label)
+    with i != j, each unordered edge at most once.
+    """
 
-    def __init__(self, n: int, labeled_edges: dict[tuple[int, int], int]):
+    __slots__ = ("n", "indptr", "indices", "labels")
+
+    def __init__(self, n: int, i, j, labels):
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        labels = np.asarray(labels, dtype=np.int64)
+        if not len(i) == len(j) == len(labels):
+            raise ValueError("edge arrays i, j and labels must have one length")
+        bad = (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise ValueError(f"edge ({i[e]}, {j[e]}) out of range for n={n}")
+        lo = np.minimum(i, j)
+        hi = np.maximum(i, j)
+        key = lo * n + hi
+        if not (key[1:] > key[:-1]).all():
+            by = np.argsort(key, kind="stable")
+            lo, hi, labels, key = lo[by], hi[by], labels[by], key[by]
+            if (key[1:] == key[:-1]).any():
+                raise ValueError("each edge may be given only once")
+        # Edges sorted by (lo, hi): row v holds its smaller neighbours (from
+        # the edges where v is hi, put in lo order by sorting the distinct
+        # keys hi * n + lo) and then its larger ones (where v is lo, already
+        # in hi order), so rows come sorted.
+        below = np.bincount(hi, minlength=n)
+        above = np.bincount(lo, minlength=n)
         self.n = n
-        self.labels: dict[tuple[int, int], int] = {}
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for (i, j), l in labeled_edges.items():
-            if not (0 <= i < n and 0 <= j < n and i != j):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-            a, b = (i, j) if i < j else (j, i)
-            self.labels[(a, b)] = l
-            adj[a].add(b)
-            adj[b].add(a)
-        self._adj = tuple(frozenset(s) for s in adj)
-
-    @property
-    def edges(self) -> set[tuple[int, int]]:
-        return set(self.labels.keys())
+        self.indptr = np.concatenate(([0], np.cumsum(below + above)))
+        self.indices = np.empty(2 * len(lo), dtype=np.int64)
+        self.labels = np.empty(2 * len(lo), dtype=np.int64)
+        rank = np.arange(len(lo))
+        at = self.indptr[lo] + below[lo] + rank - (np.cumsum(above) - above)[lo]
+        self.indices[at] = hi
+        self.labels[at] = labels
+        by = np.argsort(hi * n + lo)
+        at = self.indptr[hi[by]] + rank - (np.cumsum(below) - below)[hi[by]]
+        self.indices[at] = lo[by]
+        self.labels[at] = labels[by]
 
     @property
     def edge_count(self) -> int:
-        return len(self.labels)
+        return len(self.indices) // 2
+
+    def _slot(self, i: int, j: int) -> int | None:
+        start, stop = self.indptr[i], self.indptr[i + 1]
+        at = start + int(np.searchsorted(self.indices[start:stop], j))
+        return at if at < stop and self.indices[at] == j else None
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.labels
+        return self._slot(i, j) is not None
 
     def label(self, i: int, j: int) -> int:
-        return self.labels[(min(i, j), max(i, j))]
+        at = self._slot(i, j)
+        if at is None:
+            raise KeyError((i, j))
+        return int(self.labels[at])
 
     def neighbors(self, i: int) -> frozenset[int]:
-        return self._adj[i]
+        return frozenset(self.indices[self.indptr[i]:self.indptr[i + 1]].tolist())
 
     def __repr__(self) -> str:
         return f"NearEqualGraph(n={self.n}, edges={self.edge_count})"
@@ -81,7 +120,8 @@ class NearEqualGraph:
 
 def build_graph(ps: PointSet, iv: IntervalFamily) -> NearEqualGraph:
     """Build the qualifying-pair graph; edge count equals the pair count."""
-    return NearEqualGraph(ps.n, {(i, j): l for i, j, l in label_pairs(ps, iv)})
+    pairs = label_pairs(ps, iv)
+    return NearEqualGraph(ps.n, pairs.i, pairs.j, pairs.label)
 
 
 @dataclass(frozen=True)
@@ -104,11 +144,10 @@ class TripartiteWitness:
         return {"x": self.x, "B": list(self.B), "D": list(self.D)}
 
 
-def _find_bipartite_in(
-    adj: tuple[frozenset[int], ...], cand: list[int], s: int
-) -> tuple[list[int], list[int]] | None:
+def _find_bipartite_in(adj, cand: list[int], s: int) -> tuple[list[int], list[int]] | None:
     """Lexicographically least complete bipartite (B, D) with parts of size s
-    inside the candidate list, where every B-D pair must be adjacent."""
+    inside the candidate list, where every B-D pair must be adjacent; adj(v)
+    is the neighbour set of v."""
     cand_set = set(cand)
 
     def extend(chosen: list[int], start: int, common: set[int]):
@@ -120,7 +159,7 @@ def _find_bipartite_in(
         need = s - len(chosen)
         for idx in range(start, len(cand) - need + 1):
             v = cand[idx]
-            new_common = common & adj[v]
+            new_common = common & adj(v)
             # D needs s vertices of the final common set outside B; the set
             # only shrinks as B grows, so this bound is safe to prune on.
             if len(new_common.difference(chosen, (v,))) < s:
@@ -137,16 +176,16 @@ def find_tripartite(g: NearEqualGraph, s: int) -> TripartiteWitness | None:
     """Search for a K(1, s, s) witness; None when the graph contains none.
 
     Deterministic: returns the least witness under lexicographic order of
-    (x, sorted B, sorted D). Exhaustive over hubs, branch and bound inside
-    each hub's neighborhood.
+    (x, sorted B, sorted D). Exhaustive over hubs of degree at least 2s,
+    branch and bound inside each hub's neighborhood. Neighbour sets are built
+    only for the vertices the search reaches.
     """
     if s < 1:
         raise ValueError(f"witness part size must be >= 1, got {s}")
-    for x in range(g.n):
-        nbrs = sorted(g.neighbors(x))
-        if len(nbrs) < 2 * s:
-            continue
-        found = _find_bipartite_in(g._adj, nbrs, s)
+    adj = functools.cache(g.neighbors)
+    for x in np.flatnonzero(np.diff(g.indptr) >= 2 * s).tolist():
+        nbrs = g.indices[g.indptr[x]:g.indptr[x + 1]].tolist()
+        found = _find_bipartite_in(adj, nbrs, s)
         if found is not None:
             B, D = found
             return TripartiteWitness(x=x, B=tuple(B), D=tuple(D))

@@ -76,6 +76,11 @@ class TestFileIO:
         with pytest.raises(InputFormatError):
             load_point_set(path)
 
+    def test_csv_decimal_forms_accepted(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("-1.5e3,+2\n.5, 3.\n1E-5 ,-0.0\n")
+        assert load_point_set(path).coords.tolist() == [[-1500.0, 2.0], [0.5, 3.0], [1e-5, -0.0]]
+
 
 class TestPipeline:
     def test_generate_count_verify_within_bound(self, tmp_path):
@@ -348,6 +353,20 @@ HOLES = {
     "point-object": (
         {"obj.json": '{"dim": 2, "points": [{"x": 1, "y": 2}, [0, 0]]}'}, ["diameter", "obj.json"]),
     "point-string": ({"str.json": '{"dim": 2, "points": ["12", [5, 5]]}'}, ["diameter", "str.json"]),
+    "interval-bools-count": (
+        INPUTS | {"bool.json": '{"alpha": true, "t": [true, "5"]}'}, ["count", "pts.json", "bool.json"]),
+    "interval-bools-analyze": (
+        INPUTS | {"bool.json": '{"alpha": true, "t": [true, "5"]}'}, ["analyze", "pts.json", "bool.json"]),
+    "interval-string": (
+        INPUTS | {"str.json": '{"alpha": 1.0, "t": [1.0, "5"]}'}, ["count", "pts.json", "str.json"]),
+    "interval-alpha-string": (
+        INPUTS | {"str.json": '{"alpha": "1", "t": [1.0, 5.0]}'}, ["count", "pts.json", "str.json"]),
+    "config-interval-strings": (
+        {"cfg.json": json.dumps(CONFIG | {"intervals": {"alpha": "1", "t": ["5"]}})},
+        ["search", "--config", "cfg.json"]),
+    "csv-digit-separator": ({"sep.csv": "1_0,2\n0,0\n"}, ["diameter", "sep.csv"]),
+    "csv-non-ascii-digit": ({"arabic.csv": "\u0661,2\n0,0\n"}, ["diameter", "arabic.csv"]),
+    "csv-infinity": ({"inf.csv": "infinity,2\n0,0\n"}, ["diameter", "inf.csv"]),
 }
 
 
@@ -355,7 +374,7 @@ class TestInputContract:
     @pytest.mark.parametrize("files, args", HOLES.values(), ids=HOLES.keys())
     def test_bad_input_exits_two_with_one_error_line(self, tmp_path, files, args):
         for name, text in files.items():
-            (tmp_path / name).write_text(text)
+            (tmp_path / name).write_text(text, encoding="utf-8")
         res = run_cli("--output-dir", "out", *args, cwd=tmp_path)
         assert res.returncode == 2
         assert "Traceback" not in res.stderr

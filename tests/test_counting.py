@@ -86,16 +86,16 @@ class TestLabelPairs:
     def test_overlapping_intervals_smallest_wins(self):
         iv = IntervalFamily([1.0, 1.5], 1.0)
         ps = PointSet([(0.0, 0.0), (1.6, 0.0)])
-        assert label_pairs(ps, iv) == [(0, 1, 1)]
+        assert list(label_pairs(ps, iv)) == [(0, 1, 1)]
 
     def test_gap_distance_absent(self):
         iv = IntervalFamily([1.0, 5.0], 1.0)
         ps = PointSet([(0.0, 0.0), (3.0, 0.0)])
-        assert label_pairs(ps, iv) == []
+        assert list(label_pairs(ps, iv)) == []
 
     def test_grid_labels(self):
         iv = IntervalFamily([1.0, 2.0], 0.3)
-        got = label_pairs(PointSet(GRID), iv)
+        got = list(label_pairs(PointSet(GRID), iv))
         assert got == oracle_labels(GRID, [1.0, 2.0], 0.3)
         by_label = {}
         for i, j, l in got:
@@ -111,7 +111,7 @@ class TestLabelPairs:
 
     def test_sorted_by_pair(self):
         built = two_column(10, 1, 100, 0.5)
-        got = label_pairs(built.ps, built.iv)
+        got = list(label_pairs(built.ps, built.iv))
         assert got == sorted(got)
         assert len(got) == built.predicted_count
 
