@@ -1,30 +1,24 @@
 """Exact counting of point pairs whose distance falls in an interval family.
 
 Two interchangeable methods are provided. "brute" evaluates every unordered
-pair in vectorized blocks. "pruned" buckets points into square grid cells and
-classifies each pair of cells by the range of distances it can realize: cell
-pairs whose range misses every interval are skipped, cell pairs whose range
-sits inside a single interval (with no smaller-index overlap) are added
-wholesale, and only straddling cell pairs are evaluated point by point. The
-classification depends only on the cell-index offset, so it is computed once
-per offset in a small lookup table.
+pair in vectorized blocks. "pruned" and label_pairs share one pair enumerator
+(_candidate_pairs, the fixed-radius cell-list search of Bentley, Stanat and
+Williams, 1977, over a union of thin annuli). Points are bucketed into square
+cells; the cell offsets whose distance bracket meets some interval are
+enumerated row by row from the annuli, and each row's run of offsets is joined
+to the occupied cells by a search on the sorted cell keys, giving for every
+point a contiguous run of partner points. These candidate pairs come in
+fixed-size chunks: "pruned" counts the qualifying ones by smallest label, and
+label_pairs gathers them. The cell side comes from a cost model over the point
+counts per cell and the offset rows; at its coarsest, one cell, the enumerator
+is the all-pairs scan, so no input costs more than O(n^2) time. Memory stays
+O(n + chunk) for the count and O(n + chunk + output) for label_pairs.
 
-Both methods compute squared pair distances with the identical expression
-dx*dx + dy*dy and test them against the family's squared bounds, so their
-reports agree exactly, including on interval endpoints. The cell-range bounds
-carry a small relative inflation so that skip and bulk-add decisions stay
+Every path computes squared pair distances with the identical expression
+dx*dx + dy*dy and tests them against the family's squared bounds, so the
+methods agree exactly, including on interval endpoints. The cell brackets
+carry a small relative inflation so that skipping an offset stays
 conservative under floating-point rounding.
-
-label_pairs lists the qualifying pairs themselves (the fixed-radius cell-list
-search of Bentley, Stanat and Williams, 1977, over a union of thin annuli).
-Points are bucketed into square cells; the cell offsets whose distance
-bracket meets some interval are enumerated row by row from the annuli, and
-each row's run of offsets is joined to the occupied cells by a search on the
-sorted cell keys, giving for every point a contiguous run of partner points.
-The pairs are evaluated in fixed-size chunks with the same membership test.
-The cell side comes from a cost model over the point counts per cell and the
-offset rows; at its coarsest, one cell, the method is the all-pairs scan, so
-no input costs more than O(n^2) time, and memory stays O(n + chunk + output).
 """
 
 from __future__ import annotations
@@ -34,20 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import IntervalFamily, PointSet, _bucket_cells, _Cells, _run_pairs
+from .geometry import IntervalFamily, PointSet, _bucket_cells, _run_pairs
 
 __all__ = ["PairCountReport", "LabeledPairs", "count_pairs", "label_pairs"]
 
-# Cells per axis are capped so the cell-pair scan stays well below the pair
-# scan; 20 balances scan cost against bracket tightness at desk scales.
-_GRID_CELLS_PER_AXIS = 20
 # Relative safety margin on squared cell-distance bounds; dominates the
 # worst-case rounding of coordinate-to-cell assignment by many orders.
 _BRACKET_SLACK = 4e-9
 
 _METHODS = ("brute", "pruned")
 
-# label_pairs grids have at most 2**_LABEL_LEVELS cells per axis, so the cell
+# Enumerator grids have at most 2**_LABEL_LEVELS cells per axis, so the cell
 # assignment rounds by under 2**-31 of a cell and _BRACKET_SLACK covers it.
 _LABEL_LEVELS = 20
 # Extents below this are raised to it, so that cell sides and their squares
@@ -55,7 +46,7 @@ _LABEL_LEVELS = 20
 _MIN_LABEL_EXTENT = 2.0**-480
 # Offset row runs are joined a batch at a time, about this many points' runs.
 _LABEL_BATCH = 1 << 17
-# Relative costs of the label_pairs grid: per occupied cell and per point for
+# Relative costs of the enumerator grid: per occupied cell and per point for
 # each offset row run, and per candidate pair evaluated.
 _COST_CELL = 4.0
 _COST_POINT = 1.0
@@ -123,15 +114,21 @@ def _count_brute(coords: np.ndarray, iv: IntervalFamily) -> np.ndarray:
     return per
 
 
-def _cell_grid(coords: np.ndarray, alpha: float) -> _Cells:
-    """Bucket points into square cells; side >= max(1, alpha), capped cells per axis."""
+def _sq_dists(xs: np.ndarray, ys: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Squared distances dx*dx + dy*dy of the index pairs (i, j)."""
+    dx = xs[i] - xs[j]
+    dy = ys[i] - ys[j]
+    return dx * dx + dy * dy
+
+
+def _count_pruned(coords: np.ndarray, iv: IntervalFamily) -> np.ndarray:
+    lo2, hi2 = iv.sq_bounds
+    per = np.zeros(iv.k, dtype=np.int64)
     xs = coords[:, 0]
     ys = coords[:, 1]
-    extent = max(float(np.ptp(xs)), float(np.ptp(ys)))
-    side = max(1.0, alpha)
-    if extent > side * _GRID_CELLS_PER_AXIS:
-        side = extent / _GRID_CELLS_PER_AXIS
-    return _bucket_cells(xs, ys, side)
+    for i, j in _candidate_pairs(coords, lo2, hi2):
+        _accumulate_labels(_sq_dists(xs, ys, i, j), lo2, hi2, per)
+    return per
 
 
 def _sq_bracket(da, db, side: float):
@@ -149,115 +146,14 @@ def _sq_bracket(da, db, side: float):
     return bmin2, bmax2
 
 
-def _offset_code_table(side: float, span: int, iv: IntervalFamily) -> np.ndarray:
-    """Classify every cell-index offset (dx, dy) in [0, span]^2.
-
-    Codes: 0..k-1 = every realizable distance lies in that interval and none
-    smaller (bulk-add with that label); k = realizable range misses every
-    interval (skip); k+1 = range straddles a boundary (test pairs).
-    """
-    lo2, hi2 = iv.sq_bounds
-    k = iv.k
-    d = np.arange(span + 1, dtype=np.float64)
-    bmin2, bmax2 = _sq_bracket(d[:, None], d[None, :], side)
-    first = np.full((span + 1, span + 1), k, dtype=np.int64)
-    for l in range(k - 1, -1, -1):
-        first[(bmin2 <= hi2[l]) & (bmax2 >= lo2[l])] = l
-    code = np.full(first.shape, k, dtype=np.int16)
-    kept = first < k
-    fi = first[kept]
-    inside = (bmin2[kept] >= lo2[fi]) & (bmax2[kept] <= hi2[fi])
-    sub = np.full(fi.shape, k + 1, dtype=np.int16)
-    sub[inside] = fi[inside].astype(np.int16)
-    code[kept] = sub
-    return code
-
-
-def _all_cell_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """All unordered cell-index pairs (a < b) without an m x m mask."""
-    lens = (m - 1) - np.arange(m - 1)
-    a = np.repeat(np.arange(m - 1, dtype=np.int64), lens)
-    off = np.cumsum(lens) - lens
-    b = np.arange(lens.sum(), dtype=np.int64) - off[a] + a + 1
-    return a, b
-
-
-def _count_pruned(coords: np.ndarray, iv: IntervalFamily) -> np.ndarray:
-    lo2, hi2 = iv.sq_bounds
-    k = iv.k
-    per = np.zeros(k, dtype=np.int64)
-    n = coords.shape[0]
-    if n < 2:
-        return per
-
-    cells = _cell_grid(coords, iv.alpha)
-    side = cells.side
-    starts = cells.starts[:-1]
-    counts = np.diff(cells.starts)
-    cell_ix = cells.keys // cells.stride
-    cell_iy = cells.keys % cells.stride
-    sx = np.ascontiguousarray(coords[cells.order, 0])
-    sy = np.ascontiguousarray(coords[cells.order, 1])
-    m = len(starts)
-
-    # Pairs within one cell: distance range is [0, side * sqrt(2)], which never
-    # sits inside an interval (all t >= 1 > 0), so either skip or test each pair.
-    diag2 = 2.0 * side * side * (1.0 + _BRACKET_SLACK)
-    if lo2[0] <= diag2:
-        for c in np.flatnonzero(counts >= 2):
-            s0 = starts[c]
-            iu, ju = np.triu_indices(int(counts[c]), 1)
-            dx = sx[s0 + iu] - sx[s0 + ju]
-            dy = sy[s0 + iu] - sy[s0 + ju]
-            _accumulate_labels(dx * dx + dy * dy, lo2, hi2, per)
-    if m < 2:
-        return per
-
-    span = int(max(cell_ix.max(), cell_iy.max())) + 1
-    code_table = _offset_code_table(side, span, iv)
-
-    A, B = _all_cell_pairs(m)
-    code = code_table[np.abs(cell_ix[A] - cell_ix[B]), np.abs(cell_iy[A] - cell_iy[B])]
-
-    inside = code < k
-    if inside.any():
-        products = counts[A[inside]] * counts[B[inside]]
-        per += np.bincount(
-            code[inside].astype(np.int64), weights=products, minlength=k
-        ).astype(np.int64)
-
-    straddle = code == k + 1
-    if straddle.any():
-        As = A[straddle]
-        Bs = B[straddle]
-        # Group straddling cell pairs by their (|a|, |b|) shape so each group
-        # evaluates as one dense broadcast with no padding.
-        shape_key = counts[As] * (int(counts.max()) + 1) + counts[Bs]
-        grp = np.argsort(shape_key, kind="stable")
-        As = As[grp]
-        Bs = Bs[grp]
-        shape_key = shape_key[grp]
-        bounds = np.flatnonzero(np.concatenate(([True], shape_key[1:] != shape_key[:-1])))
-        bounds = np.concatenate((bounds, [len(shape_key)]))
-        for g in range(len(bounds) - 1):
-            g0, g1 = bounds[g], bounds[g + 1]
-            ca = int(counts[As[g0]])
-            cb = int(counts[Bs[g0]])
-            ia = starts[As[g0:g1]][:, None] + np.arange(ca)[None, :]
-            ib = starts[Bs[g0:g1]][:, None] + np.arange(cb)[None, :]
-            dx = sx[ia][:, :, None] - sx[ib][:, None, :]
-            dy = sy[ia][:, :, None] - sy[ib][:, None, :]
-            _accumulate_labels((dx * dx + dy * dy).ravel(), lo2, hi2, per)
-
-    return per
-
-
 def count_pairs(ps: PointSet, iv: IntervalFamily, method: str = "brute") -> PairCountReport:
     """Count unordered pairs with distance in some closed interval [t_l, t_l + alpha].
 
     Returns the total together with the per-interval breakdown by smallest
-    qualifying index. Both methods produce identical counts; "pruned" is the
-    faster path on large inputs.
+    qualifying index. Both methods produce identical counts. "brute" scans
+    all pairs; "pruned" evaluates only the pairs at cell offsets whose
+    distance range meets an interval, from the enumerator label_pairs uses,
+    and is the faster path on large inputs.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
@@ -375,11 +271,12 @@ def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
     return best
 
 
-def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
-    """All qualifying pairs (i, j, l) with i < j and l the smallest interval index.
+def _candidate_pairs(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
+    """Yield index arrays (i, j) that together hold every qualifying pair once.
 
-    Entries are sorted by (i, j); l is 1-based. The result equals, bit for
-    bit, a scan of all pairs with the package's membership test.
+    The grid and its offset rows come from _choose_label_grid; every point
+    meets the points of the cells at each kept offset, _PAIR_CHUNK pairs at
+    a time. Pairs come in no particular order, and i < j need not hold.
 
     Why no qualifying pair is skipped: cells have side s >= extent / 2**20,
     so a point's cell coordinate (x - x0) / s is off by less than 2**-31 of a
@@ -396,15 +293,10 @@ def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
     met once: offsets cover a half-plane, and inside one cell each point pairs
     with the later points only.
     """
-    n = ps.n
-    xs = ps.coords[:, 0]
-    ys = ps.coords[:, 1]
-    lo2, hi2 = iv.sq_bounds
-    grid, (a, b_lo, b_hi) = _choose_label_grid(ps.coords, lo2, hi2)
+    n = coords.shape[0]
+    grid, (a, b_lo, b_hi) = _choose_label_grid(coords, lo2, hi2)
     pos = np.arange(n)
     batch = max(1, _LABEL_BATCH // n)
-    empty = np.zeros(0, dtype=np.int64)
-    found_i, found_j, found_l = [empty], [empty], [empty]
     for r0 in range(0, len(a), batch):
         ra, rlo, rhi = a[r0:r0 + batch], b_lo[r0:r0 + batch], b_hi[r0:r0 + batch]
         shift = ra * grid.stride
@@ -417,16 +309,29 @@ def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
         lo[same] = pos + 1
         length = (hi - lo).ravel()
         keep = np.flatnonzero(length > 0)
-        if not len(keep):
-            continue
-        for i, j in _run_pairs(grid.order, np.tile(pos, len(ra))[keep], lo.ravel()[keep], length[keep]):
-            dx = xs[i] - xs[j]
-            dy = ys[i] - ys[j]
-            for l, hit in _label_hits(dx * dx + dy * dy, lo2, hi2):
-                at = np.flatnonzero(hit)
-                found_i.append(i[at])
-                found_j.append(j[at])
-                found_l.append(np.full(len(at), l + 1))
+        if len(keep):
+            yield from _run_pairs(grid.order, np.tile(pos, len(ra))[keep], lo.ravel()[keep], length[keep])
+
+
+def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
+    """All qualifying pairs (i, j, l) with i < j and l the smallest interval index.
+
+    Entries are sorted by (i, j); l is 1-based. The result equals, bit for
+    bit, a scan of all pairs with the package's membership test: the pairs
+    come from _candidate_pairs, which skips none that qualifies.
+    """
+    n = ps.n
+    xs = ps.coords[:, 0]
+    ys = ps.coords[:, 1]
+    lo2, hi2 = iv.sq_bounds
+    empty = np.zeros(0, dtype=np.int64)
+    found_i, found_j, found_l = [empty], [empty], [empty]
+    for i, j in _candidate_pairs(ps.coords, lo2, hi2):
+        for l, hit in _label_hits(_sq_dists(xs, ys, i, j), lo2, hi2):
+            at = np.flatnonzero(hit)
+            found_i.append(i[at])
+            found_j.append(j[at])
+            found_l.append(np.full(len(at), l + 1))
     p = np.concatenate(found_i)
     q = np.concatenate(found_j)
     i = np.minimum(p, q)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import pytest
@@ -200,6 +201,18 @@ class TestMethodEquivalence:
             count_pairs(ps, iv, "brute").per_interval
             == count_pairs(ps, iv, "pruned").per_interval
         )
+
+    def test_pruned_memory_stays_linear(self):
+        # Two far-apart 2000-point columns: their 4M cross pairs must be
+        # evaluated in chunks, never held at once (64 MB per float array).
+        built = two_column(n=4000, k=3, t=1e7, eps=0.5)
+        tracemalloc.start()
+        try:
+            count_pairs(built.ps, built.iv, "pruned")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestRingBound:

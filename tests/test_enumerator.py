@@ -1,4 +1,5 @@
-"""Exactness of the grid label enumerator (label_pairs) and the CSR graph built from it.
+"""Exactness of the grid pair enumerator (behind label_pairs and the pruned
+count) and of the CSR graph built from it.
 
 The enumerator skips a cell offset only when its conservative distance
 bracket misses every interval, so its output must equal an all-pairs scan
@@ -84,10 +85,11 @@ class TestLabelPairsExact:
         chooser = counting._choose_label_grid if level is None else _forced_grid(level)
         with mock.patch.object(counting, "_choose_label_grid", chooser):
             got = label_pairs(ps, iv)
+            pruned = count_pairs(ps, iv, "pruned").per_interval
         want = oracle_labels(points, t, alpha)
         assert list(got) == want
-        per = np.bincount(got.label, minlength=iv.k + 1)[1:]
-        assert tuple(per.tolist()) == count_pairs(ps, iv, "brute").per_interval
+        per = tuple(np.bincount(got.label, minlength=iv.k + 1)[1:].tolist())
+        assert per == count_pairs(ps, iv, "brute").per_interval == pruned
 
     @given(data=labeled_inputs())
     @settings(max_examples=100, deadline=None)
@@ -129,13 +131,12 @@ class TestOffsetRows:
         a, b_lo, b_hi = counting._offset_rows(side, nx, ny, lo2, hi2)
         got = [(int(x), int(b)) for x, lo, hi in zip(a, b_lo, b_hi) for b in range(lo, hi + 1)]
         assert len(got) == len(set(got)), "an offset is enumerated twice"
-        code = counting._offset_code_table(side, max(nx, ny), iv)
-        want = {
-            (x, b)
-            for x in range(nx)
-            for b in range(-ny + 1, ny)
-            if (x > 0 or b >= 0) and code[x, abs(b)] != iv.k
-        }
+        # Non-skip: the offset's bracket meets some [lo2[l], hi2[l]].
+        x, b = np.meshgrid(np.arange(nx), np.arange(-ny + 1, ny), indexing="ij")
+        bmin2, bmax2 = counting._sq_bracket(x, np.abs(b), side)
+        meets = ((bmin2[..., None] <= hi2) & (bmax2[..., None] >= lo2)).any(axis=-1)
+        keep = meets & ((x > 0) | (b >= 0))
+        want = set(zip(x[keep].tolist(), b[keep].tolist()))
         assert set(got) == want
 
 
