@@ -10,8 +10,9 @@ timestamps, output paths are relative to the output directory). --output-dir,
 
 Exit codes: 0 success (for verify and check-hypothesis, the positive
 verdict); 1 semantic negative (bound exceeded or near-sum check fails); 2
-malformed input, invalid parameters or an unusable output directory, with a
-one-line "error:" on stderr and no traceback; 3 unsupported dimension.
+malformed input, invalid parameters (including sizes too large to allocate)
+or an unusable output directory, with a one-line "error:" on stderr and no
+traceback; 3 unsupported dimension.
 
 Outputs are strict JSON or CSV of finite numbers. Float flags must be finite,
 coordinates |x|, |y| <= 2**510 and interval ends t_k + alpha <= 2**511, so
@@ -267,8 +268,9 @@ def run(args) -> int:
         }
         write_json(out / "manifest.json", manifest)
     # Input read errors arrive as InputFormatError, so an OSError here is the
-    # output directory; OverflowError comes from parameters too large for a float.
-    except (ValueError, OverflowError, OSError) as exc:
+    # output directory; OverflowError comes from parameters too large for a
+    # float, MemoryError from sizes such as --n too large to allocate.
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedDimensionError) else EXIT_INPUT
     print(result.summary)

@@ -6,7 +6,8 @@ pair in vectorized blocks. "pruned" and label_pairs share one pair enumerator
 Williams, 1977, over a union of thin annuli). Points are bucketed into square
 cells; the cell offsets whose distance bracket meets some interval are
 enumerated row by row from the annuli, and each row's run of offsets is joined
-to the occupied cells by a search on the sorted cell keys, giving for every
+to the occupied cells by geometry's cell join (_join_rows, a search on the
+sorted cell keys, which the closest-pair search uses too), giving for every
 point a contiguous run of partner points. These candidate pairs come in
 fixed-size chunks: "pruned" counts the qualifying ones by smallest label, and
 label_pairs gathers them. The cell side comes from a cost model over the point
@@ -15,10 +16,11 @@ is the all-pairs scan, so no input costs more than O(n^2) time. Memory stays
 O(n + chunk) for the count and O(n + chunk + output) for label_pairs.
 
 Every path computes squared pair distances with the identical expression
-dx*dx + dy*dy and tests them against the family's squared bounds, so the
-methods agree exactly, including on interval endpoints. The cell brackets
-carry a small relative inflation so that skipping an offset stays
-conservative under floating-point rounding.
+dx*dx + dy*dy (geometry._sq_dists for candidate pairs, the blocked scan for
+brute) and labels them with geometry._label_hits, the package's one
+smallest-label rule, so the methods agree exactly, including on interval
+endpoints. The cell brackets carry a small relative inflation so that skipping
+an offset stays conservative under floating-point rounding.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import IntervalFamily, PointSet, _bucket_cells, _run_pairs
+from .geometry import (
+    IntervalFamily, PointSet, _bucket_cells, _join_rows, _label_hits, _run_pairs, _sq_dists,
+)
 
 __all__ = ["PairCountReport", "LabeledPairs", "count_pairs", "label_pairs"]
 
@@ -88,18 +92,6 @@ def _blocked_sq_dists(coords: np.ndarray, block: int = 256):
         yield i0, d2, cols > rows
 
 
-def _label_hits(d2: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
-    """Yield (l, hit) for each 0-based interval l, hit masking the squared
-    distances whose smallest qualifying interval is l; stops once none is left."""
-    remaining = np.ones(d2.shape, dtype=bool)
-    for l in range(len(lo2)):
-        hit = remaining & (d2 >= lo2[l]) & (d2 <= hi2[l])
-        yield l, hit
-        remaining &= ~hit
-        if not remaining.any():
-            return
-
-
 def _accumulate_labels(d2: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, per: np.ndarray) -> None:
     """Add smallest-label counts of the given squared distances into per."""
     for l, hit in _label_hits(d2, lo2, hi2):
@@ -112,13 +104,6 @@ def _count_brute(coords: np.ndarray, iv: IntervalFamily) -> np.ndarray:
     for _, d2, mask in _blocked_sq_dists(coords):
         _accumulate_labels(d2[mask], lo2, hi2, per)
     return per
-
-
-def _sq_dists(xs: np.ndarray, ys: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Squared distances dx*dx + dy*dy of the index pairs (i, j)."""
-    dx = xs[i] - xs[j]
-    dy = ys[i] - ys[j]
-    return dx * dx + dy * dy
 
 
 def _count_pruned(coords: np.ndarray, iv: IntervalFamily) -> np.ndarray:
@@ -274,9 +259,10 @@ def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
 def _candidate_pairs(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
     """Yield index arrays (i, j) that together hold every qualifying pair once.
 
-    The grid and its offset rows come from _choose_label_grid; every point
-    meets the points of the cells at each kept offset, _PAIR_CHUNK pairs at
-    a time. Pairs come in no particular order, and i < j need not hold.
+    The grid and its offset rows come from _choose_label_grid; _join_rows
+    gives every point the points of the cells at each kept offset, a batch of
+    rows at a time, and _run_pairs expands them _PAIR_CHUNK pairs at a time.
+    Pairs come in no particular order, and i < j need not hold.
 
     Why no qualifying pair is skipped: cells have side s >= extent / 2**20,
     so a point's cell coordinate (x - x0) / s is off by less than 2**-31 of a
@@ -293,24 +279,11 @@ def _candidate_pairs(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
     met once: offsets cover a half-plane, and inside one cell each point pairs
     with the later points only.
     """
-    n = coords.shape[0]
     grid, (a, b_lo, b_hi) = _choose_label_grid(coords, lo2, hi2)
-    pos = np.arange(n)
-    batch = max(1, _LABEL_BATCH // n)
+    batch = max(1, _LABEL_BATCH // coords.shape[0])
     for r0 in range(0, len(a), batch):
-        ra, rlo, rhi = a[r0:r0 + batch], b_lo[r0:r0 + batch], b_hi[r0:r0 + batch]
-        shift = ra * grid.stride
-        c_lo = np.searchsorted(grid.keys, grid.keys + (shift + rlo)[:, None], side="left")
-        c_hi = np.searchsorted(grid.keys, grid.keys + (shift + rhi)[:, None], side="right")
-        lo = grid.starts[c_lo][:, grid.cell_of]
-        hi = grid.starts[c_hi][:, grid.cell_of]
-        # Inside one cell, each point pairs with the later points only.
-        same = (ra == 0) & (rlo == 0)
-        lo[same] = pos + 1
-        length = (hi - lo).ravel()
-        keep = np.flatnonzero(length > 0)
-        if len(keep):
-            yield from _run_pairs(grid.order, np.tile(pos, len(ra))[keep], lo.ravel()[keep], length[keep])
+        rows = slice(r0, r0 + batch)
+        yield from _run_pairs(*_join_rows(grid, a[rows], b_lo[rows], b_hi[rows]))
 
 
 def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:

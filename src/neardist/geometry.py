@@ -9,7 +9,10 @@ points "qualifies" when its distance falls in some closed interval
 Floating-point convention used throughout the package: interval membership is
 decided by comparing the squared distance dx*dx + dy*dy against the squared
 bounds t_l*t_l and (t_l + alpha)**2, with exact binary comparison and no
-epsilon slack. Pairs at exactly representable endpoints therefore count.
+epsilon slack. Pairs at exactly representable endpoints therefore count, and a
+pair in overlapping intervals takes the smallest label. _label_hits is that
+rule, behind both pair counts, label_pairs and smallest_label; _sq_dists
+evaluates the expression on index pairs.
 
 Coordinates are limited to |x|, |y| <= 2**510 and interval ends to
 t_k + alpha <= 2**511, so dx*dx + dy*dy <= 2**1023 and (t_k + alpha)**2 <= 2**1022.
@@ -18,10 +21,11 @@ Neither min_pairwise_distance nor diameter scans all pairs, yet both return
 exactly what an all-pairs scan of dx*dx + dy*dy would, bit for bit. The
 minimum searches a grid of cells sized from an upper bound taken from
 neighbours in (x, y) order: O(n log n) plus the pairs in touching cells, O(n)
-memory. The diameter measures every point against a monotone-chain hull kept
-with certified orientation tests, then rescans the few rows that could hold
-the maximum: O(n log n + n * h) for h hull points. Their docstrings give the
-exactness arguments.
+memory, from the counting enumerator's cell join (_join_rows). The diameter
+measures every point against a monotone-chain hull kept with certified
+orientation tests, then rescans the few rows that could hold the maximum:
+O(n log n + n * h) for h hull points. Their docstrings give the exactness
+arguments.
 """
 
 from __future__ import annotations
@@ -176,12 +180,9 @@ class IntervalFamily:
         return lo2, hi2
 
     def smallest_label(self, sq_dist: float) -> int | None:
-        """1-based index of the first interval containing the distance, or None."""
-        lo2, hi2 = self.sq_bounds
-        for l in range(self.k):
-            if lo2[l] <= sq_dist <= hi2[l]:
-                return l + 1
-        return None
+        """1-based index of the first interval containing the squared distance, or None."""
+        hits = _label_hits(np.array([sq_dist]), *self.sq_bounds)
+        return next((l + 1 for l, hit in hits if hit[0]), None)
 
     def to_dict(self) -> dict:
         return {"alpha": self.alpha, "t": list(self.t)}
@@ -252,6 +253,18 @@ def _sq_dists(xs: np.ndarray, ys: np.ndarray, i: np.ndarray, j: np.ndarray) -> n
     return dx * dx + dy * dy
 
 
+def _label_hits(d2: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
+    """Yield (l, hit) for each 0-based interval l, hit masking the squared
+    distances whose smallest qualifying interval is l; stops once none is left."""
+    remaining = np.ones(d2.shape, dtype=bool)
+    for l in range(len(lo2)):
+        hit = remaining & (d2 >= lo2[l]) & (d2 <= hi2[l])
+        yield l, hit
+        remaining &= ~hit
+        if not remaining.any():
+            return
+
+
 class _Cells(NamedTuple):
     """Points bucketed into square cells of the given side, in cell-key order.
 
@@ -286,40 +299,44 @@ def _bucket_cells(xs: np.ndarray, ys: np.ndarray, side: float) -> _Cells:
     return _Cells(side, int(ix.max()) + 1, ny, stride, order, skey[first], starts, cell_of)
 
 
+def _join_rows(cells: _Cells, a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray):
+    """Runs pairing every point with the cells at offsets (a, b), b_lo <= b <= b_hi.
+
+    The row runs cover the half-plane a > 0 or a == 0 <= b, with |b| <= ny,
+    so a row's cells have consecutive keys: one search on the sorted keys per
+    end finds them. The row a == 0 from b == 0 starts after the point itself,
+    so inside one cell each point pairs with the later points only. Returns
+    the nonempty runs (order, first, lo, length) for _run_pairs.
+    """
+    pos = np.arange(len(cells.order))
+    shift = a * cells.stride
+    c_lo = np.searchsorted(cells.keys, cells.keys + (shift + b_lo)[:, None], side="left")
+    c_hi = np.searchsorted(cells.keys, cells.keys + (shift + b_hi)[:, None], side="right")
+    lo = cells.starts[c_lo][:, cells.cell_of]
+    hi = cells.starts[c_hi][:, cells.cell_of]
+    lo[(a == 0) & (b_lo == 0)] = pos + 1
+    length = (hi - lo).ravel()
+    keep = np.flatnonzero(length > 0)
+    return cells.order, np.tile(pos, len(a))[keep], lo.ravel()[keep], length[keep]
+
+
 def _touching_runs(xs: np.ndarray, ys: np.ndarray, side: float):
     """Every pair of points whose grid cells are equal or adjacent, as runs.
 
-    Cells are squares of the given side, which must be at least extent /
-    _MAX_CELLS so that int64 cell keys stay exact. Returns (order, first, lo,
-    length): the point order[first[r]] pairs with order[lo[r] + k] for
-    0 <= k < length[r]. Each unordered pair appears once: later points of the
-    same cell, and the cells at the forward offsets (0, 1), (1, -1), (1, 0),
-    (1, 1). There are at most 5n runs, however many pairs they hold.
+    Cells are squares of the given side, at least extent / _MAX_CELLS so that
+    int64 cell keys stay exact. The rows a = 0, b in [0, 1] and a = 1, b in
+    [-1, 1] of _join_rows hold each unordered pair once, in at most 2n runs.
     """
     cells = _bucket_cells(xs, ys, side)
-    starts, ends = cells.starts[:-1], cells.starts[1:]
-    cell_of = cells.cell_of
-    pos = np.arange(len(xs))
-    first = [pos]
-    lo = [pos + 1]
-    hi = [ends[cell_of]]
-    for offset in (1, cells.stride - 1, cells.stride, cells.stride + 1):
-        target = cells.keys + offset
-        c = np.minimum(np.searchsorted(cells.keys, target), len(cells.keys) - 1)
-        hit = (cells.keys[c] == target)[cell_of]
-        partner = c[cell_of][hit]
-        first.append(pos[hit])
-        lo.append(starts[partner])
-        hi.append(ends[partner])
-    lo = np.concatenate(lo)
-    return cells.order, np.concatenate(first), lo, np.concatenate(hi) - lo
+    return _join_rows(cells, np.array([0, 1]), np.array([0, -1]), np.array([1, 1]))
 
 
 def _run_pairs(order: np.ndarray, first: np.ndarray, lo: np.ndarray, length: np.ndarray):
-    """Yield the pairs of _touching_runs as index arrays (i, j), _PAIR_CHUNK at a time."""
+    """Yield the pairs of _join_rows' runs as index arrays (i, j), _PAIR_CHUNK at a time:
+    the point order[first[r]] pairs with order[lo[r] + k] for 0 <= k < length[r]."""
     run_end = np.cumsum(length)
     run_start = run_end - length
-    total = int(run_end[-1])
+    total = int(run_end[-1]) if len(run_end) else 0
     for q0 in range(0, total, _PAIR_CHUNK):
         q1 = min(q0 + _PAIR_CHUNK, total)
         r0 = int(np.searchsorted(run_end, q0, side="right"))

@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .counting import label_pairs
-from .geometry import IntervalFamily, PointSet
+from .geometry import IntervalFamily, PointSet, _sq_dists
 
 __all__ = [
     "NearEqualGraph",
@@ -362,18 +362,12 @@ def angle_diagnostic(
     if len({i, j, k}) != 3:
         raise ValueError(f"triangle ids must be distinct, got {ids}")
     coords = ps.coords
-    pairs = ((i, j), (j, k), (k, i))
-    sq = []
-    labels = []
-    for a, b in pairs:
-        dx = float(coords[a, 0] - coords[b, 0])
-        dy = float(coords[a, 1] - coords[b, 1])
-        d2 = dx * dx + dy * dy
-        label = iv.smallest_label(d2)
+    ends = np.array([i, j, k])
+    sq = _sq_dists(coords[:, 0], coords[:, 1], ends, np.roll(ends, -1)).tolist()
+    labels = [iv.smallest_label(d2) for d2 in sq]
+    for (a, b), label in zip(((i, j), (j, k), (k, i)), labels):
         if label is None:
             raise ValueError(f"pair ({a}, {b}) does not qualify for any interval")
-        sq.append(d2)
-        labels.append(label)
     case = classify_label_triple(*labels)
     if case is not TriangleCase.UNIQUE_MAX:
         raise ValueError(f"triangle labels {tuple(labels)} have a tied maximum")

@@ -124,26 +124,22 @@ class SearchResult:
         }
 
 
-def _incident_count(
+def _placement_count(
     coords: np.ndarray, idx: int, x: float, y: float, lo2: np.ndarray, hi2: np.ndarray
-) -> int:
-    """Qualifying pairs between position (x, y) and every point except idx."""
-    dx = coords[:, 0] - x
-    dy = coords[:, 1] - y
-    d2 = dx * dx + dy * dy
-    hit = np.zeros(len(d2), dtype=bool)
-    for l in range(len(lo2)):
-        hit |= (d2 >= lo2[l]) & (d2 <= hi2[l])
-    hit[idx] = False
-    return int(np.count_nonzero(hit))
-
-
-def _breaks_separation(coords: np.ndarray, idx: int, x: float, y: float) -> bool:
+) -> int | None:
+    """Qualifying pairs between (x, y) and every point except idx; None when
+    (x, y) is closer than 1 to one of them. The count needs no labels, so it
+    is a union mask: on a few points _label_hits' generator costs more."""
     dx = coords[:, 0] - x
     dy = coords[:, 1] - y
     d2 = dx * dx + dy * dy
     d2[idx] = np.inf
-    return bool(d2.min() < 1.0)
+    if d2.min() < 1.0:
+        return None
+    hit = (d2 >= lo2[0]) & (d2 <= hi2[0])
+    for l in range(1, len(lo2)):
+        hit |= (d2 >= lo2[l]) & (d2 <= hi2[l])
+    return int(np.count_nonzero(hit))
 
 
 def anneal(config: SearchConfig, initial: PointSet | None = None) -> SearchResult:
@@ -204,12 +200,11 @@ def anneal(config: SearchConfig, initial: PointSet | None = None) -> SearchResul
                 nx = coords[idx, 0] + step[0]
                 ny = coords[idx, 1] + step[1]
 
-            if cfg.n > 1 and _breaks_separation(coords, idx, nx, ny):
+            new = _placement_count(coords, idx, nx, ny, lo2, hi2)
+            if new is None:
                 rejected += 1
             else:
-                old = _incident_count(coords, idx, coords[idx, 0], coords[idx, 1], lo2, hi2)
-                new = _incident_count(coords, idx, nx, ny, lo2, hi2)
-                gain = new - old
+                gain = new - _placement_count(coords, idx, coords[idx, 0], coords[idx, 1], lo2, hi2)
                 if gain >= 0 or rng.random() < math.exp(gain / temperature):
                     coords[idx, 0] = nx
                     coords[idx, 1] = ny
@@ -319,17 +314,15 @@ def local_opt_check(
     rng = np.random.default_rng(seed)
     moves: list[ImprovingMove] = []
     for i in range(ps.n):
-        old = _incident_count(coords, i, coords[i, 0], coords[i, 1], lo2, hi2)
+        old = _placement_count(coords, i, coords[i, 0], coords[i, 1], lo2, hi2)
         for _ in range(probes_per_point):
             rad = probe_radius * math.sqrt(rng.random())
             ang = 2.0 * math.pi * rng.random()
             nx = coords[i, 0] + rad * math.cos(ang)
             ny = coords[i, 1] + rad * math.sin(ang)
-            if ps.n > 1 and _breaks_separation(coords, i, nx, ny):
-                continue
-            gain = _incident_count(coords, i, nx, ny, lo2, hi2) - old
-            if gain > 0:
-                moves.append(ImprovingMove(point=i, new_x=nx, new_y=ny, count_gain=gain))
+            new = _placement_count(coords, i, nx, ny, lo2, hi2)
+            if new is not None and new > old:
+                moves.append(ImprovingMove(point=i, new_x=nx, new_y=ny, count_gain=new - old))
     return LocalOptReport(
         probe_radius=probe_radius,
         probes_per_point=probes_per_point,

@@ -18,18 +18,21 @@ def _sq_dist(a, b):
     return dx * dx + dy * dy
 
 
+def oracle_label(d2, t_values, alpha):
+    """1-based smallest label of one squared distance, or None, pure Python."""
+    for l, t in enumerate(t_values, start=1):
+        if t * t <= d2 <= (t + alpha) * (t + alpha):
+            return l
+    return None
+
+
 def oracle_count(points, t_values, alpha):
     """(total, per_interval) by smallest qualifying index, pure Python."""
-    k = len(t_values)
-    per = [0] * k
+    per = [0] * len(t_values)
     for i, j in combinations(range(len(points)), 2):
-        d2 = _sq_dist(points[i], points[j])
-        for l in range(k):
-            lo = t_values[l] * t_values[l]
-            hi = (t_values[l] + alpha) * (t_values[l] + alpha)
-            if lo <= d2 <= hi:
-                per[l] += 1
-                break
+        l = oracle_label(_sq_dist(points[i], points[j]), t_values, alpha)
+        if l is not None:
+            per[l - 1] += 1
     return sum(per), per
 
 
@@ -37,11 +40,9 @@ def oracle_labels(points, t_values, alpha):
     """Sorted (i, j, l) triples with 1-based smallest labels, pure Python."""
     out = []
     for i, j in combinations(range(len(points)), 2):
-        d2 = _sq_dist(points[i], points[j])
-        for l, t in enumerate(t_values, start=1):
-            if t * t <= d2 <= (t + alpha) * (t + alpha):
-                out.append((i, j, l))
-                break
+        l = oracle_label(_sq_dist(points[i], points[j]), t_values, alpha)
+        if l is not None:
+            out.append((i, j, l))
     return out
 
 

@@ -367,6 +367,10 @@ HOLES = {
     "csv-digit-separator": ({"sep.csv": "1_0,2\n0,0\n"}, ["diameter", "sep.csv"]),
     "csv-non-ascii-digit": ({"arabic.csv": "\u0661,2\n0,0\n"}, ["diameter", "arabic.csv"]),
     "csv-infinity": ({"inf.csv": "infinity,2\n0,0\n"}, ["diameter", "inf.csv"]),
+    # 10**16 int64 exceed any 64-bit address space, so the allocation fails at once.
+    "search-n-beyond-memory": (
+        INPUTS, ["search", "--intervals", "iv.json", "--n", 10**16, "--iterations", 1]),
+    "random-n-beyond-memory": ({}, ["generate", "random", "--n", 10**16, "--box", 3e8]),
 }
 
 

@@ -17,9 +17,21 @@ from neardist import (
     two_column,
     verify_bound,
 )
-from neardist.geometry import _MAX_CELLS, _PAIR_BUDGET, _hull_vertices, _touching_runs
+from neardist.geometry import (
+    _MAX_CELLS,
+    _PAIR_BUDGET,
+    _hull_vertices,
+    _run_pairs,
+    _touching_runs,
+)
 
-from _oracles import oracle_diameter, oracle_hull, oracle_min_distance, oracle_violations
+from _oracles import (
+    oracle_diameter,
+    oracle_hull,
+    oracle_label,
+    oracle_min_distance,
+    oracle_violations,
+)
 
 GRID = [(float(x), float(y)) for x in range(3) for y in range(3)]
 
@@ -69,6 +81,26 @@ class TestTypes:
         assert iv.smallest_label(1.6**2) == 1
         assert iv.smallest_label(2.4**2) == 2
         assert iv.smallest_label(9.0) is None
+
+    @pytest.mark.parametrize(
+        "t, alpha, at_lower_ends",
+        [
+            ([1.0, 1.5], 1.0, [1, 1]),  # overlapping: the smaller label wins
+            ([1e9, 1e9 + 1.0], 3.0, [1, 1]),
+            ([1.0, 4.0, 9.0], 0.5, [1, 2, 3]),
+            ([2.0, 7.0, 7.5], 1e-12, [1, 2, 3]),
+        ],
+    )
+    def test_smallest_label_matches_scalar_oracle(self, t, alpha, at_lower_ends):
+        iv = IntervalFamily(t, alpha)
+        lo2, hi2 = iv.sq_bounds
+        assert [iv.smallest_label(float(v)) for v in lo2] == at_lower_ends
+        assert [iv.smallest_label(float(v)) for v in hi2] == list(range(1, iv.k + 1))
+        # exact ends, one ulp outside them, midpoints and the points between intervals
+        probes = [0.0, 1.0, math.inf, *lo2, *hi2, *np.nextafter(lo2, 0.0),
+                  *np.nextafter(hi2, math.inf), *((lo2 + hi2) / 2), *((hi2[:-1] + lo2[1:]) / 2)]
+        for d2 in map(float, probes):
+            assert iv.smallest_label(d2) == oracle_label(d2, t, alpha), d2
 
 
 class TestMinPairwiseDistance:
@@ -157,6 +189,54 @@ def hard_point_sets(draw):
         points.append((math.nextafter(x, 0.0) if axis in "xb" else x,
                        math.nextafter(y, 0.0) if axis in "yb" else y))
     return points
+
+
+def _reference_cell_pairs(points, side):
+    """Pairs (p, q), p < q, whose grid cells are equal or adjacent, in pure Python."""
+    x0 = min(x for x, _ in points)
+    y0 = min(y for _, y in points)
+    cells = {}
+    for p, (x, y) in enumerate(points):
+        cells.setdefault((math.floor((x - x0) / side), math.floor((y - y0) / side)), []).append(p)
+    return sorted(
+        (p, q)
+        for (cx, cy), members in cells.items()
+        for dx in (-1, 0, 1)
+        for dy in (-1, 0, 1)
+        for p in members
+        for q in cells.get((cx + dx, cy + dy), ())
+        if p < q
+    )
+
+
+def _joined_pairs(points, side):
+    """The pairs of _touching_runs, each as (min, max), with repeats kept."""
+    xs, ys = np.array(points, dtype=np.float64).reshape(-1, 2).T
+    return sorted(
+        (min(p, q), max(p, q))
+        for i, j in _run_pairs(*_touching_runs(xs, ys, side))
+        for p, q in zip(i.tolist(), j.tolist())
+    )
+
+
+class TestTouchingJoin:
+    """The shared cell join on the touching rows, against a pure-Python cell reference."""
+
+    @pytest.mark.parametrize("points", EXACT_CASES.values(), ids=EXACT_CASES.keys())
+    def test_regression_sets(self, points):
+        xs, ys = zip(*points)
+        extent = max(max(xs) - min(xs), max(ys) - min(ys))
+        # the first grid of min_pairwise_distance, held at its floor for the cluster
+        side = max(2 * min_pairwise_distance(PointSet(points))[0], extent / _MAX_CELLS)
+        assert _joined_pairs(points, side) == _reference_cell_pairs(points, side)
+
+    @given(points=hard_point_sets(), cells=st.sampled_from([0.5, 1.0, 3.0, 8.0, 64.0, 2.0**30]))
+    @settings(max_examples=300, deadline=None)
+    def test_each_touching_pair_once(self, points, cells):
+        xs, ys = zip(*points)
+        extent = max(max(xs) - min(xs), max(ys) - min(ys))
+        side = extent / cells if extent > 0 else 1.0
+        assert _joined_pairs(points, side) == _reference_cell_pairs(points, side)
 
 
 class TestExactAgainstOracle:
