@@ -108,7 +108,7 @@ def cmd_generate(args) -> Result:
         built = column_chain(args.n, args.k, args.t)
     else:
         built = augmented_chain(args.n, args.k, args.t)
-    sidecar = {"name": name, "params": built.params, "predicted_count": built.predicted_count}
+    sidecar = built.to_dict() | {"name": name}
     return Result(
         {points: built.ps, "intervals.json": built.iv.to_dict(), "construction.json": sidecar},
         built.params | {"construction": name},

@@ -1,26 +1,24 @@
 """Exact counting of point pairs whose distance falls in an interval family.
 
-Two interchangeable methods are provided. "brute" evaluates every unordered
-pair in vectorized blocks. "pruned" and label_pairs share one pair enumerator
-(_candidate_pairs, the fixed-radius cell-list search of Bentley, Stanat and
-Williams, 1977, over a union of thin annuli). Points are bucketed into square
-cells; the cell offsets whose distance bracket meets some interval are
-enumerated row by row from the annuli, and each row's run of offsets is joined
-to the occupied cells by geometry's cell join (_join_rows, a search on the
-sorted cell keys, which the closest-pair search uses too), giving for every
-point a contiguous run of partner points. These candidate pairs come in
-fixed-size chunks: "pruned" counts the qualifying ones by smallest label, and
-label_pairs gathers them. The cell side comes from a cost model over the point
-counts per cell and the offset rows; at its coarsest, one cell, the enumerator
-is the all-pairs scan, so no input costs more than O(n^2) time. Memory stays
-O(n + chunk) for the count and O(n + chunk + output) for label_pairs.
+Both counts and label_pairs walk their pairs through one cell join: points
+are bucketed into square cells, geometry's _join_rows (a search on the sorted
+cell keys, shared with the closest-pair search) pairs every point with the
+points of the cells at a run of offsets, and _run_pairs expands those runs a
+fixed-size chunk at a time. "brute" walks every unordered pair, the join on a
+one-cell grid (_all_pairs). "pruned" and label_pairs use the fixed-radius
+cell-list search of Bentley, Stanat and Williams, 1977, over a union of thin
+annuli (_candidate_pairs): the cell offsets whose distance bracket meets some
+interval are enumerated row by row from the annuli. Its cell side comes from
+a cost model over the point counts per cell and the offset rows; at its
+coarsest, one cell, it is the all-pairs walk, so no input costs more than
+O(n^2) time. Memory stays O(n + chunk) for both counts and
+O(n + chunk + output) for label_pairs.
 
-Every path computes squared pair distances with the identical expression
-dx*dx + dy*dy (geometry._sq_dists for candidate pairs, the blocked scan for
-brute) and labels them with geometry._label_hits, the package's one
-smallest-label rule, so the methods agree exactly, including on interval
-endpoints. The cell brackets carry a small relative inflation so that skipping
-an offset stays conservative under floating-point rounding.
+Every path computes squared pair distances with geometry._sq_dists, the
+expression dx*dx + dy*dy, and labels them with geometry._label_hits, the
+package's one smallest-label rule, so the methods agree exactly, including on
+interval endpoints. The cell brackets carry a small relative inflation so
+that skipping an offset stays conservative under floating-point rounding.
 """
 
 from __future__ import annotations
@@ -77,45 +75,6 @@ class PairCountReport:
         }
 
 
-def _blocked_sq_dists(coords: np.ndarray, block: int = 256):
-    """Yield squared distances of all unordered pairs, in (i, j) row-major order."""
-    n = coords.shape[0]
-    xs = coords[:, 0]
-    ys = coords[:, 1]
-    for i0 in range(0, n - 1, block):
-        i1 = min(i0 + block, n)
-        dx = xs[i0:i1, None] - xs[None, i0:]
-        dy = ys[i0:i1, None] - ys[None, i0:]
-        d2 = dx * dx + dy * dy
-        rows = np.arange(i0, i1)[:, None]
-        cols = np.arange(i0, n)[None, :]
-        yield i0, d2, cols > rows
-
-
-def _accumulate_labels(d2: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, per: np.ndarray) -> None:
-    """Add smallest-label counts of the given squared distances into per."""
-    for l, hit in _label_hits(d2, lo2, hi2):
-        per[l] += int(np.count_nonzero(hit))
-
-
-def _count_brute(coords: np.ndarray, iv: IntervalFamily) -> np.ndarray:
-    lo2, hi2 = iv.sq_bounds
-    per = np.zeros(iv.k, dtype=np.int64)
-    for _, d2, mask in _blocked_sq_dists(coords):
-        _accumulate_labels(d2[mask], lo2, hi2, per)
-    return per
-
-
-def _count_pruned(coords: np.ndarray, iv: IntervalFamily) -> np.ndarray:
-    lo2, hi2 = iv.sq_bounds
-    per = np.zeros(iv.k, dtype=np.int64)
-    xs = coords[:, 0]
-    ys = coords[:, 1]
-    for i, j in _candidate_pairs(coords, lo2, hi2):
-        _accumulate_labels(_sq_dists(xs, ys, i, j), lo2, hi2, per)
-    return per
-
-
 def _sq_bracket(da, db, side: float):
     """Conservative (min, max) of dx*dx + dy*dy over two points in cells whose
     indices differ by (da, db) >= 0 on the two axes, for cells of the given side.
@@ -135,19 +94,21 @@ def count_pairs(ps: PointSet, iv: IntervalFamily, method: str = "brute") -> Pair
     """Count unordered pairs with distance in some closed interval [t_l, t_l + alpha].
 
     Returns the total together with the per-interval breakdown by smallest
-    qualifying index. Both methods produce identical counts. "brute" scans
-    all pairs; "pruned" evaluates only the pairs at cell offsets whose
-    distance range meets an interval, from the enumerator label_pairs uses,
-    and is the faster path on large inputs.
+    qualifying index. Both methods produce identical counts. "brute" walks
+    all pairs (_all_pairs); "pruned" evaluates only the pairs at cell offsets
+    whose distance range meets an interval, from the enumerator label_pairs
+    uses (_candidate_pairs), and is the faster path on large inputs.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    if ps.n < 2:
-        per = np.zeros(iv.k, dtype=np.int64)
-    elif method == "brute":
-        per = _count_brute(ps.coords, iv)
-    else:
-        per = _count_pruned(ps.coords, iv)
+    lo2, hi2 = iv.sq_bounds
+    xs = ps.coords[:, 0]
+    ys = ps.coords[:, 1]
+    pairs = _all_pairs(xs, ys) if method == "brute" else _candidate_pairs(ps.coords, lo2, hi2)
+    per = np.zeros(iv.k, dtype=np.int64)
+    for i, j in pairs:
+        for l, hit in _label_hits(_sq_dists(xs, ys, i, j), lo2, hi2):
+            per[l] += int(np.count_nonzero(hit))
     per_tuple = tuple(int(c) for c in per)
     return PairCountReport(total=sum(per_tuple), per_interval=per_tuple, method=method)
 
@@ -284,6 +245,18 @@ def _candidate_pairs(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
     for r0 in range(0, len(a), batch):
         rows = slice(r0, r0 + batch)
         yield from _run_pairs(*_join_rows(grid, a[rows], b_lo[rows], b_hi[rows]))
+
+
+def _all_pairs(xs: np.ndarray, ys: np.ndarray):
+    """Yield index arrays (i, j) holding every unordered pair once, i < j.
+
+    This is the cell join on a one-cell grid: a side of inf puts every point
+    in cell (0, 0), as (x - x_min) / inf == 0 for every finite coordinate, and
+    the one row (a, b_lo, b_hi) = (0, 0, 0) pairs each point with the later
+    points only. Memory is O(n + _PAIR_CHUNK).
+    """
+    row = np.zeros(1, dtype=np.int64)
+    return _run_pairs(*_join_rows(_bucket_cells(xs, ys, math.inf), row, row, row))
 
 
 def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:

@@ -336,6 +336,9 @@ def _run_pairs(order: np.ndarray, first: np.ndarray, lo: np.ndarray, length: np.
     the point order[first[r]] pairs with order[lo[r] + k] for 0 <= k < length[r]."""
     run_end = np.cumsum(length)
     run_start = run_end - length
+    # Per run, the point and the shift from a pair's position q to its partner's.
+    src = order[first]
+    shift = lo - run_start
     total = int(run_end[-1]) if len(run_end) else 0
     for q0 in range(0, total, _PAIR_CHUNK):
         q1 = min(q0 + _PAIR_CHUNK, total)
@@ -343,7 +346,7 @@ def _run_pairs(order: np.ndarray, first: np.ndarray, lo: np.ndarray, length: np.
         r1 = int(np.searchsorted(run_start, q1, side="left"))
         taken = np.minimum(run_end[r0:r1], q1) - np.maximum(run_start[r0:r1], q0)
         run = np.repeat(np.arange(r0, r1), taken)
-        yield order[first[run]], order[lo[run] + (np.arange(q0, q1) - run_start[run])]
+        yield src[run], order[np.arange(q0, q1) + shift[run]]
 
 
 def min_pairwise_distance(ps: PointSet) -> tuple[float, bool]:

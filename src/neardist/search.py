@@ -5,8 +5,9 @@ distance falls in a fixed interval family. Moves displace one point at a time:
 mostly small Gaussian jitters, occasionally a teleport to a uniform position
 inside the current bounding box inflated by twice the largest interval value,
 so the walk can discover structure at both the interval-width scale and the
-inter-cluster scale. Moves breaking the separation constraint are rejected
-outright, which keeps the objective exactly the pair count.
+inter-cluster scale. Moves breaking the separation constraint or leaving the
+coordinate limit |x|, |y| <= 2**510 are rejected outright, which keeps the
+objective exactly the pair count.
 
 Everything is deterministic for a fixed seed. Restarts run with derived seeds
 (seed + restart index) and merge by best count, ties to the lower restart.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .constructions import random_separated
 from .counting import count_pairs
-from .geometry import IntervalFamily, PointSet, min_pairwise_distance
+from .geometry import _MAX_COORDINATE, IntervalFamily, PointSet, min_pairwise_distance
 
 __all__ = [
     "SearchConfig",
@@ -128,8 +129,11 @@ def _placement_count(
     coords: np.ndarray, idx: int, x: float, y: float, lo2: np.ndarray, hi2: np.ndarray
 ) -> int | None:
     """Qualifying pairs between (x, y) and every point except idx; None when
-    (x, y) is closer than 1 to one of them. The count needs no labels, so it
-    is a union mask: on a few points _label_hits' generator costs more."""
+    (x, y) is closer than 1 to one of them or outside the coordinate limit
+    |x|, |y| <= 2**510. The count needs no labels, so it is a union mask: on
+    a few points _label_hits' generator costs more."""
+    if abs(x) > _MAX_COORDINATE or abs(y) > _MAX_COORDINATE:
+        return None
     dx = coords[:, 0] - x
     dy = coords[:, 1] - y
     d2 = dx * dx + dy * dy
@@ -149,9 +153,10 @@ def anneal(config: SearchConfig, initial: PointSet | None = None) -> SearchResul
     random_separated(n, 2*sqrt(n), seed + restart) when none is given. Each
     iteration proposes one single-point move (teleport with the configured
     probability, Gaussian jitter otherwise), rejects it when separation would
-    break, and otherwise accepts on count gain or with probability
-    exp(gain / temperature). The temperature decays by the cooling factor
-    every iteration. The best state is tracked across all restarts.
+    break or the point would leave the coordinate limit, and otherwise accepts
+    on count gain or with probability exp(gain / temperature). The
+    temperature decays by the cooling factor every iteration. The best state
+    is tracked across all restarts.
     """
     cfg = config.resolved()
     if initial is not None:
@@ -301,8 +306,8 @@ def local_opt_check(
     increases the qualifying-pair count is reported. Requires a separated
     input.
     """
-    if probe_radius <= 0:
-        raise ValueError(f"probe_radius must be positive, got {probe_radius}")
+    if not (math.isfinite(probe_radius) and probe_radius > 0):
+        raise ValueError(f"probe_radius must be finite and positive, got {probe_radius}")
     if probes_per_point < 1:
         raise ValueError(f"probes_per_point must be >= 1, got {probes_per_point}")
     _, separated = min_pairwise_distance(ps)

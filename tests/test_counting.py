@@ -202,13 +202,14 @@ class TestMethodEquivalence:
             == count_pairs(ps, iv, "pruned").per_interval
         )
 
-    def test_pruned_memory_stays_linear(self):
+    @pytest.mark.parametrize("method", ["brute", "pruned"])
+    def test_pruned_memory_stays_linear(self, method):
         # Two far-apart 2000-point columns: their 4M cross pairs must be
         # evaluated in chunks, never held at once (64 MB per float array).
         built = two_column(n=4000, k=3, t=1e7, eps=0.5)
         tracemalloc.start()
         try:
-            count_pairs(built.ps, built.iv, "pruned")
+            count_pairs(built.ps, built.iv, method)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

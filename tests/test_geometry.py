@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neardist import (
@@ -17,6 +17,7 @@ from neardist import (
     two_column,
     verify_bound,
 )
+from neardist.counting import _all_pairs
 from neardist.geometry import (
     _MAX_CELLS,
     _PAIR_BUDGET,
@@ -219,8 +220,24 @@ def _joined_pairs(points, side):
     )
 
 
+def _one_cell_codes(points):
+    """The pairs of the brute count's one-cell walk, each coded min * n + max,
+    sorted, with repeats kept."""
+    n = len(points)
+    xs, ys = np.array(points, dtype=np.float64).reshape(-1, 2).T
+    codes = [np.minimum(i, j) * n + np.maximum(i, j) for i, j in _all_pairs(xs, ys)]
+    return np.sort(np.concatenate([np.zeros(0, dtype=np.int64), *codes]))
+
+
+def _all_index_codes(n):
+    """Every index pair p < q, coded p * n + q, sorted."""
+    p, q = np.triu_indices(n, 1)
+    return p * n + q
+
+
 class TestTouchingJoin:
-    """The shared cell join on the touching rows, against a pure-Python cell reference."""
+    """The shared cell join on the touching rows against a pure-Python cell
+    reference, and on the one-cell row (0, 0, 0) against all index pairs."""
 
     @pytest.mark.parametrize("points", EXACT_CASES.values(), ids=EXACT_CASES.keys())
     def test_regression_sets(self, points):
@@ -229,14 +246,17 @@ class TestTouchingJoin:
         # the first grid of min_pairwise_distance, held at its floor for the cluster
         side = max(2 * min_pairwise_distance(PointSet(points))[0], extent / _MAX_CELLS)
         assert _joined_pairs(points, side) == _reference_cell_pairs(points, side)
+        assert np.array_equal(_one_cell_codes(points), _all_index_codes(len(points)))
 
     @given(points=hard_point_sets(), cells=st.sampled_from([0.5, 1.0, 3.0, 8.0, 64.0, 2.0**30]))
+    @example(points=[(0.0, 0.0)], cells=1.0)
     @settings(max_examples=300, deadline=None)
     def test_each_touching_pair_once(self, points, cells):
         xs, ys = zip(*points)
         extent = max(max(xs) - min(xs), max(ys) - min(ys))
         side = extent / cells if extent > 0 else 1.0
         assert _joined_pairs(points, side) == _reference_cell_pairs(points, side)
+        assert np.array_equal(_one_cell_codes(points), _all_index_codes(len(points)))
 
 
 class TestExactAgainstOracle:

@@ -1,3 +1,6 @@
+import warnings
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,6 +135,16 @@ class TestAnneal:
         result = anneal(cfg)
         assert result.accepted_moves + result.rejected_moves == 600
 
+    def test_teleports_stay_within_coordinate_limit(self):
+        # t is within the 2**511 limit, but each teleport box reaches 2 * t past
+        # the points, so proposals beyond 2**510 must count as rejected moves.
+        cfg = SearchConfig(n=3, iv=IntervalFamily([2e153], 1.0), iterations=16384, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = anneal(cfg)
+        assert np.all(np.abs(result.best_ps.coords) <= 2.0**510)
+        assert result.accepted_moves + result.rejected_moves == 16384
+
 
 class TestLocalOptCheck:
     def test_single_point_is_locally_optimal(self):
@@ -168,7 +181,8 @@ class TestLocalOptCheck:
 
     def test_rejects_bad_params(self):
         ps = PointSet([(0, 0), (5, 0)])
-        with pytest.raises(ValueError):
-            local_opt_check(ps, IV50, 0.0, 10, 0)
+        for radius in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                local_opt_check(ps, IV50, radius, 10, 0)
         with pytest.raises(ValueError):
             local_opt_check(ps, IV50, 1.0, 0, 0)
