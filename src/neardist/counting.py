@@ -14,11 +14,21 @@ coarsest, one cell, it is the all-pairs walk, so no input costs more than
 O(n^2) time. Memory stays O(n + chunk) for both counts and
 O(n + chunk + output) for label_pairs.
 
-Every path computes squared pair distances with geometry._sq_dists, the
-expression dx*dx + dy*dy, and labels them with geometry._label_hits, the
+The pruned count need not evaluate every candidate pair. The join pairs each
+occupied cell with a run of partner cells per offset row; when the squared
+distances of such a (row, cell) block are bracketed, from the actual extremes
+of its points, inside one interval and away from every earlier one, the
+count adds the block's pairs to that label in bulk, and when the bracket
+misses every interval it drops the block (_block_labels). The column
+constructions put nearly all of their pairs into such blocks. label_pairs
+needs the pairs themselves and expands every block.
+
+Every evaluated pair's squared distance comes from geometry._sq_dists, the
+expression dx*dx + dy*dy, and is labelled by geometry._label_hits, the
 package's one smallest-label rule, so the methods agree exactly, including on
-interval endpoints. The cell brackets carry a small relative inflation so
-that skipping an offset stays conservative under floating-point rounding.
+interval endpoints. The cell-offset brackets carry a small relative
+inflation so that skipping an offset stays conservative under floating-point
+rounding; the bulk brackets need none, as rounding is monotone.
 """
 
 from __future__ import annotations
@@ -29,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    IntervalFamily, PointSet, _bucket_cells, _join_rows, _label_hits, _run_pairs, _sq_dists,
+    IntervalFamily, PointSet, _block_runs, _bucket_cells, _join_cells, _join_rows, _label_hits,
+    _run_pairs, _sq_dists,
 )
 
 __all__ = ["PairCountReport", "LabeledPairs", "count_pairs", "label_pairs"]
@@ -53,6 +64,9 @@ _LABEL_BATCH = 1 << 17
 _COST_CELL = 4.0
 _COST_POINT = 1.0
 _COST_PAIR = 1.5
+# A (row, cell) block of the join is checked for a bulk add only when it holds
+# at least this many pairs, so that the check costs less than the pairs.
+_BULK_MIN_PAIRS = 64
 
 
 @dataclass(frozen=True)
@@ -97,15 +111,16 @@ def count_pairs(ps: PointSet, iv: IntervalFamily, method: str = "brute") -> Pair
     qualifying index. Both methods produce identical counts. "brute" walks
     all pairs (_all_pairs); "pruned" evaluates only the pairs at cell offsets
     whose distance range meets an interval, from the enumerator label_pairs
-    uses (_candidate_pairs), and is the faster path on large inputs.
+    uses (_candidate_pairs), adds the cell blocks whose pairs share one label
+    in bulk, and is the faster path on large inputs.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     lo2, hi2 = iv.sq_bounds
     xs = ps.coords[:, 0]
     ys = ps.coords[:, 1]
-    pairs = _all_pairs(xs, ys) if method == "brute" else _candidate_pairs(ps.coords, lo2, hi2)
     per = np.zeros(iv.k, dtype=np.int64)
+    pairs = _all_pairs(xs, ys) if method == "brute" else _candidate_pairs(ps.coords, lo2, hi2, per)
     for i, j in pairs:
         for l, hit in _label_hits(_sq_dists(xs, ys, i, j), lo2, hi2):
             per[l] += int(np.count_nonzero(hit))
@@ -190,15 +205,22 @@ def _offset_rows(side: float, nx: int, ny: int, lo2: np.ndarray, hi2: np.ndarray
     )
 
 
-def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
+def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, bulk: bool):
     """The cheapest label grid by a cost model, with its offset rows.
 
     Sides run from twice the extent (one cell: the all-pairs scan) down by
     halves to extent / 2**_LABEL_LEVELS. The cost counts, per offset row run,
     a key search per occupied cell and a run per point, and bounds the
     candidate pairs of each offset by the sum of squared cell counts
-    (Cauchy-Schwarz). Halving the side never removes a row run or an occupied
-    cell, so the search stops once that overhead alone reaches the best cost.
+    (Cauchy-Schwarz). With bulk (the count, which can add decided blocks in
+    bulk), that bound is scaled by the share of the join's pairs left
+    undecided by _block_labels, measured where the join has at most n
+    (row, cell) blocks and taken as 1 elsewhere. Halving the side never
+    removes a row run or an occupied cell, so the search stops once that
+    overhead alone reaches the best cost.
+
+    Returns (grid, rows, measured): measured tells whether the share was
+    measured on the grid, and so whether adding blocks in bulk pays there.
     """
     n = coords.shape[0]
     extent = max(float(np.ptp(coords[:, 0])), float(np.ptp(coords[:, 1])), _MIN_LABEL_EXTENT)
@@ -211,19 +233,105 @@ def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
         if overhead >= best_cost:
             break
         offsets = float((b_hi - b_lo + 1).sum())
-        cost = overhead + _COST_PAIR * offsets * float((np.diff(grid.starts) ** 2).sum())
+        pair_cost = _COST_PAIR * offsets * float((np.diff(grid.starts) ** 2).sum())
+        measured = bulk and len(a) * len(grid.keys) <= n
+        if measured:
+            lo, hi = _join_cells(grid, *rows)
+            decided = _block_labels(grid, _cell_extremes(grid, coords), a, b_lo, lo, hi, lo2, hi2)[2]
+            same = ((a == 0) & (b_lo == 0))[:, None]
+            total = int(_block_pairs(np.diff(grid.starts), same, hi - lo).sum())
+            pair_cost *= 1.0 - int(decided.sum()) / total if total else 0.0
+        cost = overhead + pair_cost
         if cost < best_cost:
-            best, best_cost = (grid, rows), cost
+            best, best_cost = (grid, rows, measured), cost
     return best
 
 
-def _candidate_pairs(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
+def _cell_extremes(grid, coords: np.ndarray) -> np.ndarray:
+    """Per occupied cell of the grid, (x_min, y_min, -x_max, -y_max) of its points."""
+    pts = coords[grid.order]
+    first = grid.starts[:-1]
+    return np.hstack((np.minimum.reduceat(pts, first), -np.maximum.reduceat(pts, first)))
+
+
+def _block_pairs(size, same, partners):
+    """Pairs in a block of a cell of size points with partners partner points.
+
+    On the row through (0, 0) (same), the partners include the cell itself,
+    and a point pairs only with the later points of its cell.
+    """
+    return size * partners - same * (size * (size + 1) // 2)
+
+
+def _block_labels(grid, ext, a, b_lo, lo, hi, lo2: np.ndarray, hi2: np.ndarray):
+    """The (row, cell) blocks of a _join_cells join whose pairs share one label.
+
+    ext is _cell_extremes of the grid; only blocks of at least
+    _BULK_MIN_PAIRS pairs are checked. Returns (r, c, pairs, label) for the
+    decided blocks: each of the pairs[m] pairs of the block (r[m], c[m]) has
+    the smallest qualifying label label[m] (0-based), or none of them
+    qualifies (label[m] == len(lo2)). Every other block must be expanded to
+    its pairs.
+
+    Why the bracket holds every pair's computed squared distance, with no
+    slack: for a point i of the cell and a partner j, fl(x_i - x_j) is
+    monotone in both coordinates, so it lies between fl(x_min - x'_max) and
+    fl(x_max - x'_min), from the actual extremes of the cell and of its
+    partners (likewise in y). Rounded squaring is monotone in |dx| and
+    rounded addition in both terms, so dx*dx + dy*dy lies in
+    [fl(near_x^2 + near_y^2), fl(far_x^2 + far_y^2)] for the nearest and
+    farthest |dx|, |dy| those ranges allow.
+    """
+    size = np.diff(grid.starts)
+    # size * partners bounds a block's pairs from above, so this keeps every
+    # block that holds enough; the exact count trims the rest.
+    r, c = np.nonzero(hi - lo >= -(-_BULK_MIN_PAIRS // size))
+    q_lo, q_hi = lo[r, c], hi[r, c]
+    pairs = _block_pairs(size[c], (a[r] == 0) & (b_lo[r] == 0), q_hi - q_lo)
+    big = pairs >= _BULK_MIN_PAIRS
+    r, c, pairs = r[big], c[big], pairs[big]
+    # The partners' extremes reduce their cells, which are consecutive.
+    ends = np.stack((grid.cell_of[q_lo[big]], grid.cell_of[q_hi[big] - 1] + 1), axis=1).ravel()
+    # The padding row makes the end index len(ext) valid; odd entries span the gaps.
+    q = np.minimum.reduceat(np.vstack((ext, ext[:1])), ends, axis=0)[::2]
+    p = ext[c]
+    d_lo = p[:, :2] + q[:, 2:]
+    d_hi = -(p[:, 2:] + q[:, :2])
+    near = np.maximum(np.maximum(d_lo, -d_hi), 0.0)
+    far = np.maximum(-d_lo, d_hi)
+    b0 = near[:, 0] * near[:, 0] + near[:, 1] * near[:, 1]
+    b1 = far[:, 0] * far[:, 0] + far[:, 1] * far[:, 1]
+    label = np.full(len(r), len(lo2))
+    open_ = np.ones(len(r), dtype=bool)
+    for l in range(len(lo2)):
+        meets = open_ & (b0 <= hi2[l]) & (b1 >= lo2[l])
+        label[meets] = np.where((b0[meets] >= lo2[l]) & (b1[meets] <= hi2[l]), l, -1)
+        open_ &= ~meets
+    m = label >= 0
+    return r[m], c[m], pairs[m], label[m]
+
+
+def _bulk_runs(grid, ext, a, b_lo, b_hi, lo2: np.ndarray, hi2: np.ndarray, per: np.ndarray):
+    """The count's join of the offset rows: adds each block that _block_labels
+    decides to per in bulk, and returns the runs of the other blocks."""
+    lo, hi = _join_cells(grid, a, b_lo, b_hi)
+    r, c, pairs, label = _block_labels(grid, ext, a, b_lo, lo, hi, lo2, hi2)
+    some = label < len(per)
+    np.add.at(per, label[some], pairs[some])
+    hi[r, c] = lo[r, c]
+    return _block_runs(grid, a, b_lo, lo, hi)
+
+
+def _candidate_pairs(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, per=None):
     """Yield index arrays (i, j) that together hold every qualifying pair once.
 
     The grid and its offset rows come from _choose_label_grid; _join_rows
     gives every point the points of the cells at each kept offset, a batch of
     rows at a time, and _run_pairs expands them _PAIR_CHUNK pairs at a time.
-    Pairs come in no particular order, and i < j need not hold.
+    Pairs come in no particular order, and i < j need not hold. Given per
+    (the count's per-label totals), the join is _bulk_runs instead: blocks
+    whose pairs all share one smallest label are added to per in bulk, blocks
+    with no qualifying pair are dropped, and only the rest are yielded.
 
     Why no qualifying pair is skipped: cells have side s >= extent / 2**20,
     so a point's cell coordinate (x - x0) / s is off by less than 2**-31 of a
@@ -238,13 +346,23 @@ def _candidate_pairs(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
     run only where _sq_bracket itself misses the interval), and the join
     returns every point of every cell at a kept offset. Each unordered pair is
     met once: offsets cover a half-plane, and inside one cell each point pairs
-    with the later points only.
+    with the later points only. Skipping an offset needs _BRACKET_SLACK; a
+    block that _bulk_runs adds or drops does not: it is bracketed from its
+    points' actual extremes, exactly with no slack (see _block_labels), so
+    its pairs are counted as their own evaluation would count them.
     """
-    grid, (a, b_lo, b_hi) = _choose_label_grid(coords, lo2, hi2)
+    grid, (a, b_lo, b_hi), bulk = _choose_label_grid(coords, lo2, hi2, per is not None)
+    ext = _cell_extremes(grid, coords) if bulk else None
     batch = max(1, _LABEL_BATCH // coords.shape[0])
     for r0 in range(0, len(a), batch):
-        rows = slice(r0, r0 + batch)
-        yield from _run_pairs(*_join_rows(grid, a[rows], b_lo[rows], b_hi[rows]))
+        rows = a[r0 : r0 + batch], b_lo[r0 : r0 + batch], b_hi[r0 : r0 + batch]
+        if bulk:
+            runs = _bulk_runs(grid, ext, *rows, lo2, hi2, per)
+        else:
+            runs = _join_rows(grid, *rows)
+        yield from _run_pairs(*runs)
+        # Free this batch's runs before the next batch is joined.
+        del runs
 
 
 def _all_pairs(xs: np.ndarray, ys: np.ndarray):

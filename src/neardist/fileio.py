@@ -111,15 +111,21 @@ def _load_point_set_csv(path: Path) -> PointSet:
                 if not line:
                     continue
                 parts = [part.strip(" \t") for part in line.split(",")]
+                bad = [part for part in parts if not _CSV_NUMBER.fullmatch(part)]
                 if len(parts) != 2:
+                    # A row of three or more numbers is a point in another
+                    # dimension; a lone number reads as a truncated row.
+                    if len(parts) > 2 and not bad:
+                        raise UnsupportedDimensionError(
+                            f"{path}:{line_no}: only 2 coordinates are supported, got {len(parts)}"
+                        )
                     raise InputFormatError(
                         f"{path}:{line_no}: expected 'x,y', got {line!r}"
                     )
-                for part in parts:
-                    if not _CSV_NUMBER.fullmatch(part):
-                        raise InputFormatError(
-                            f"{path}:{line_no}: bad coordinate {part!r}, expected a decimal number"
-                        )
+                if bad:
+                    raise InputFormatError(
+                        f"{path}:{line_no}: bad coordinate {bad[0]!r}, expected a decimal number"
+                    )
                 rows.append((float(parts[0]), float(parts[1])))
     except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc

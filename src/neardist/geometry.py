@@ -299,25 +299,42 @@ def _bucket_cells(xs: np.ndarray, ys: np.ndarray, side: float) -> _Cells:
     return _Cells(side, int(ix.max()) + 1, ny, stride, order, skey[first], starts, cell_of)
 
 
-def _join_rows(cells: _Cells, a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray):
-    """Runs pairing every point with the cells at offsets (a, b), b_lo <= b <= b_hi.
+def _join_cells(cells: _Cells, a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray):
+    """The cell blocks of the offset rows (a, b), b_lo <= b <= b_hi.
 
     The row runs cover the half-plane a > 0 or a == 0 <= b, with |b| <= ny,
     so a row's cells have consecutive keys: one search on the sorted keys per
-    end finds them. The row a == 0 from b == 0 starts after the point itself,
-    so inside one cell each point pairs with the later points only. Returns
-    the nonempty runs (order, first, lo, length) for _run_pairs.
+    end finds them, and their points are consecutive in the cell order.
+    Returns (lo, hi), of shape (rows, occupied cells): row r pairs the points
+    of the occupied cell c with the points order[lo[r, c]:hi[r, c]].
     """
-    pos = np.arange(len(cells.order))
     shift = a * cells.stride
     c_lo = np.searchsorted(cells.keys, cells.keys + (shift + b_lo)[:, None], side="left")
     c_hi = np.searchsorted(cells.keys, cells.keys + (shift + b_hi)[:, None], side="right")
-    lo = cells.starts[c_lo][:, cells.cell_of]
-    hi = cells.starts[c_hi][:, cells.cell_of]
+    return cells.starts[c_lo], cells.starts[c_hi]
+
+
+def _block_runs(cells: _Cells, a: np.ndarray, b_lo: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The cell blocks (lo, hi) of _join_cells as runs, one per point and row.
+
+    The row a == 0 from b == 0 starts after the point itself, so inside one
+    cell each point pairs with the later points only; a block with
+    hi <= lo yields nothing. Returns the nonempty runs
+    (order, first, lo, length) for _run_pairs.
+    """
+    pos = np.arange(len(cells.order))
+    lo = lo[:, cells.cell_of]
+    hi = hi[:, cells.cell_of]
     lo[(a == 0) & (b_lo == 0)] = pos + 1
     length = (hi - lo).ravel()
     keep = np.flatnonzero(length > 0)
     return cells.order, np.tile(pos, len(a))[keep], lo.ravel()[keep], length[keep]
+
+
+def _join_rows(cells: _Cells, a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray):
+    """Runs pairing every point with the cells at offsets (a, b), b_lo <= b <= b_hi:
+    the blocks of _join_cells, expanded by _block_runs."""
+    return _block_runs(cells, a, b_lo, *_join_cells(cells, a, b_lo, b_hi))
 
 
 def _touching_runs(xs: np.ndarray, ys: np.ndarray, side: float):

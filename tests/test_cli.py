@@ -160,6 +160,19 @@ class TestPipeline:
         res = run_cli("diameter", "p3.json", cwd=tmp_path)
         assert res.returncode == 3
 
+    @pytest.mark.parametrize("rows", ["0,0,0\n1,2,3\n", "0,0\n1,2,-3e0,4\n"])
+    def test_csv_dimension_exit_three(self, tmp_path, rows):
+        (tmp_path / "p3.csv").write_text(rows)
+        res = run_cli("diameter", "p3.csv", cwd=tmp_path)
+        assert res.returncode == 3
+        assert "only 2 coordinates" in res.stderr
+
+    @pytest.mark.parametrize("rows", ["0;0\n1;2\n", "x,y\n0,0\n", "0,0,z\n", "0,,0\n", "0,0\n1.5\n"])
+    def test_csv_malformed_row_exit_two(self, tmp_path, rows):
+        (tmp_path / "bad.csv").write_text(rows)
+        res = run_cli("diameter", "bad.csv", cwd=tmp_path)
+        assert res.returncode == 2
+
     def test_delta_out_of_range_exit_two(self, tmp_path):
         (tmp_path / "pts.json").write_text('{"dim": 2, "points": [[0, 0], [5, 0]]}')
         (tmp_path / "iv.json").write_text('{"alpha": 1.0, "t": [5.0]}')

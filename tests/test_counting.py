@@ -9,9 +9,13 @@ from hypothesis import strategies as st
 from neardist import (
     IntervalFamily,
     PointSet,
+    augmented_chain,
+    column_chain,
     count_pairs,
+    counting,
     label_pairs,
     random_separated,
+    three_column,
     two_column,
 )
 
@@ -214,6 +218,35 @@ class TestMethodEquivalence:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: two_column(4000, 3, 1e7, 0.5),
+            lambda: three_column(3000, 5e5, 5e5),
+            lambda: column_chain(3000, 3, 3e5),
+            lambda: augmented_chain(3000, 3, 5e5),
+        ],
+        ids=["two_column", "three_column", "column_chain", "augmented_chain"],
+    )
+    def test_pruned_adds_column_blocks_in_bulk(self, build, monkeypatch):
+        # Nearly every pair of a column construction lies in a cell block
+        # whose pairs share one label: the pruned count must add those blocks
+        # in bulk rather than fall back to evaluating every pair.
+        built = build()
+        evaluated = []
+
+        def counted(xs, ys, i, j):
+            evaluated.append(len(i))
+            return sq_dists(xs, ys, i, j)
+
+        sq_dists = counting._sq_dists
+        monkeypatch.setattr(counting, "_sq_dists", counted)
+        report = count_pairs(built.ps, built.iv, "pruned")
+        n = built.ps.n
+        assert report.total == built.predicted_count
+        assert sum(evaluated) <= 0.05 * (n * (n - 1) // 2)
 
 
 class TestRingBound:

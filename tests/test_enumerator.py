@@ -2,10 +2,13 @@
 count) and of the CSR graph built from it.
 
 The enumerator skips a cell offset only when its conservative distance
-bracket misses every interval, so its output must equal an all-pairs scan
-bit for bit, whatever cell side it runs on. These tests compare it with the
-pure-Python oracle on inputs chosen to stress that claim, both at the side the
-cost model picks and at forced sides from one cell to thousands per axis.
+bracket misses every interval, and the pruned count adds a cell block in bulk
+only when the exact bracket of its points' extremes decides every pair's
+label, so both must equal an all-pairs scan bit for bit, whatever cell side
+they run on. These tests compare them with the pure-Python oracle on inputs
+chosen to stress that claim, both at the side the cost model picks and at
+forced sides from one cell to thousands per axis, with bulk adds tried on
+every block or only on the large ones.
 """
 
 import math
@@ -23,13 +26,14 @@ from _oracles import oracle_labels
 
 
 def _forced_grid(level):
-    """A _choose_label_grid stand-in with side extent / 2**level."""
+    """A _choose_label_grid stand-in with side extent / 2**level, on which
+    the count tries bulk adds whatever the grid's size."""
 
-    def choose(coords, lo2, hi2):
+    def choose(coords, lo2, hi2, bulk):
         extent = max(np.ptp(coords[:, 0]), np.ptp(coords[:, 1]), counting._MIN_LABEL_EXTENT)
         side = math.ldexp(float(extent), -level)
         grid = counting._bucket_cells(coords[:, 0], coords[:, 1], side)
-        return grid, counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
+        return grid, counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2), bulk
 
     return choose
 
@@ -38,7 +42,7 @@ def _forced_grid(level):
 def labeled_inputs(draw):
     """(points, t, alpha) in one of the shapes that stress the enumerator."""
     shape = draw(st.sampled_from(
-        ["lattice", "translated", "one-cell", "far-t", "columns", "huge"]))
+        ["lattice", "translated", "one-cell", "far-t", "columns", "huge", "blocks"]))
     n = draw(st.integers(1, 36))
     lattice = st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=n, max_size=n)
     alpha = draw(st.sampled_from([1.0, 0.5, 2.0, 1e-12]))
@@ -64,6 +68,21 @@ def labeled_inputs(draw):
         points = [(0.0, float(y)) for y in range(n - half)] + [(gap, float(y)) for y in range(half)]
         t = [1.0, 3.0, gap]
         alpha = draw(st.sampled_from([0.1, 0.5, 1e-12]))
+    elif shape == "blocks":
+        # Clusters on the corners of a 3-4-5 rectangle, most with repeated
+        # points: whole cell blocks sit exactly on t or t + alpha, some
+        # families overlap, and some clusters are shifted by about 1e9.
+        scale = draw(st.sampled_from([1.0, 0.5, 3.0]))
+        shift = draw(st.sampled_from([0.0, 1e9, -1e9 + 0.25]))
+        corners = draw(st.lists(st.sampled_from(
+            [(0, 0), (3, 0), (4, 0), (0, 3), (0, 4), (3, 4), (4, 3), (6, 0), (0, 8), (8, 6)]),
+            min_size=2, max_size=4, unique=True))
+        points = [(x * scale + shift, y * scale) for x, y in draw(
+            st.lists(st.sampled_from(corners), min_size=n, max_size=n))]
+        t, alpha = draw(st.sampled_from([
+            ([3], 2), ([3], 1e-12), ([4], 1), ([2, 3], 2), ([3, 4], 1.5), ([2, 5], 1), ([5, 6], 4)]))
+        t = [v * scale for v in t]
+        alpha *= scale
     else:
         # Coordinates up to the 2**510 limit: cell brackets overflow to inf.
         unit = 2.0**509
@@ -75,15 +94,27 @@ def labeled_inputs(draw):
 
 
 class TestLabelPairsExact:
-    @given(data=labeled_inputs(), level=st.none() | st.integers(-1, 12))
-    @settings(max_examples=300, deadline=None)
+    @given(
+        data=labeled_inputs(),
+        level=st.none() | st.integers(-1, 12),
+        bulk_min=st.sampled_from([1, counting._BULK_MIN_PAIRS]),
+    )
+    @settings(max_examples=400, deadline=None)
     # One point: the smallest cell side meets the largest interval.
-    @example(data=([(0.0, 0.0)], [2.0**508, 2.0**509, 2.0**510], 2.0**508), level=None)
-    def test_matches_oracle_and_brute_count(self, data, level):
+    @example(data=([(0.0, 0.0)], [2.0**508, 2.0**509, 2.0**510], 2.0**508), level=None, bulk_min=1)
+    # One block at distances 4 and 5, bracketed by [4, 5]: inside [4, 5.5],
+    # yet the pair at 4 takes the earlier, overlapping [3, 4.5].
+    @example(data=([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0)], [3.0, 4.0], 1.5), level=0, bulk_min=1)
+    # Blocks whose every pair sits exactly on t, or exactly on t + alpha.
+    @example(data=([(0.0, 0.0)] * 3 + [(3.0, 0.0)] * 3, [3.0], 1e-12), level=0, bulk_min=1)
+    @example(data=([(0.0, 0.0)] * 3 + [(3.0, 4.0)] * 3, [3.0], 2.0), level=0, bulk_min=1)
+    def test_matches_oracle_and_brute_count(self, data, level, bulk_min):
         points, t, alpha = data
         ps, iv = PointSet(points), IntervalFamily(t, alpha)
         chooser = counting._choose_label_grid if level is None else _forced_grid(level)
-        with mock.patch.object(counting, "_choose_label_grid", chooser):
+        with mock.patch.object(counting, "_choose_label_grid", chooser), mock.patch.object(
+            counting, "_BULK_MIN_PAIRS", bulk_min
+        ):
             got = label_pairs(ps, iv)
             pruned = count_pairs(ps, iv, "pruned").per_interval
         want = oracle_labels(points, t, alpha)
