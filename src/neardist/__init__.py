@@ -45,6 +45,7 @@ from .graphs import (
 from .search import (
     ImprovingMove,
     LocalOptReport,
+    MoveCounts,
     SearchConfig,
     SearchResult,
     anneal,
@@ -77,6 +78,7 @@ __all__ = [
     "random_separated",
     "SearchConfig",
     "SearchResult",
+    "MoveCounts",
     "anneal",
     "LocalOptReport",
     "ImprovingMove",

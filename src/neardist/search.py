@@ -9,6 +9,12 @@ inter-cluster scale. Moves breaking the separation constraint or leaving the
 coordinate limit |x|, |y| <= 2**510 are rejected outright, which keeps the
 objective exactly the pair count.
 
+Each proposal costs one distance pass, from the proposed position to the other
+points. The walk keeps an n-by-n boolean pair-hit matrix, whose row i marks
+the points forming a qualifying pair with point i, so the count at the old
+position is read from a row instead of recomputed. The matrix costs n**2
+bytes: 64 B at n = 8, 16 MB at n = 4000.
+
 Everything is deterministic for a fixed seed. Restarts run with derived seeds
 (seed + restart index) and merge by best count, ties to the lower restart.
 """
@@ -27,6 +33,7 @@ from .geometry import _MAX_COORDINATE, IntervalFamily, PointSet, min_pairwise_di
 __all__ = [
     "SearchConfig",
     "SearchResult",
+    "MoveCounts",
     "anneal",
     "LocalOptReport",
     "ImprovingMove",
@@ -36,6 +43,11 @@ __all__ = [
 # Running incremental counts are cross-checked against a full recount at this
 # cadence to guard against drift bugs.
 _RECOUNT_PERIOD = 1 << 14
+
+
+def _check_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,9 +72,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         # Config files pass raw JSON values: check types before comparing them.
         for name in ("n", "iterations", "seed", "restarts"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
         for name in ("initial_temperature", "cooling_factor", "jitter_sigma",
                      "teleport_probability"):
             value = getattr(self, name)
@@ -103,11 +113,28 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
+class MoveCounts:
+    """How the proposals of one move type ended, summed over all restarts.
+
+    blocked counts the separation and coordinate-limit rejections, declined
+    the Metropolis rejections.
+    """
+
+    proposed: int
+    accepted: int
+    blocked: int
+    declined: int
+
+
+@dataclass(frozen=True)
 class SearchResult:
     """Best state found, its count, and run statistics.
 
     best_count always equals an independent full recount of best_ps; the
     trajectory samples the running count as (global iteration, count).
+    moves holds a MoveCounts per move type ("jitter", "teleport") and
+    final_temperature the temperature the last restart ended at; neither is
+    part of summary_dict.
     """
 
     best_ps: PointSet
@@ -115,6 +142,8 @@ class SearchResult:
     trajectory: tuple[tuple[int, int], ...]
     accepted_moves: int
     rejected_moves: int
+    moves: dict[str, MoveCounts]
+    final_temperature: float
 
     def summary_dict(self) -> dict:
         return {
@@ -125,13 +154,14 @@ class SearchResult:
         }
 
 
-def _placement_count(
+def _placement_hits(
     coords: np.ndarray, idx: int, x: float, y: float, lo2: np.ndarray, hi2: np.ndarray
-) -> int | None:
-    """Qualifying pairs between (x, y) and every point except idx; None when
-    (x, y) is closer than 1 to one of them or outside the coordinate limit
-    |x|, |y| <= 2**510. The count needs no labels, so it is a union mask: on
-    a few points _label_hits' generator costs more."""
+) -> np.ndarray | None:
+    """Mask of the points forming a qualifying pair with (x, y), idx never
+    marked; None when (x, y) is closer than 1 to a point other than idx or
+    outside the coordinate limit |x|, |y| <= 2**510. The mask needs no labels,
+    so it is a union over the intervals: on a few points _label_hits'
+    generator costs more."""
     if abs(x) > _MAX_COORDINATE or abs(y) > _MAX_COORDINATE:
         return None
     dx = coords[:, 0] - x
@@ -143,7 +173,7 @@ def _placement_count(
     hit = (d2 >= lo2[0]) & (d2 <= hi2[0])
     for l in range(1, len(lo2)):
         hit |= (d2 >= lo2[l]) & (d2 <= hi2[l])
-    return int(np.count_nonzero(hit))
+    return hit
 
 
 def anneal(config: SearchConfig, initial: PointSet | None = None) -> SearchResult:
@@ -157,6 +187,12 @@ def anneal(config: SearchConfig, initial: PointSet | None = None) -> SearchResul
     on count gain or with probability exp(gain / temperature). The
     temperature decays by the cooling factor every iteration. The best state
     is tracked across all restarts.
+
+    A proposal runs one distance pass, at the new position. The gain is its
+    hit count minus the moved point's row of the pair-hit matrix (n**2 bytes,
+    filled from the start state of each restart); an accepted move writes the
+    new mask into that row and column. The running count is checked against a
+    brute recount every _RECOUNT_PERIOD iterations and at the end.
     """
     cfg = config.resolved()
     if initial is not None:
@@ -173,8 +209,8 @@ def anneal(config: SearchConfig, initial: PointSet | None = None) -> SearchResul
     best_coords: np.ndarray | None = None
     best_count = -1
     trajectory: list[tuple[int, int]] = []
-    accepted = 0
-    rejected = 0
+    # [accepted, blocked, declined] of the jitter (row 0) and teleport (row 1) moves
+    tally = [[0, 0, 0], [0, 0, 0]]
     stride = max(1, cfg.iterations // 200)
 
     for restart in range(cfg.restarts):
@@ -184,6 +220,9 @@ def anneal(config: SearchConfig, initial: PointSet | None = None) -> SearchResul
         else:
             coords = np.array(random_separated(cfg.n, box_side, cfg.seed + restart).coords)
         current = count_pairs(PointSet(coords), cfg.iv, method="brute").total
+        hits = np.empty((cfg.n, cfg.n), dtype=bool)
+        for i in range(cfg.n):
+            hits[i] = _placement_hits(coords, i, coords[i, 0], coords[i, 1], lo2, hi2)
         base_iter = restart * cfg.iterations
         trajectory.append((base_iter, current))
         if current > best_count:
@@ -193,33 +232,34 @@ def anneal(config: SearchConfig, initial: PointSet | None = None) -> SearchResul
         temperature = cfg.initial_temperature
         for it in range(cfg.iterations):
             idx = int(rng.integers(cfg.n))
-            if rng.random() < cfg.teleport_probability:
-                x_lo = coords[:, 0].min() - 2.0 * t_max
-                x_hi = coords[:, 0].max() + 2.0 * t_max
-                y_lo = coords[:, 1].min() - 2.0 * t_max
-                y_hi = coords[:, 1].max() + 2.0 * t_max
-                nx = rng.uniform(x_lo, x_hi)
-                ny = rng.uniform(y_lo, y_hi)
+            teleport = rng.random() < cfg.teleport_probability
+            if teleport:
+                lo = coords.min(axis=0) - 2.0 * t_max
+                hi = coords.max(axis=0) + 2.0 * t_max
+                nx = rng.uniform(lo[0], hi[0])
+                ny = rng.uniform(lo[1], hi[1])
             else:
                 step = rng.normal(0.0, cfg.jitter_sigma, 2)
                 nx = coords[idx, 0] + step[0]
                 ny = coords[idx, 1] + step[1]
 
-            new = _placement_count(coords, idx, nx, ny, lo2, hi2)
-            if new is None:
-                rejected += 1
+            hit = _placement_hits(coords, idx, nx, ny, lo2, hi2)
+            if hit is None:
+                tally[teleport][1] += 1
             else:
-                gain = new - _placement_count(coords, idx, coords[idx, 0], coords[idx, 1], lo2, hi2)
+                gain = int(np.count_nonzero(hit)) - int(np.count_nonzero(hits[idx]))
                 if gain >= 0 or rng.random() < math.exp(gain / temperature):
                     coords[idx, 0] = nx
                     coords[idx, 1] = ny
+                    hits[idx] = hit
+                    hits[:, idx] = hit
                     current += gain
-                    accepted += 1
+                    tally[teleport][0] += 1
                     if current > best_count:
                         best_count = current
                         best_coords = coords.copy()
                 else:
-                    rejected += 1
+                    tally[teleport][2] += 1
 
             # floor prevents underflow to exactly 0.0 on very long runs, which
             # would turn gain / temperature into a division error
@@ -238,12 +278,18 @@ def anneal(config: SearchConfig, initial: PointSet | None = None) -> SearchResul
     recount = count_pairs(best_ps, cfg.iv, method="brute").total
     if recount != best_count:
         raise RuntimeError(f"best count drifted: tracked {best_count}, recount {recount}")
+    moves = {
+        kind: MoveCounts(sum(row), *row)
+        for kind, row in zip(("jitter", "teleport"), tally)
+    }
     return SearchResult(
         best_ps=best_ps,
         best_count=best_count,
         trajectory=tuple(trajectory),
-        accepted_moves=accepted,
-        rejected_moves=rejected,
+        accepted_moves=sum(m.accepted for m in moves.values()),
+        rejected_moves=sum(m.blocked + m.declined for m in moves.values()),
+        moves=moves,
+        final_temperature=temperature,
     )
 
 
@@ -308,6 +354,8 @@ def local_opt_check(
     """
     if not (math.isfinite(probe_radius) and probe_radius > 0):
         raise ValueError(f"probe_radius must be finite and positive, got {probe_radius}")
+    _check_integer("probes_per_point", probes_per_point)
+    _check_integer("seed", seed)
     if probes_per_point < 1:
         raise ValueError(f"probes_per_point must be >= 1, got {probes_per_point}")
     _, separated = min_pairwise_distance(ps)
@@ -319,14 +367,18 @@ def local_opt_check(
     rng = np.random.default_rng(seed)
     moves: list[ImprovingMove] = []
     for i in range(ps.n):
-        old = _placement_count(coords, i, coords[i, 0], coords[i, 1], lo2, hi2)
+        hit = _placement_hits(coords, i, coords[i, 0], coords[i, 1], lo2, hi2)
+        old = int(np.count_nonzero(hit))
         for _ in range(probes_per_point):
             rad = probe_radius * math.sqrt(rng.random())
             ang = 2.0 * math.pi * rng.random()
             nx = coords[i, 0] + rad * math.cos(ang)
             ny = coords[i, 1] + rad * math.sin(ang)
-            new = _placement_count(coords, i, nx, ny, lo2, hi2)
-            if new is not None and new > old:
+            hit = _placement_hits(coords, i, nx, ny, lo2, hi2)
+            if hit is None:
+                continue
+            new = int(np.count_nonzero(hit))
+            if new > old:
                 moves.append(ImprovingMove(point=i, new_x=nx, new_y=ny, count_gain=new - old))
     return LocalOptReport(
         probe_radius=probe_radius,

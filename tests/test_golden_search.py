@@ -4,7 +4,7 @@
 and trajectory.csv of every case below. A refactor of the annealer must
 reproduce them byte for byte; only an intended change of the random walk may
 re-record them. Every case starts from an --initial file built with plain
-arithmetic (`generate two-column`/`emp1`, or a literal point), never from
+arithmetic (`generate two-column`/`emp1`, or literal points), never from
 `random_separated`, whose np.cos and np.sin may differ by an ulp between numpy
 builds. To re-record, run this file as a script:
 
@@ -34,18 +34,28 @@ INPUTS = {
         "points.json": '{"dim": 2, "points": [[0.0, 0.0]]}',
         "intervals.json": '{"alpha": 1.0, "t": [5.0]}',
     },
+    # Five labels, the first two overlapping ([3, 4] and [3.5, 4.5]).
+    "grid-k5": {
+        "points.json": '{"dim": 2, "points": [[0.0, 0.0], [3.5, 0.0], [0.0, 13.0], [3.5, 13.0], '
+                       '[45.0, 0.0], [45.0, 13.0], [0.0, 45.0], [3.5, 45.0], [150.0, 0.0], '
+                       '[150.0, 45.0]]}',
+        "intervals.json": '{"alpha": 1.0, "t": [3.0, 3.5, 13.0, 45.0, 150.0]}',
+    },
 }
 CONFIG = {
     "n": 10, "iterations": 1500, "seed": 7, "restarts": 2, "jitter_sigma": 2.0,
     "teleport_probability": 0.3, "initial_temperature": 1.5, "cooling_factor": 0.999,
 }
-# case -> (input name, `search` arguments after the input files are given).
+# case -> (input name, `search` arguments after the input files are given, or the
+# CONFIG overrides of a --config search).
 CASES = {
     "k1": ("two-column-k1", ["--n", "8", "--iterations", "2000", "--seed", "0"]),
     "k5-restarts2": ("emp1-k5", ["--n", "12", "--iterations", "1500", "--seed", "4",
                                  "--restarts", "2"]),
-    "config": ("two-column-k2", None),
+    "config": ("two-column-k2", {}),
     "n1": ("one-point", ["--n", "1", "--iterations", "50", "--seed", "2"]),
+    "config-k5-teleport": ("grid-k5", {"iterations": 3000, "teleport_probability": 0.5,
+                                       "initial_temperature": 0.5}),
 }
 
 
@@ -67,10 +77,10 @@ def search_outputs(work: Path) -> dict[str, str]:
     out = {}
     for case, (name, args) in CASES.items():
         inputs = work / name
-        if args is None:
+        if isinstance(args, dict):
             intervals = json.loads((inputs / "intervals.json").read_text(encoding="utf-8"))
             config = work / f"{case}.json"
-            config.write_text(json.dumps(CONFIG | {"intervals": intervals}), encoding="utf-8")
+            config.write_text(json.dumps(CONFIG | args | {"intervals": intervals}), encoding="utf-8")
             args = ["--config", str(config)]
         else:
             args = ["--intervals", str(inputs / "intervals.json"), *args]

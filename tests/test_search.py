@@ -7,16 +7,20 @@ from hypothesis import strategies as st
 
 from neardist import (
     IntervalFamily,
+    MoveCounts,
     PointSet,
     SearchConfig,
     anneal,
     count_pairs,
     local_opt_check,
     min_pairwise_distance,
+    search,
     two_column,
 )
 
 IV50 = IntervalFamily([50.0], 1.0)
+# Five labels, the first two overlapping ([3, 4] and [3.5, 4.5]).
+IV_K5 = IntervalFamily([3.0, 3.5, 13.0, 45.0, 150.0], 1.0)
 
 
 class TestSearchConfig:
@@ -135,6 +139,47 @@ class TestAnneal:
         result = anneal(cfg)
         assert result.accepted_moves + result.rejected_moves == 600
 
+    @pytest.mark.parametrize("iv", [IV_K5, IV50], ids=["k5", "k1"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 40])
+    def test_hit_matrix_never_goes_stale(self, monkeypatch, n, iv):
+        # Recount after every iteration: a pair-hit row or column left stale
+        # by an accepted move raises "incremental count drifted".
+        monkeypatch.setattr(search, "_RECOUNT_PERIOD", 1)
+        cfg = SearchConfig(n=n, iv=iv, iterations=3000, seed=n, jitter_sigma=2.0,
+                           teleport_probability=0.5)
+        result = anneal(cfg)
+        assert result.accepted_moves > 0
+        assert result.best_count == count_pairs(result.best_ps, iv, "brute").total
+
+    @pytest.mark.parametrize("teleport_probability", [0.0, 0.3, 1.0])
+    def test_move_counts_add_up(self, teleport_probability):
+        cfg = SearchConfig(n=8, iv=IV_K5, iterations=1000, seed=5, restarts=2,
+                           jitter_sigma=2.0, teleport_probability=teleport_probability)
+        result = anneal(cfg)
+        jitter, teleport = result.moves["jitter"], result.moves["teleport"]
+        for m in (jitter, teleport):
+            assert m.proposed == m.accepted + m.blocked + m.declined
+        assert jitter.proposed + teleport.proposed == 1000 * 2
+        assert jitter.accepted + teleport.accepted == result.accepted_moves
+        assert (jitter.blocked + jitter.declined + teleport.blocked + teleport.declined
+                == result.rejected_moves)
+        assert (teleport.proposed == 0) == (teleport_probability == 0.0)
+        assert (jitter.proposed == 0) == (teleport_probability == 1.0)
+        resolved = cfg.resolved()
+        assert result.final_temperature == pytest.approx(
+            resolved.initial_temperature * resolved.cooling_factor**1000, rel=1e-9)
+        assert set(result.summary_dict()) == {"best_count", "accepted_moves",
+                                              "rejected_moves", "n"}
+
+    def test_move_counts_see_blocked_moves(self):
+        # Jitters of sigma 2 between points 1 apart often break separation.
+        initial = PointSet([(float(i), 0.0) for i in range(6)])
+        cfg = SearchConfig(n=6, iv=IntervalFamily([2.0], 1.0), iterations=500, seed=0,
+                           jitter_sigma=2.0, teleport_probability=0.0)
+        result = anneal(cfg, initial)
+        assert result.moves["jitter"].blocked > 0
+        assert result.moves["teleport"] == MoveCounts(0, 0, 0, 0)
+
     def test_teleports_stay_within_coordinate_limit(self):
         # t is within the 2**511 limit, but each teleport box reaches 2 * t past
         # the points, so proposals beyond 2**510 must count as rejected moves.
@@ -186,3 +231,9 @@ class TestLocalOptCheck:
                 local_opt_check(ps, IV50, radius, 10, 0)
         with pytest.raises(ValueError):
             local_opt_check(ps, IV50, 1.0, 0, 0)
+        for probes in (True, 2.5, "3"):
+            with pytest.raises(ValueError, match="probes_per_point"):
+                local_opt_check(ps, IV50, 1.0, probes, 0)
+        for seed in (False, 1.5, "0"):
+            with pytest.raises(ValueError, match="seed"):
+                local_opt_check(ps, IV50, 1.0, 10, seed)
