@@ -352,8 +352,9 @@ def local_opt_check(
     increases the qualifying-pair count is reported. Requires a separated
     input.
     """
-    if not (math.isfinite(probe_radius) and probe_radius > 0):
-        raise ValueError(f"probe_radius must be finite and positive, got {probe_radius}")
+    number = isinstance(probe_radius, (int, float)) and not isinstance(probe_radius, bool)
+    if not (number and math.isfinite(probe_radius) and probe_radius > 0):
+        raise ValueError(f"probe_radius must be finite and positive, got {probe_radius!r}")
     _check_integer("probes_per_point", probes_per_point)
     _check_integer("seed", seed)
     if probes_per_point < 1:

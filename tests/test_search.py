@@ -226,8 +226,8 @@ class TestLocalOptCheck:
 
     def test_rejects_bad_params(self):
         ps = PointSet([(0, 0), (5, 0)])
-        for radius in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
+        for radius in (0.0, float("nan"), float("inf"), True, "1", None):
+            with pytest.raises(ValueError, match="probe_radius"):
                 local_opt_check(ps, IV50, radius, 10, 0)
         with pytest.raises(ValueError):
             local_opt_check(ps, IV50, 1.0, 0, 0)
