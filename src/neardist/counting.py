@@ -1,10 +1,13 @@
 """Exact counting of point pairs whose distance falls in an interval family.
 
 Both counts and label_pairs walk their pairs through one cell join: points
-are bucketed into square cells, geometry's _join_rows (a search on the sorted
-cell keys, shared with the closest-pair search) pairs every point with the
-points of the cells at a run of offsets, and _run_pairs expands those runs a
-fixed-size chunk at a time. "brute" walks every unordered pair, the join on a
+are bucketed into square cells, geometry's _join_rows (shared with the
+closest-pair search) pairs every point with the points of the cells at a run
+of offsets, and _run_pairs expands those runs a fixed-size chunk at a time.
+The join reads a run's points from a prefix-count table over the cell keys
+when that table is no larger than the join's queries (dense grids, such as
+the pruned count's on spread-out points), and from a search on the sorted
+cell keys otherwise. "brute" walks every unordered pair, the join on a
 one-cell grid (_all_pairs). "pruned" and label_pairs use the fixed-radius
 cell-list search of Bentley, Stanat and Williams, 1977, over a union of thin
 annuli (_candidate_pairs): the cell offsets whose distance bracket meets some
@@ -210,11 +213,11 @@ def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, bul
 
     Sides run from twice the extent (one cell: the all-pairs scan) down by
     halves to extent / 2**_LABEL_LEVELS. The cost counts, per offset row run,
-    a key search per occupied cell and a run per point, and bounds the
-    candidate pairs of each offset by the sum of squared cell counts
-    (Cauchy-Schwarz). With bulk (the count, which can add decided blocks in
-    bulk), that bound is scaled by the share of the join's pairs left
-    undecided by _block_labels, measured where the join has at most n
+    a key search or table lookup per occupied cell and a run per point, and
+    bounds the candidate pairs of each offset by the sum of squared cell
+    counts (Cauchy-Schwarz). With bulk (the count, which can add decided
+    blocks in bulk), that bound is scaled by the share of the join's pairs
+    left undecided by _block_labels, measured where the join has at most n
     (row, cell) blocks and taken as 1 elsewhere. Halving the side never
     removes a row run or an occupied cell, so the search stops once that
     overhead alone reaches the best cost.

@@ -113,9 +113,9 @@ def _load_point_set_csv(path: Path) -> PointSet:
                 parts = [part.strip(" \t") for part in line.split(",")]
                 bad = [part for part in parts if not _CSV_NUMBER.fullmatch(part)]
                 if len(parts) != 2:
-                    # A row of three or more numbers is a point in another
-                    # dimension; a lone number reads as a truncated row.
-                    if len(parts) > 2 and not bad:
+                    # A row of one number, or of three or more, is a point in
+                    # another dimension, as in JSON.
+                    if not bad:
                         raise UnsupportedDimensionError(
                             f"{path}:{line_no}: only 2 coordinates are supported, got {len(parts)}"
                         )

@@ -72,8 +72,13 @@ class TestFileIO:
 
     def test_bad_csv_rejected(self, tmp_path):
         path = tmp_path / "pts.csv"
+        for rows in ("1.0,2.0\n3.0,\n", "1.0,2.0\nx\n"):
+            path.write_text(rows)
+            with pytest.raises(InputFormatError):
+                load_point_set(path)
+        # A lone number is a 1-D point, as [3.0] is in JSON.
         path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(InputFormatError):
+        with pytest.raises(UnsupportedDimensionError):
             load_point_set(path)
 
     def test_csv_decimal_forms_accepted(self, tmp_path):
@@ -160,14 +165,14 @@ class TestPipeline:
         res = run_cli("diameter", "p3.json", cwd=tmp_path)
         assert res.returncode == 3
 
-    @pytest.mark.parametrize("rows", ["0,0,0\n1,2,3\n", "0,0\n1,2,-3e0,4\n"])
+    @pytest.mark.parametrize("rows", ["0,0,0\n1,2,3\n", "0,0\n1,2,-3e0,4\n", "0,0\n1.5\n"])
     def test_csv_dimension_exit_three(self, tmp_path, rows):
         (tmp_path / "p3.csv").write_text(rows)
         res = run_cli("diameter", "p3.csv", cwd=tmp_path)
         assert res.returncode == 3
         assert "only 2 coordinates" in res.stderr
 
-    @pytest.mark.parametrize("rows", ["0;0\n1;2\n", "x,y\n0,0\n", "0,0,z\n", "0,,0\n", "0,0\n1.5\n"])
+    @pytest.mark.parametrize("rows", ["0;0\n1;2\n", "x,y\n0,0\n", "0,0,z\n", "0,,0\n", "0,0\n1.5,\n"])
     def test_csv_malformed_row_exit_two(self, tmp_path, rows):
         (tmp_path / "bad.csv").write_text(rows)
         res = run_cli("diameter", "bad.csv", cwd=tmp_path)

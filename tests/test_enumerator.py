@@ -20,7 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neardist import IntervalFamily, NearEqualGraph, PointSet, build_graph, count_pairs, label_pairs
-from neardist import counting
+from neardist import counting, geometry
+from neardist.constructions import two_column
 
 from _oracles import oracle_labels
 
@@ -169,6 +170,64 @@ class TestOffsetRows:
         keep = meets & ((x > 0) | (b >= 0))
         want = set(zip(x[keep].tolist(), b[keep].tolist()))
         assert set(got) == want
+
+
+class TestJoinPaths:
+    @given(data=labeled_inputs(), level=st.none() | st.integers(-1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_table_and_search_agree(self, data, level):
+        points, t, alpha = data
+        coords = np.array(points)
+        extent = max(np.ptp(coords[:, 0]), np.ptp(coords[:, 1]), counting._MIN_LABEL_EXTENT)
+        side = math.inf if level is None else math.ldexp(float(extent), -level)
+        grid = counting._bucket_cells(coords[:, 0], coords[:, 1], side)
+        lo2, hi2 = IntervalFamily(t, alpha).sq_bounds
+        rows = counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
+        # The edges of the half-plane, offset by offset and as whole runs:
+        # a = 0 with b >= 0, and the last column a = nx - 1 with every b.
+        top = grid.ny - 1
+        edges = [(0, b, b) for b in range(top + 1)] + [(0, 0, top)]
+        if grid.nx > 1:
+            edges += [(grid.nx - 1, b, b) for b in range(-top, top + 1)] + [(grid.nx - 1, -top, top)]
+        rows = [np.concatenate((r, e)) for r, e in zip(rows, np.array(edges, dtype=np.int64).T)]
+        with mock.patch.object(geometry, "_below_by_search", geometry._below_by_table):
+            by_table = geometry._join_cells(grid, *rows)
+        with mock.patch.object(geometry, "_below_by_table", geometry._below_by_search):
+            by_search = geometry._join_cells(grid, *rows)
+        for got, want in zip(by_table, by_search):
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    def test_dense_grid_takes_table_sparse_grid_search(self):
+        rng = np.random.default_rng(0)
+        # A jittered 45 x 45 lattice of spacing 2: about one point per cell.
+        lattice = 2.0 * np.stack(np.divmod(np.arange(2000), 45), axis=1)
+        jittered = PointSet(lattice + rng.uniform(-0.4, 0.4, lattice.shape))
+        columns = two_column(400, 3, 1e6, 0.2)
+        cases = ((jittered, IntervalFamily([3.0, 13.0, 45.0], 1.0), "table"),
+                 (columns.ps, columns.iv, "search"))
+        for ps, iv, path in cases:
+            chosen, taken = [], []
+
+            def choose(*args, choose=counting._choose_label_grid):
+                chosen.append(choose(*args))
+                return chosen[-1]
+
+            def spy(name):
+                below = getattr(geometry, f"_below_by_{name}")
+
+                def record(cells, q):
+                    taken.append((name, cells))
+                    return below(cells, q)
+
+                return mock.patch.object(geometry, f"_below_by_{name}", record)
+
+            with spy("table"), spy("search"), mock.patch.object(
+                counting, "_choose_label_grid", choose
+            ):
+                count_pairs(ps, iv, "pruned")
+            # Every join on the chosen grid, the count's batches included.
+            assert {name for name, cells in taken if cells is chosen[0][0]} == {path}
 
 
 class TestGraphConstruction:
