@@ -243,6 +243,8 @@ def random_separated(n: int, box_side: float, seed: int) -> PointSet:
     """
     if n < 1:
         raise ValueError(f"random-separated needs n >= 1, got {n}")
+    if seed < 0:
+        raise ValueError(f"random-separated needs seed >= 0, got {seed}")
     if box_side < 2.0 * math.sqrt(n):
         raise ValueError(
             f"random-separated needs box_side >= 2*sqrt(n) = {2.0 * math.sqrt(n)}, got {box_side}"

@@ -1,18 +1,17 @@
 """Exact counting of point pairs whose distance falls in an interval family.
 
-Both counts and label_pairs walk their pairs through one cell join: points
-are bucketed into square cells, geometry's _join_rows (shared with the
-closest-pair search) pairs every point with the points of the cells at a run
-of offsets, and _run_pairs expands those runs a fixed-size chunk at a time.
-The join reads a run's points from a prefix-count table over the cell keys
-when that table is no larger than the join's queries (dense grids, such as
-the pruned count's on spread-out points), and from a search on the sorted
-cell keys otherwise. "brute" walks every unordered pair, the join on a
-one-cell grid (_all_pairs). "pruned" and label_pairs use the fixed-radius
-cell-list search of Bentley, Stanat and Williams, 1977, over a union of thin
-annuli (_candidate_pairs): the cell offsets whose distance bracket meets some
-interval are enumerated row by row from the annuli. Its cell side comes from
-a cost model over the point counts per cell and the offset rows; at its
+Both counts and label_pairs walk their pairs with one loop (_candidate_pairs):
+points are bucketed into square cells, and a batch of offset rows at a time,
+geometry's _join_cells pairs every occupied cell with the points of the cells
+at a run of offsets, which _block_runs and _run_pairs expand a fixed-size
+chunk at a time. The join reads a run's points from a prefix-count table over
+the cell keys when that table is no larger than the join's queries (dense
+grids), and from a search on the sorted cell keys otherwise. "brute" walks
+every unordered pair: one cell, and the one offset row (0, 0, 0). "pruned"
+and label_pairs use the fixed-radius cell-list search of Bentley, Stanat and
+Williams, 1977, over a union of thin annuli: _offset_rows enumerates the cell
+offsets whose distance bracket meets some interval, row by row from the
+annuli, on the cell side that _choose_label_grid's cost model picks. At its
 coarsest, one cell, it is the all-pairs walk, so no input costs more than
 O(n^2) time. Memory stays O(n + chunk) for both counts and
 O(n + chunk + output) for label_pairs.
@@ -22,9 +21,9 @@ occupied cell with a run of partner cells per offset row; when the squared
 distances of such a (row, cell) block are bracketed, from the actual extremes
 of its points, inside one interval and away from every earlier one, the
 count adds the block's pairs to that label in bulk, and when the bracket
-misses every interval it drops the block (_block_labels). The column
-constructions put nearly all of their pairs into such blocks. label_pairs
-needs the pairs themselves and expands every block.
+misses every interval it drops the block (_block_labels, _add_decided). The
+column constructions put nearly all of their pairs into such blocks.
+label_pairs needs the pairs themselves and expands every block.
 
 Every evaluated pair's squared distance comes from geometry._sq_dists, the
 expression dx*dx + dy*dy, and is labelled by geometry._label_hits, the
@@ -42,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    IntervalFamily, PointSet, _block_runs, _bucket_cells, _join_cells, _join_rows, _label_hits,
-    _run_pairs, _sq_dists,
+    IntervalFamily, PointSet, _block_runs, _bucket_cells, _join_cells, _label_hits, _run_pairs,
+    _sq_dists,
 )
 
 __all__ = ["PairCountReport", "LabeledPairs", "count_pairs", "label_pairs"]
@@ -99,8 +98,9 @@ def _sq_bracket(da, db, side: float):
     A bound that overflows is infinite and stays valid: an infinite maximum
     skips nothing, and cells more than 2**511 apart hold no pair at all.
     """
-    gmin_a = np.maximum(da - 1, 0) * side
-    gmin_b = np.maximum(db - 1, 0) * side
+    # An adjacent offset's gap is 0 whatever the side, inf included (no 0 * inf).
+    gmin_a = np.where(da > 1, (da - 1) * side, 0.0)
+    gmin_b = np.where(db > 1, (db - 1) * side, 0.0)
     with np.errstate(over="ignore"):
         bmin2 = (gmin_a**2 + gmin_b**2) * (1.0 - _BRACKET_SLACK)
         bmax2 = (((da + 1) * side) ** 2 + ((db + 1) * side) ** 2) * (1.0 + _BRACKET_SLACK)
@@ -111,11 +111,12 @@ def count_pairs(ps: PointSet, iv: IntervalFamily, method: str = "brute") -> Pair
     """Count unordered pairs with distance in some closed interval [t_l, t_l + alpha].
 
     Returns the total together with the per-interval breakdown by smallest
-    qualifying index. Both methods produce identical counts. "brute" walks
-    all pairs (_all_pairs); "pruned" evaluates only the pairs at cell offsets
-    whose distance range meets an interval, from the enumerator label_pairs
-    uses (_candidate_pairs), adds the cell blocks whose pairs share one label
-    in bulk, and is the faster path on large inputs.
+    qualifying index. Both methods produce identical counts from the same
+    walk (_candidate_pairs). "brute" walks every pair, on one cell (a side of
+    inf) with the one offset row (0, 0, 0); "pruned" walks the offset rows
+    whose distance range meets an interval, on the grid label_pairs uses,
+    adds the cell blocks whose pairs share one label in bulk, and is the
+    faster path on large inputs.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
@@ -123,7 +124,13 @@ def count_pairs(ps: PointSet, iv: IntervalFamily, method: str = "brute") -> Pair
     xs = ps.coords[:, 0]
     ys = ps.coords[:, 1]
     per = np.zeros(iv.k, dtype=np.int64)
-    pairs = _all_pairs(xs, ys) if method == "brute" else _candidate_pairs(ps.coords, lo2, hi2, per)
+    if method == "brute":
+        row = np.zeros(1, dtype=np.int64)
+        pairs = _candidate_pairs(_bucket_cells(xs, ys, math.inf), (row, row, row))
+    else:
+        grid, rows, bulk = _choose_label_grid(ps.coords, lo2, hi2, True)
+        adds = (_cell_extremes(grid, ps.coords), lo2, hi2, per) if bulk else None
+        pairs = _candidate_pairs(grid, rows, adds)
     for i, j in pairs:
         for l, hit in _label_hits(_sq_dists(xs, ys, i, j), lo2, hi2):
             per[l] += int(np.count_nonzero(hit))
@@ -314,70 +321,60 @@ def _block_labels(grid, ext, a, b_lo, lo, hi, lo2: np.ndarray, hi2: np.ndarray):
     return r[m], c[m], pairs[m], label[m]
 
 
-def _bulk_runs(grid, ext, a, b_lo, b_hi, lo2: np.ndarray, hi2: np.ndarray, per: np.ndarray):
-    """The count's join of the offset rows: adds each block that _block_labels
-    decides to per in bulk, and returns the runs of the other blocks."""
-    lo, hi = _join_cells(grid, a, b_lo, b_hi)
+def _add_decided(grid, a, b_lo, lo, hi, ext, lo2: np.ndarray, hi2: np.ndarray, per: np.ndarray):
+    """Adds each block of the join (lo, hi) that _block_labels decides to per
+    in bulk, and empties it in place (hi = lo)."""
     r, c, pairs, label = _block_labels(grid, ext, a, b_lo, lo, hi, lo2, hi2)
     some = label < len(per)
     np.add.at(per, label[some], pairs[some])
     hi[r, c] = lo[r, c]
-    return _block_runs(grid, a, b_lo, lo, hi)
 
 
-def _candidate_pairs(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, per=None):
-    """Yield index arrays (i, j) that together hold every qualifying pair once.
+def _candidate_pairs(grid, rows, adds=None):
+    """Yield index arrays (i, j) that together hold, once each, the pairs of
+    points whose grid cells differ by an offset of the rows (a, b_lo, b_hi).
 
-    The grid and its offset rows come from _choose_label_grid; _join_rows
-    gives every point the points of the cells at each kept offset, a batch of
-    rows at a time, and _run_pairs expands them _PAIR_CHUNK pairs at a time.
-    Pairs come in no particular order, and i < j need not hold. Given per
-    (the count's per-label totals), the join is _bulk_runs instead: blocks
-    whose pairs all share one smallest label are added to per in bulk, blocks
-    with no qualifying pair are dropped, and only the rest are yielded.
+    _join_cells, _block_runs and _run_pairs expand a batch of rows at a time,
+    _PAIR_CHUNK pairs at a time. Pairs come in no particular order, and i < j
+    need not hold. Given adds = (ext, lo2, hi2, per), the count's bulk adds,
+    _add_decided first adds the blocks whose pairs all share one smallest
+    label to per and drops those with no qualifying pair; only the rest are
+    yielded.
 
-    Why no qualifying pair is skipped: cells have side s >= extent / 2**20,
-    so a point's cell coordinate (x - x0) / s is off by less than 2**-31 of a
-    cell after rounding. Two points whose cells differ by (a, b) are then at
-    least max(|a| - 1, 0) and at most |a| + 1 cells apart in x up to that
-    error (likewise in y), and their computed dx*dx + dy*dy lies within a few
-    units in the last place of the exact value; _sq_bracket widens both
-    bounds by _BRACKET_SLACK = 4e-9, which covers the sum of these errors
-    (about 1e-9) four times over. So a pair with its computed squared
-    distance in some [t_l^2, (t_l + alpha)^2] sits at an offset whose bracket
-    meets that interval. _offset_rows keeps every such offset (it trims a row
-    run only where _sq_bracket itself misses the interval), and the join
-    returns every point of every cell at a kept offset. Each unordered pair is
-    met once: offsets cover a half-plane, and inside one cell each point pairs
-    with the later points only. Skipping an offset needs _BRACKET_SLACK; a
-    block that _bulk_runs adds or drops does not: it is bracketed from its
-    points' actual extremes, exactly with no slack (see _block_labels), so
-    its pairs are counted as their own evaluation would count them.
+    Why no qualifying pair is skipped on _choose_label_grid's grid and rows:
+    cells have side s >= extent / 2**20, so a point's cell coordinate
+    (x - x0) / s is off by less than 2**-31 of a cell after rounding. Two
+    points whose cells differ by (a, b) are then at least max(|a| - 1, 0) and
+    at most |a| + 1 cells apart in x up to that error (likewise in y), and
+    their computed dx*dx + dy*dy lies within a few units in the last place of
+    the exact value; _sq_bracket widens both bounds by _BRACKET_SLACK = 4e-9,
+    which covers the sum of these errors (about 1e-9) four times over. So a
+    pair with its computed squared distance in some [t_l^2, (t_l + alpha)^2]
+    sits at an offset whose bracket meets that interval. _offset_rows keeps
+    every such offset (it trims a row run only where _sq_bracket itself
+    misses the interval), and the join returns every point of every cell at a
+    kept offset. Each unordered pair is met once: offsets cover a half-plane,
+    and inside one cell each point pairs with the later points only. Skipping
+    an offset needs _BRACKET_SLACK; a block that _add_decided adds or drops
+    does not: it is bracketed from its points' actual extremes, exactly with
+    no slack (see _block_labels), so its pairs are counted as their own
+    evaluation would count them.
     """
-    grid, (a, b_lo, b_hi), bulk = _choose_label_grid(coords, lo2, hi2, per is not None)
-    ext = _cell_extremes(grid, coords) if bulk else None
-    batch = max(1, _LABEL_BATCH // coords.shape[0])
+    a, b_lo, b_hi = rows
+    batch = max(1, _LABEL_BATCH // len(grid.order))
     for r0 in range(0, len(a), batch):
-        rows = a[r0 : r0 + batch], b_lo[r0 : r0 + batch], b_hi[r0 : r0 + batch]
-        if bulk:
-            runs = _bulk_runs(grid, ext, *rows, lo2, hi2, per)
-        else:
-            runs = _join_rows(grid, *rows)
+        part = a[r0 : r0 + batch], b_lo[r0 : r0 + batch], b_hi[r0 : r0 + batch]
+        lo, hi = _join_cells(grid, *part)
+        if adds is not None:
+            _add_decided(grid, *part[:2], lo, hi, *adds)
+        runs = _block_runs(grid, *part[:2], lo, hi)
+        # Free the batch's blocks, and after the last batch the grid, before
+        # the pairs are yielded; free the runs before the next batch is joined.
+        del lo, hi
+        if r0 + batch >= len(a):
+            del grid
         yield from _run_pairs(*runs)
-        # Free this batch's runs before the next batch is joined.
         del runs
-
-
-def _all_pairs(xs: np.ndarray, ys: np.ndarray):
-    """Yield index arrays (i, j) holding every unordered pair once, i < j.
-
-    This is the cell join on a one-cell grid: a side of inf puts every point
-    in cell (0, 0), as (x - x_min) / inf == 0 for every finite coordinate, and
-    the one row (a, b_lo, b_hi) = (0, 0, 0) pairs each point with the later
-    points only. Memory is O(n + _PAIR_CHUNK).
-    """
-    row = np.zeros(1, dtype=np.int64)
-    return _run_pairs(*_join_rows(_bucket_cells(xs, ys, math.inf), row, row, row))
 
 
 def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
@@ -385,7 +382,8 @@ def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
 
     Entries are sorted by (i, j); l is 1-based. The result equals, bit for
     bit, a scan of all pairs with the package's membership test: the pairs
-    come from _candidate_pairs, which skips none that qualifies.
+    come from the pruned count's walk without its bulk adds, which skips none
+    that qualifies.
     """
     n = ps.n
     xs = ps.coords[:, 0]
@@ -393,7 +391,8 @@ def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
     lo2, hi2 = iv.sq_bounds
     empty = np.zeros(0, dtype=np.int64)
     found_i, found_j, found_l = [empty], [empty], [empty]
-    for i, j in _candidate_pairs(ps.coords, lo2, hi2):
+    # Only the walk holds the grid, so the grid is freed before the final sort.
+    for i, j in _candidate_pairs(*_choose_label_grid(ps.coords, lo2, hi2, False)[:2]):
         for l, hit in _label_hits(_sq_dists(xs, ys, i, j), lo2, hi2):
             at = np.flatnonzero(hit)
             found_i.append(i[at])

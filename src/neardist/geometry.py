@@ -21,11 +21,11 @@ Neither min_pairwise_distance nor diameter scans all pairs, yet both return
 exactly what an all-pairs scan of dx*dx + dy*dy would, bit for bit. The
 minimum searches a grid of cells sized from an upper bound taken from
 neighbours in (x, y) order: O(n log n) plus the pairs in touching cells, O(n)
-memory, from the counting enumerator's cell join (_join_rows). The diameter
-measures every point against a monotone-chain hull kept with certified
-orientation tests, then rescans the few rows that could hold the maximum:
-O(n log n + n * h) for h hull points. Their docstrings give the exactness
-arguments.
+memory, from the cell join of the counting walk (_join_cells, _block_runs
+and _run_pairs). The diameter measures every point against a monotone-chain
+hull kept with certified orientation tests, then rescans the few rows that
+could hold the maximum: O(n log n + n * h) for h hull points. Their
+docstrings give the exactness arguments.
 """
 
 from __future__ import annotations
@@ -357,25 +357,21 @@ def _block_runs(cells: _Cells, a: np.ndarray, b_lo: np.ndarray, lo: np.ndarray, 
     return cells.order, np.tile(pos, len(a))[keep], lo.ravel()[keep], length[keep]
 
 
-def _join_rows(cells: _Cells, a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray):
-    """Runs pairing every point with the cells at offsets (a, b), b_lo <= b <= b_hi:
-    the blocks of _join_cells, expanded by _block_runs."""
-    return _block_runs(cells, a, b_lo, *_join_cells(cells, a, b_lo, b_hi))
-
-
 def _touching_runs(xs: np.ndarray, ys: np.ndarray, side: float):
     """Every pair of points whose grid cells are equal or adjacent, as runs.
 
     Cells are squares of the given side, at least extent / _MAX_CELLS so that
-    int64 cell keys stay exact. The rows a = 0, b in [0, 1] and a = 1, b in
-    [-1, 1] of _join_rows hold each unordered pair once, in at most 2n runs.
+    int64 cell keys stay exact. The offset rows a = 0, b in [0, 1] and a = 1,
+    b in [-1, 1], joined by _join_cells and expanded by _block_runs, hold each
+    unordered pair once, in at most 2n runs.
     """
     cells = _bucket_cells(xs, ys, side)
-    return _join_rows(cells, np.array([0, 1]), np.array([0, -1]), np.array([1, 1]))
+    a, b_lo, b_hi = np.array([0, 1]), np.array([0, -1]), np.array([1, 1])
+    return _block_runs(cells, a, b_lo, *_join_cells(cells, a, b_lo, b_hi))
 
 
 def _run_pairs(order: np.ndarray, first: np.ndarray, lo: np.ndarray, length: np.ndarray):
-    """Yield the pairs of _join_rows' runs as index arrays (i, j), _PAIR_CHUNK at a time:
+    """Yield the pairs of _block_runs' runs as index arrays (i, j), _PAIR_CHUNK at a time:
     the point order[first[r]] pairs with order[lo[r] + k] for 0 <= k < length[r]."""
     run_end = np.cumsum(length)
     run_start = run_end - length

@@ -45,9 +45,11 @@ __all__ = [
 _RECOUNT_PERIOD = 1 << 14
 
 
-def _check_integer(name: str, value) -> None:
+def _check_integer(name: str, value, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -71,20 +73,14 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         # Config files pass raw JSON values: check types before comparing them.
-        for name in ("n", "iterations", "seed", "restarts"):
-            _check_integer(name, getattr(self, name))
+        for name, least in (("n", 1), ("iterations", 0), ("seed", 0), ("restarts", 1)):
+            _check_integer(name, getattr(self, name), least)
         for name in ("initial_temperature", "cooling_factor", "jitter_sigma",
                      "teleport_probability"):
             value = getattr(self, name)
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
             if value is not None and not (number and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.jitter_sigma <= 0:
             raise ValueError(f"jitter_sigma must be positive, got {self.jitter_sigma}")
         if not (0.0 <= self.teleport_probability <= 1.0):
@@ -355,10 +351,8 @@ def local_opt_check(
     number = isinstance(probe_radius, (int, float)) and not isinstance(probe_radius, bool)
     if not (number and math.isfinite(probe_radius) and probe_radius > 0):
         raise ValueError(f"probe_radius must be finite and positive, got {probe_radius!r}")
-    _check_integer("probes_per_point", probes_per_point)
-    _check_integer("seed", seed)
-    if probes_per_point < 1:
-        raise ValueError(f"probes_per_point must be >= 1, got {probes_per_point}")
+    _check_integer("probes_per_point", probes_per_point, 1)
+    _check_integer("seed", seed, 0)
     _, separated = min_pairwise_distance(ps)
     if not separated:
         raise ValueError("point set is not separated")

@@ -389,6 +389,9 @@ HOLES = {
     "search-n-beyond-memory": (
         INPUTS, ["search", "--intervals", "iv.json", "--n", 10**16, "--iterations", 1]),
     "random-n-beyond-memory": ({}, ["generate", "random", "--n", 10**16, "--box", 3e8]),
+    "search-seed-negative": (
+        INPUTS, ["search", "--intervals", "iv.json", "--n", 3, "--iterations", 1, "--seed", -1]),
+    "random-seed-negative": ({}, ["generate", "random", "--n", 3, "--box", 6, "--seed", -1]),
 }
 
 
@@ -405,6 +408,15 @@ class TestInputContract:
         assert lines[-1].startswith("error: ") if len(lines) == 1 else ": error: " in lines[-1]
         assert res.stdout == ""
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("hole", ["search-seed-negative", "random-seed-negative"])
+    def test_negative_seed_error_names_seed(self, tmp_path, hole):
+        files, args = HOLES[hole]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        res = run_cli(*args, cwd=tmp_path)
+        assert res.returncode == 2
+        assert "seed" in res.stderr and res.stderr.endswith(">= 0, got -1\n")
 
     def test_verify_one_point_writes_null_min_distance(self, tmp_path):
         (tmp_path / "one.json").write_text('{"dim": 2, "points": [[0.5, 0.25]]}')

@@ -229,6 +229,10 @@ class TestRandomSeparated:
         with pytest.raises(ValueError):
             random_separated(100, 19.0, 0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            random_separated(4, 4.0, -1)
+
     @given(n=st.integers(1, 150), seed=st.integers(0, 1000), slack=st.floats(1.0, 2.0))
     @settings(max_examples=40, deadline=None)
     def test_always_separated(self, n, seed, slack):

@@ -171,10 +171,20 @@ class TestOffsetRows:
         want = set(zip(x[keep].tolist(), b[keep].tolist()))
         assert set(got) == want
 
+    @pytest.mark.parametrize("t, alpha", [([1.0, 3.0, 10000.0], 0.1), ([1.0], 1e-12),
+                                          ([2.0**400], 1.0), ([2.0**509, 2.0**510], 2.0**509)])
+    def test_one_cell_grid_keeps_only_the_cell_itself(self, t, alpha):
+        # A side of inf: every bracket is [0, inf], with no 0 * inf on the way.
+        lo2, hi2 = IntervalFamily(t, alpha).sq_bounds
+        rows = counting._offset_rows(math.inf, 1, 1, lo2, hi2)
+        assert [(r.dtype, r.tolist()) for r in rows] == [(np.int64, [0])] * 3
+
 
 class TestJoinPaths:
     @given(data=labeled_inputs(), level=st.none() | st.integers(-1, 12))
     @settings(max_examples=300, deadline=None)
+    # The one-cell grid of side inf, where the offset rows once took 0 * inf.
+    @example(data=([(0.0, 0.0), (10000.0, 0.0)], [1.0, 3.0, 10000.0], 0.1), level=None)
     def test_table_and_search_agree(self, data, level):
         points, t, alpha = data
         coords = np.array(points)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from neardist import (
     two_column,
     verify_bound,
 )
-from neardist.counting import _all_pairs
+from neardist import counting
 from neardist.geometry import (
     _MAX_CELLS,
     _PAIR_BUDGET,
@@ -220,13 +221,27 @@ def _joined_pairs(points, side):
     )
 
 
-def _one_cell_codes(points):
-    """The pairs of the brute count's one-cell walk, each coded min * n + max,
+def _brute_codes(points, t):
+    """The pairs of count_pairs(method="brute") under the family t, taken from
+    its walk (_candidate_pairs on the one-cell grid), each coded min * n + max,
     sorted, with repeats kept."""
     n = len(points)
-    xs, ys = np.array(points, dtype=np.float64).reshape(-1, 2).T
-    codes = [np.minimum(i, j) * n + np.maximum(i, j) for i, j in _all_pairs(xs, ys)]
-    return np.sort(np.concatenate([np.zeros(0, dtype=np.int64), *codes]))
+    codes = [np.zeros(0, dtype=np.int64)]
+
+    def record(grid, rows, *args, walk=counting._candidate_pairs):
+        assert grid.side == math.inf and [r.tolist() for r in rows] == [[0]] * 3
+        for i, j in walk(grid, rows, *args):
+            codes.append(np.minimum(i, j) * n + np.maximum(i, j))
+            yield i, j
+
+    with mock.patch.object(counting, "_candidate_pairs", record):
+        count_pairs(PointSet(points), IntervalFamily(t, 1.0), "brute")
+    return np.sort(np.concatenate(codes))
+
+
+# Brute walks every pair whatever the family: t = 1, and t = 2**400, beyond
+# the extent of every set whose coordinates are not near the 2**510 limit.
+BRUTE_FAMILIES = ([1.0], [2.0**400])
 
 
 def _all_index_codes(n):
@@ -237,7 +252,8 @@ def _all_index_codes(n):
 
 class TestTouchingJoin:
     """The shared cell join on the touching rows against a pure-Python cell
-    reference, and on the one-cell row (0, 0, 0) against all index pairs."""
+    reference, and the brute count's walk, the one-cell grid with the row
+    (0, 0, 0), against all index pairs."""
 
     @pytest.mark.parametrize("points", EXACT_CASES.values(), ids=EXACT_CASES.keys())
     def test_regression_sets(self, points):
@@ -246,7 +262,8 @@ class TestTouchingJoin:
         # the first grid of min_pairwise_distance, held at its floor for the cluster
         side = max(2 * min_pairwise_distance(PointSet(points))[0], extent / _MAX_CELLS)
         assert _joined_pairs(points, side) == _reference_cell_pairs(points, side)
-        assert np.array_equal(_one_cell_codes(points), _all_index_codes(len(points)))
+        for t in BRUTE_FAMILIES:
+            assert np.array_equal(_brute_codes(points, t), _all_index_codes(len(points)))
 
     @given(points=hard_point_sets(), cells=st.sampled_from([0.5, 1.0, 3.0, 8.0, 64.0, 2.0**30]))
     @example(points=[(0.0, 0.0)], cells=1.0)
@@ -256,7 +273,8 @@ class TestTouchingJoin:
         extent = max(max(xs) - min(xs), max(ys) - min(ys))
         side = extent / cells if extent > 0 else 1.0
         assert _joined_pairs(points, side) == _reference_cell_pairs(points, side)
-        assert np.array_equal(_one_cell_codes(points), _all_index_codes(len(points)))
+        for t in BRUTE_FAMILIES:
+            assert np.array_equal(_brute_codes(points, t), _all_index_codes(len(points)))
 
 
 class TestExactAgainstOracle:

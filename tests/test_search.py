@@ -45,6 +45,8 @@ class TestSearchConfig:
             SearchConfig(n=4, iv=IV50, iterations=10, seed=0, jitter_sigma=0.0)
         with pytest.raises(ValueError):
             SearchConfig(n=4, iv=IV50, iterations=10, seed=0, restarts=0)
+        with pytest.raises(ValueError, match="seed"):
+            SearchConfig(n=4, iv=IV50, iterations=10, seed=-1)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -234,6 +236,6 @@ class TestLocalOptCheck:
         for probes in (True, 2.5, "3"):
             with pytest.raises(ValueError, match="probes_per_point"):
                 local_opt_check(ps, IV50, 1.0, probes, 0)
-        for seed in (False, 1.5, "0"):
+        for seed in (False, 1.5, "0", -1):
             with pytest.raises(ValueError, match="seed"):
                 local_opt_check(ps, IV50, 1.0, 10, seed)
