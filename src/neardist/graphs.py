@@ -2,10 +2,10 @@
 
 The graph on a point set has an edge for every pair whose distance falls in
 the interval family, labeled with the smallest qualifying interval index.
-The graph is stored as CSR arrays and built from label_pairs' arrays, so
-building it costs about as much as listing its edges. Witness extraction
-looks for a K(1, s, s): a hub vertex x and two disjoint s-sets B, D with
-every x-B, x-D and B-D edge present. Homogenization refines a witness to
+The graph is stored as CSR arrays, built from label_pairs' arrays by one
+stable sort of both edge directions by row, about 90 bytes per edge. Witness
+extraction looks for a K(1, s, s): a hub vertex x and two disjoint s-sets B,
+D with every x-B, x-D and B-D edge present. Homogenization refines a witness to
 subsets on which each of the three edge classes carries a single label. Both
 searches are explicit and deterministic; they are meant for small witnesses
 (roughly s <= 4) and degrade to exponential enumeration in s and in the
@@ -74,31 +74,31 @@ class NearEqualGraph:
             lo, hi, labels, key = lo[by], hi[by], labels[by], key[by]
             if (key[1:] == key[:-1]).any():
                 raise ValueError("each edge may be given only once")
-        # Edges sorted by (lo, hi): row v holds its smaller neighbours (from
-        # the edges where v is hi, put in lo order by sorting the distinct
-        # keys hi * n + lo) and then its larger ones (where v is lo, already
-        # in hi order), so rows come sorted.
-        below = np.bincount(hi, minlength=n)
-        above = np.bincount(lo, minlength=n)
+        del key
+        # Row v takes the lo of the edges where v is hi, then the hi of those
+        # where v is lo. In (lo, hi) order both come increasing, and the stable
+        # sort by row keeps the smaller neighbours ahead, so rows come sorted.
+        rows = np.concatenate((hi, lo))
+        by = np.argsort(rows, kind="stable")
         self.n = n
-        self.indptr = np.concatenate(([0], np.cumsum(below + above)))
-        self.indices = np.empty(2 * len(lo), dtype=np.int64)
-        self.labels = np.empty(2 * len(lo), dtype=np.int64)
-        rank = np.arange(len(lo))
-        at = self.indptr[lo] + below[lo] + rank - (np.cumsum(above) - above)[lo]
-        self.indices[at] = hi
-        self.labels[at] = labels
-        by = np.argsort(hi * n + lo)
-        at = self.indptr[hi[by]] + rank - (np.cumsum(below) - below)[hi[by]]
-        self.indices[at] = lo[by]
-        self.labels[at] = labels[by]
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        del rows
+        self.indices = np.concatenate((lo, hi))[by]
+        del lo, hi
+        self.labels = np.concatenate((labels, labels))[by]
 
     @property
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
+    def _row(self, v: int) -> tuple[int, int]:
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range for n={self.n}")
+        return self.indptr[v], self.indptr[v + 1]
+
     def _slot(self, i: int, j: int) -> int | None:
-        start, stop = self.indptr[i], self.indptr[i + 1]
+        start, stop = self._row(i)
+        self._row(j)  # j must be a vertex as well
         at = start + int(np.searchsorted(self.indices[start:stop], j))
         return at if at < stop and self.indices[at] == j else None
 
@@ -112,7 +112,8 @@ class NearEqualGraph:
         return int(self.labels[at])
 
     def neighbors(self, i: int) -> frozenset[int]:
-        return frozenset(self.indices[self.indptr[i]:self.indptr[i + 1]].tolist())
+        start, stop = self._row(i)
+        return frozenset(self.indices[start:stop].tolist())
 
     def __repr__(self) -> str:
         return f"NearEqualGraph(n={self.n}, edges={self.edge_count})"

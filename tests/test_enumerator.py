@@ -8,10 +8,14 @@ label, so both must equal an all-pairs scan bit for bit, whatever cell side
 they run on. These tests compare them with the pure-Python oracle on inputs
 chosen to stress that claim, both at the side the cost model picks and at
 forced sides from one cell to thousands per axis, with bulk adds tried on
-every block or only on the large ones.
+every block or only on the large ones. The graph's CSR must not depend on
+the order in which its edges are given, and label_pairs and build_graph must
+stay within a memory budget per pair.
 """
 
 import math
+import tracemalloc
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -19,7 +23,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from neardist import IntervalFamily, NearEqualGraph, PointSet, build_graph, count_pairs, label_pairs
+from neardist import (
+    IntervalFamily, NearEqualGraph, PointSet, build_graph, count_pairs, label_pairs, random_separated,
+)
 from neardist import counting, geometry
 from neardist.constructions import two_column
 
@@ -261,3 +267,61 @@ class TestGraphConstruction:
         assert not g.has_edge(0, 2)
         with pytest.raises(KeyError):
             g.label(0, 2)
+
+    @pytest.mark.parametrize("v", [-1, -5, 4, 5], ids=["-1", "-n-1", "n", "n+1"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, v: g.has_edge(v, 0),
+            lambda g, v: g.has_edge(0, v),
+            lambda g, v: g.label(v, 3),
+            lambda g, v: g.label(3, v),
+            lambda g, v: g.neighbors(v),
+        ],
+        ids=["has_edge-first", "has_edge-second", "label-first", "label-second", "neighbors"],
+    )
+    def test_vertex_out_of_range_raises(self, call, v):
+        # A negative id must not wrap to a row counted from the end.
+        g = NearEqualGraph(4, [0, 1, 2], [3, 3, 3], [1, 2, 1])
+        with pytest.raises(IndexError, match=f"vertex {v} out of range for n=4"):
+            call(g, v)
+
+    @given(data=st.data(), n=st.integers(2, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_csr_matches_reference_in_any_edge_order(self, data, n):
+        edges = sorted(data.draw(st.sets(st.sampled_from(list(combinations(range(n), 2))))))
+        labels = data.draw(st.lists(st.integers(1, 5), min_size=len(edges), max_size=len(edges)))
+        adj = {v: {} for v in range(n)}
+        for (a, b), l in zip(edges, labels):
+            adj[a][b] = adj[b][a] = l
+        order = data.draw(st.permutations(range(len(edges))))
+        swap = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        i = [edges[e][s] for e, s in zip(order, swap)]
+        j = [edges[e][1 - s] for e, s in zip(order, swap)]
+        shuffled = NearEqualGraph(n, i, j, [labels[e] for e in order])
+        presorted = NearEqualGraph(n, [a for a, _ in edges], [b for _, b in edges], labels)
+        for g in (shuffled, presorted):
+            assert g.indptr.tolist() == [0, *np.cumsum([len(adj[v]) for v in range(n)]).tolist()]
+            assert g.indices.tolist() == [w for v in range(n) for w in sorted(adj[v])]
+            assert g.labels.tolist() == [adj[v][w] for v in range(n) for w in sorted(adj[v])]
+            assert g.indptr.dtype == g.indices.dtype == g.labels.dtype == np.int64
+
+
+class TestPairOutputMemory:
+    @pytest.mark.parametrize("build, budget", [(label_pairs, 80), (build_graph, 112)],
+                             ids=["label_pairs", "build_graph"])
+    def test_peak_bytes_per_pair(self, build, budget):
+        # label_pairs holds one sort key and one label per pair, and the graph
+        # build sorts one row array: about 62 and 89 bytes a pair at their
+        # peaks here. The budgets leave about a quarter of headroom.
+        ps = random_separated(5000, 2 * math.sqrt(5000), seed=5)
+        iv = IntervalFamily([3.0, 13.0, 45.0, 150.0, 500.0], 1.0)
+        tracemalloc.start()
+        try:
+            out = build(ps, iv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs = len(out) if build is label_pairs else out.edge_count
+        assert pairs > 150_000
+        assert peak / pairs <= budget
