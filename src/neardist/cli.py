@@ -160,12 +160,19 @@ def cmd_verify(args) -> Result:
 
 def cmd_search(args) -> Result:
     if args.config:
+        flags = [f"--{flag}" for flag in ("intervals", "n", "iterations", "seed", "restarts")
+                 if getattr(args, flag) is not None]
+        if flags:
+            raise InputFormatError(f"search --config cannot be combined with {', '.join(flags)}")
         input_paths = [args.config]
         raw = load_json(args.config)
-        iv = intervals_from_dict(raw.get("intervals"), f"{args.config}: intervals")
         names = {f.name for f in fields(SearchConfig)} - {"iv"}
+        unknown = sorted(raw.keys() - names - {"intervals"})
+        if unknown:
+            raise InputFormatError(f"{args.config}: unknown key {', '.join(map(repr, unknown))}")
+        iv = intervals_from_dict(raw.get("intervals"), f"{args.config}: intervals")
         try:
-            config = SearchConfig(iv=iv, **{k: v for k, v in raw.items() if k in names})
+            config = SearchConfig(iv=iv, **{k: v for k, v in raw.items() if k != "intervals"})
         except TypeError as exc:
             raise InputFormatError(f"{args.config}: {exc}") from exc
     else:
@@ -177,7 +184,7 @@ def cmd_search(args) -> Result:
             iv=load_intervals(args.intervals),
             iterations=args.iterations,
             seed=args.seed or 0,
-            restarts=args.restarts,
+            restarts=1 if args.restarts is None else args.restarts,
         )
     initial = None
     if args.initial:
@@ -346,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--intervals", default=None)
     sea.add_argument("--n", type=int, default=None)
     sea.add_argument("--iterations", type=int, default=None)
-    sea.add_argument("--restarts", type=int, default=1)
+    sea.add_argument("--restarts", type=int, default=None)
     sea.add_argument("--initial", default=None, help="starting point set")
 
     ana = command("analyze", cmd_analyze, "extract tripartite witnesses")

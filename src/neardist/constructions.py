@@ -1,14 +1,15 @@
 """Deterministic generators for extremal column configurations.
 
-Each generator stacks points at unit vertical spacing above a few anchor
-x-coordinates, chooses an interval family matched to the column gaps, and
-returns the point set together with an exact predicted pair count. The
-feasibility threshold on the column gap t comes from the Pythagorean bound:
-a cross-column pair at horizontal gap t and height difference h has distance
-sqrt(t^2 + h^2) <= t + w whenever h^2 <= 2*t*w, so a large enough t pins every
-cross pair inside its width-w interval. Every generator re-counts its own
-output and refuses to return a configuration whose count disagrees with the
-prediction.
+Each generator checks its arguments and passes one builder, _column_output,
+unit-spaced columns above a few anchor x-coordinates, an interval family
+matched to the column gaps, and the vertical distances at which within-column
+pairs qualify. The builder predicts the exact pair count, re-counts the output
+with the pruned count and refuses to return a configuration whose count
+disagrees with the prediction. The feasibility threshold on the column gap t
+comes from the Pythagorean bound: a cross-column pair at horizontal gap t and
+height difference h has distance sqrt(t^2 + h^2) <= t + w whenever
+h^2 <= 2*t*w, so a large enough t pins every cross pair inside its width-w
+interval.
 
 random_separated produces seeded jittered-grid point sets with pairwise
 distances at least 1, for property tests and as search starting states.
@@ -58,20 +59,20 @@ def _balanced_split(n: int, parts: int) -> list[int]:
     return [q + 1] * r + [q] * (parts - r)
 
 
-def _columns(anchors: list[float], sizes: list[int]) -> PointSet:
-    pts = []
-    for x, h in zip(anchors, sizes):
-        pts.extend((x, float(v)) for v in range(1, h + 1))
-    return PointSet(pts)
-
-
-def _self_check(out: ConstructionOutput) -> ConstructionOutput:
-    actual = count_pairs(out.ps, out.iv, method="brute").total
-    if actual != out.predicted_count:
-        raise RuntimeError(
-            f"{out.name} self-check failed: predicted {out.predicted_count}, counted {actual}"
-        )
-    return out
+def _column_output(name: str, params: dict, anchors: list[float], sizes: list[int],
+                   values: list[float], width: float, within: list[int]) -> ConstructionOutput:
+    """Unit-spaced columns of sizes[mu] points from (anchors[mu], 1) up, with
+    IntervalFamily(values, width). Predicts every cross-column pair plus, in
+    each column, the pairs at each vertical distance in within; raises
+    RuntimeError unless a pruned re-count of the output agrees."""
+    ps = PointSet([(x, float(v)) for x, h in zip(anchors, sizes) for v in range(1, h + 1)])
+    iv = IntervalFamily(values, width)
+    cross = sum(a * b for i, a in enumerate(sizes) for b in sizes[i + 1 :])
+    predicted = cross + sum(max(0, h - d) for h in sizes for d in within)
+    counted = count_pairs(ps, iv, method="pruned").total
+    if counted != predicted:
+        raise RuntimeError(f"{name} self-check failed: predicted {predicted}, counted {counted}")
+    return ConstructionOutput(ps, iv, predicted, name, params)
 
 
 def two_column(n: int, k: int, t: float, eps: float) -> ConstructionOutput:
@@ -102,21 +103,10 @@ def two_column(n: int, k: int, t: float, eps: float) -> ConstructionOutput:
             f"two-column needs t >= {t_min} for n={n}, k={k}, eps={eps}; got {t}"
             " (cross pairs would leak out of the top interval)"
         )
-    ps = _columns([0.0, float(t)], [ha, hb])
-    values = [3.0 ** (l - 1) for l in range(1, k)] + [float(t)]
-    iv = IntervalFamily(values, eps)
-    predicted = ha * hb + sum(
-        max(0, ha - 3 ** (l - 1)) + max(0, hb - 3 ** (l - 1)) for l in range(1, k)
-    )
-    return _self_check(
-        ConstructionOutput(
-            ps=ps,
-            iv=iv,
-            predicted_count=predicted,
-            name="two-column",
-            params={"n": n, "k": k, "t": float(t), "eps": float(eps)},
-        )
-    )
+    return _column_output(
+        "two-column", {"n": n, "k": k, "t": float(t), "eps": float(eps)}, [0.0, float(t)],
+        [ha, hb], [3.0 ** (l - 1) for l in range(1, k)] + [float(t)], eps,
+        [3 ** (l - 1) for l in range(1, k)])
 
 
 def three_column(n: int, t1: float, t2: float) -> ConstructionOutput:
@@ -139,20 +129,10 @@ def three_column(n: int, t1: float, t2: float) -> ConstructionOutput:
             f"three-column needs t1, t2 >= {t_min} for n={n}; got t1={t1}, t2={t2}"
             " (cross pairs would leak out of their unit intervals)"
         )
-    sizes = _balanced_split(n, 3)
-    ps = _columns([0.0, float(t1), float(t1) + float(t2)], sizes)
-    values = sorted({float(t1), float(t2), float(t1) + float(t2)})
-    iv = IntervalFamily(values, 1.0)
-    n1, n2, n3 = sizes
-    return _self_check(
-        ConstructionOutput(
-            ps=ps,
-            iv=iv,
-            predicted_count=n1 * n2 + n2 * n3 + n1 * n3,
-            name="three-column",
-            params={"n": n, "t1": float(t1), "t2": float(t2)},
-        )
-    )
+    return _column_output(
+        "three-column", {"n": n, "t1": float(t1), "t2": float(t2)},
+        [0.0, float(t1), float(t1) + float(t2)], _balanced_split(n, 3),
+        sorted({float(t1), float(t2), float(t1) + float(t2)}), 1.0, [])
 
 
 def column_chain(n: int, k: int, t: float) -> ConstructionOutput:
@@ -177,19 +157,10 @@ def column_chain(n: int, k: int, t: float) -> ConstructionOutput:
             f"column-chain needs t >= {t_min} for n={n}, k={k}; got {t}"
             " (cross pairs would leak out of their unit intervals)"
         )
-    sizes = _balanced_split(n, k + 1)
-    ps = _columns([mu * float(t) for mu in range(k + 1)], sizes)
-    iv = IntervalFamily([l * float(t) for l in range(1, k + 1)], 1.0)
-    predicted = sum(a * b for i, a in enumerate(sizes) for b in sizes[i + 1 :])
-    return _self_check(
-        ConstructionOutput(
-            ps=ps,
-            iv=iv,
-            predicted_count=predicted,
-            name="column-chain",
-            params={"n": n, "k": k, "t": float(t)},
-        )
-    )
+    return _column_output(
+        "column-chain", {"n": n, "k": k, "t": float(t)},
+        [mu * float(t) for mu in range(k + 1)], _balanced_split(n, k + 1),
+        [l * float(t) for l in range(1, k + 1)], 1.0, [])
 
 
 def augmented_chain(n: int, k: int, t: float) -> ConstructionOutput:
@@ -216,21 +187,10 @@ def augmented_chain(n: int, k: int, t: float) -> ConstructionOutput:
             f"augmented-chain needs t >= {t_min} for n={n}, k={k}; got {t}"
             " (cross pairs would leak out of their unit intervals)"
         )
-    sizes = _balanced_split(n, k)
-    ps = _columns([mu * float(t) for mu in range(1, k + 1)], sizes)
-    iv = IntervalFamily([1.0] + [l * float(t) for l in range(1, k)], 1.0)
-    predicted = sum(a * b for i, a in enumerate(sizes) for b in sizes[i + 1 :]) + sum(
-        max(0, h_mu - 1) + max(0, h_mu - 2) for h_mu in sizes
-    )
-    return _self_check(
-        ConstructionOutput(
-            ps=ps,
-            iv=iv,
-            predicted_count=predicted,
-            name="augmented-chain",
-            params={"n": n, "k": k, "t": float(t)},
-        )
-    )
+    return _column_output(
+        "augmented-chain", {"n": n, "k": k, "t": float(t)},
+        [mu * float(t) for mu in range(1, k + 1)], _balanced_split(n, k),
+        [1.0] + [l * float(t) for l in range(1, k)], 1.0, [1, 2])
 
 
 def random_separated(n: int, box_side: float, seed: int) -> PointSet:

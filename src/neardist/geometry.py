@@ -12,7 +12,8 @@ bounds t_l*t_l and (t_l + alpha)**2, with exact binary comparison and no
 epsilon slack. Pairs at exactly representable endpoints therefore count, and a
 pair in overlapping intervals takes the smallest label. _label_hits is that
 rule, behind both pair counts, label_pairs and smallest_label; _sq_dists
-evaluates the expression on index pairs.
+evaluates the expression on index arrays, broadcast ones included, and is the
+one place the package writes it outside the annealer's placement test.
 
 Coordinates are limited to |x|, |y| <= 2**510 and interval ends to
 t_k + alpha <= 2**511, so dx*dx + dy*dy <= 2**1023 and (t_k + alpha)**2 <= 2**1022.
@@ -487,10 +488,7 @@ def _farthest_sq(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, to: np.ndarra
     out = np.empty(len(rows))
     step = max(1, _PAIR_CHUNK // len(to))
     for r0 in range(0, len(rows), step):
-        r = rows[r0 : r0 + step]
-        dx = xs[r, None] - xs[None, to]
-        dy = ys[r, None] - ys[None, to]
-        out[r0 : r0 + step] = (dx * dx + dy * dy).max(axis=1)
+        out[r0 : r0 + step] = _sq_dists(xs, ys, rows[r0 : r0 + step, None], to).max(axis=1)
     return out
 
 
@@ -560,10 +558,8 @@ class VerifierReport:
         }
 
 
-def verify_bound(
-    ps: PointSet, iv: IntervalFamily, delta: float, C: float, method: str = "pruned"
-) -> VerifierReport:
-    """Count qualifying pairs and compare against the quadratic bound n^2/4 + C*n.
+def verify_bound(ps: PointSet, iv: IntervalFamily, delta: float, C: float) -> VerifierReport:
+    """Count qualifying pairs (pruned) and compare against the bound n^2/4 + C*n.
 
     Assembles separation status, the near-sum check at the given delta, the
     pair count, the bound comparison, and the diameter into one report.
@@ -578,7 +574,7 @@ def verify_bound(
         raise ValueError(f"bound n^2/4 + C*n is not finite for n={n}, C={C}")
     hypothesis = check_hypothesis(iv, delta)
     min_dist, separated = min_pairwise_distance(ps)
-    count = count_pairs(ps, iv, method=method)
+    count = count_pairs(ps, iv, method="pruned")
     return VerifierReport(
         separated=separated,
         min_distance=min_dist,

@@ -66,25 +66,18 @@ class NearEqualGraph:
         if bad.any():
             e = int(np.argmax(bad))
             raise ValueError(f"edge ({i[e]}, {j[e]}) out of range for n={n}")
-        lo = np.minimum(i, j)
-        hi = np.maximum(i, j)
-        key = lo * n + hi
-        if not (key[1:] > key[:-1]).all():
-            by = np.argsort(key, kind="stable")
-            lo, hi, labels, key = lo[by], hi[by], labels[by], key[by]
-            if (key[1:] == key[:-1]).any():
-                raise ValueError("each edge may be given only once")
+        # Each edge enters as the two directed keys i*n + j and j*n + i: one
+        # sort puts the rows in order with each row's neighbours increasing.
+        key = np.concatenate((i * n + j, j * n + i))
+        by = np.argsort(key)
+        key = key[by]
+        if (key[1:] == key[:-1]).any():
+            raise ValueError("each edge may be given only once")
+        rows, self.indices = divmod(key, n)
         del key
-        # Row v takes the lo of the edges where v is hi, then the hi of those
-        # where v is lo. In (lo, hi) order both come increasing, and the stable
-        # sort by row keeps the smaller neighbours ahead, so rows come sorted.
-        rows = np.concatenate((hi, lo))
-        by = np.argsort(rows, kind="stable")
         self.n = n
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
         del rows
-        self.indices = np.concatenate((lo, hi))[by]
-        del lo, hi
         self.labels = np.concatenate((labels, labels))[by]
 
     @property
@@ -379,17 +372,7 @@ def angle_diagnostic(
     bx, by = coords[j]
     cx, cy = coords[k]
     area = abs((bx - ax) * (cy - ay) - (cx - ax) * (by - ay)) / 2.0
-    if area < _DEGENERATE_AREA_RATIO * max(sq):
-        return TriangleAngleReport(
-            ids=ids,
-            side_lengths=sides,
-            labels=tuple(labels),
-            degenerate=True,
-            angles=None,
-            bounds=bounds,
-            min_angle_ok=None,
-            max_angle_ok=None,
-        )
+    degenerate = bool(area < _DEGENERATE_AREA_RATIO * max(sq))
 
     # Law of cosines; angle at the vertex opposite each listed side.
     def angle(opp: float, s1: float, s2: float) -> float:
@@ -397,14 +380,16 @@ def angle_diagnostic(
         return math.acos(min(1.0, max(-1.0, c)))
 
     a_ij, a_jk, a_ki = sides
-    angles = (angle(a_jk, a_ij, a_ki), angle(a_ki, a_ij, a_jk), angle(a_ij, a_jk, a_ki))
+    angles = None
+    if not degenerate:
+        angles = (angle(a_jk, a_ij, a_ki), angle(a_ki, a_ij, a_jk), angle(a_ij, a_jk, a_ki))
     return TriangleAngleReport(
         ids=ids,
         side_lengths=sides,
         labels=tuple(labels),
-        degenerate=False,
+        degenerate=degenerate,
         angles=angles,
         bounds=bounds,
-        min_angle_ok=min(angles) >= bounds.min_angle,
-        max_angle_ok=max(angles) <= math.pi - bounds.max_angle_margin,
+        min_angle_ok=None if degenerate else min(angles) >= bounds.min_angle,
+        max_angle_ok=None if degenerate else max(angles) <= math.pi - bounds.max_angle_margin,
     )

@@ -357,6 +357,15 @@ HOLES = {
         {"cfg.json": json.dumps(CONFIG | {"seed": "x"})}, ["search", "--config", "cfg.json"]),
     "config-n-bool": (
         {"cfg.json": json.dumps(CONFIG | {"n": True})}, ["search", "--config", "cfg.json"]),
+    "config-with-flags": (
+        {"cfg.json": json.dumps(CONFIG)},
+        ["search", "--config", "cfg.json",
+         "--seed", 9, "--n", 7, "--iterations", 5, "--restarts", 3]),
+    "config-unknown-key": (
+        {"cfg.json": json.dumps(CONFIG | {"bogus": 1})}, ["search", "--config", "cfg.json"]),
+    "config-without-seed-with-seed-flag": (
+        {"cfg.json": json.dumps({k: v for k, v in CONFIG.items() if k != "seed"})},
+        ["search", "--config", "cfg.json", "--seed", 4]),
     "analyze-m-above-s": (INPUTS, ["analyze", "pts.json", "iv.json", "--s", 3, "--m", 5]),
     "analyze-delta-out-of-range": (INPUTS, ["analyze", "pts.json", "iv.json", "--delta", 5]),
     "output-dir-is-a-file": (INPUTS, ["diameter", "pts.json", "--output-dir", "pts.json"]),
@@ -392,6 +401,9 @@ HOLES = {
     "search-seed-negative": (
         INPUTS, ["search", "--intervals", "iv.json", "--n", 3, "--iterations", 1, "--seed", -1]),
     "random-seed-negative": ({}, ["generate", "random", "--n", 3, "--box", 6, "--seed", -1]),
+    # --restarts 0 is refused, not read as the default 1.
+    "search-restarts-zero": (
+        INPUTS, ["search", "--intervals", "iv.json", "--n", 3, "--iterations", 1, "--restarts", 0]),
 }
 
 
@@ -417,6 +429,19 @@ class TestInputContract:
         res = run_cli(*args, cwd=tmp_path)
         assert res.returncode == 2
         assert "seed" in res.stderr and res.stderr.endswith(">= 0, got -1\n")
+
+    @pytest.mark.parametrize("hole, named", [
+        ("config-with-flags", ["--seed", "--n", "--iterations", "--restarts"]),
+        ("config-unknown-key", ["'bogus'"]),
+        ("config-without-seed-with-seed-flag", ["--seed"]),
+    ])
+    def test_config_error_names_flag_or_key(self, tmp_path, hole, named):
+        files, args = HOLES[hole]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        res = run_cli(*args, cwd=tmp_path)
+        assert res.returncode == 2
+        assert all(word in res.stderr for word in named), res.stderr
 
     def test_verify_one_point_writes_null_min_distance(self, tmp_path):
         (tmp_path / "one.json").write_text('{"dim": 2, "points": [[0.5, 0.25]]}')

@@ -195,6 +195,42 @@ class TestGeneratorInvariants:
         assert separated and dist == 1.0
         assert count_pairs(built.ps, built.iv, "pruned").total == built.predicted_count
 
+    # Small n, with columns shorter than some within-column distances, so the
+    # max(0, n_mu - d) terms clip.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: two_column(2, 1, 1, 0.5),
+            lambda: two_column(9, 4, 27, 0.4),
+            lambda: two_column(31, 5, 1200, 0.1),
+            lambda: three_column(3, 1, 1),
+            lambda: three_column(11, 9, 14),
+            lambda: column_chain(2, 1, 1),
+            lambda: column_chain(13, 4, 6),
+            lambda: augmented_chain(2, 2, 3),
+            lambda: augmented_chain(5, 2, 5.5),
+            lambda: augmented_chain(19, 3, 20),
+        ],
+    )
+    def test_brute_equals_pruned_equals_predicted(self, build):
+        built = build()
+        brute = count_pairs(built.ps, built.iv, "brute").total
+        assert brute == count_pairs(built.ps, built.iv, "pruned").total == built.predicted_count
+
+    @pytest.mark.parametrize("within", [[], [1, 2]])
+    def test_builder_rejects_a_wrong_prediction(self, within):
+        from neardist.constructions import _column_output
+
+        # Two columns of 10 at gap 500 with intervals at 1 and 500: the count is
+        # 100 cross pairs plus 9 per column at vertical distance 1, so within=[1].
+        predicted = 100 + sum(max(0, 10 - d) for d in within) * 2
+        message = f"two-column self-check failed: predicted {predicted}, counted 118"
+        with pytest.raises(RuntimeError, match=message):
+            _column_output("two-column", {}, [0.0, 500.0], [10, 10], [1.0, 500.0], 0.1, within)
+        assert _column_output(
+            "two-column", {}, [0.0, 500.0], [10, 10], [1.0, 500.0], 0.1, [1]
+        ).predicted_count == 118
+
     @pytest.mark.parametrize("n,parts", [(30, 3), (31, 3), (32, 3), (7, 4), (9, 2)])
     def test_balanced_split_sizes(self, n, parts):
         from neardist.constructions import _balanced_split

@@ -228,7 +228,7 @@ class TestAngleDiagnostic:
         iv = IntervalFamily([100.0, 180.0], 0.5)
         report = angle_diagnostic(ps, (0, 1, 2), iv, 0.1)
         assert report.labels == (2, 1, 1)
-        assert not report.degenerate
+        assert report.degenerate is False
 
         def oracle_angle(opp, a, b):
             return math.acos((a * a + b * b - opp * opp) / (2 * a * b))
@@ -261,9 +261,10 @@ class TestAngleDiagnostic:
         ps = PointSet([(0.0, 0.0), (100.2, 0.0), (200.4, 0.0)])
         iv = IntervalFamily([100.0, 200.0], 0.5)
         report = angle_diagnostic(ps, (0, 1, 2), iv, 0.1)
-        assert report.degenerate
+        # A Python bool, not np.bool_, so that to_dict stays strict JSON.
+        assert report.degenerate is True
         assert report.angles is None
-        assert report.min_angle_ok is None
+        assert report.min_angle_ok is None and report.max_angle_ok is None
 
     def test_flags_violated_bound(self):
         # thin triangle: apex angle close to pi exceeds the margin at delta 0.9
