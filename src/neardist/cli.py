@@ -88,7 +88,7 @@ def cmd_generate(args) -> Result:
     needs = {"random": ["box"], "remark2": ["t1", "t2"]}.get(name, ["t"])
     if any(getattr(args, flag) is None for flag in needs):
         raise InputFormatError(f"{name} needs " + " and ".join(f"--{flag}" for flag in needs))
-    points = "points.csv" if args.format == "csv" else "points.json"
+    points = f"points.{args.format}"
     if name == "random":
         seed = 0 if args.seed is None else args.seed
         ps = random_separated(args.n, args.box, seed)
@@ -195,8 +195,9 @@ def cmd_search(args) -> Result:
     summary = result.summary_dict()
     summary |= {"iterations": config.iterations, "restarts": config.restarts, "seed": config.seed}
     trajectory = "iteration,count\n" + "".join(f"{i},{c}\n" for i, c in result.trajectory)
+    points = f"best_points.{args.format}"
     return Result(
-        {"best_points.json": result.best_ps, "search.json": summary, "trajectory.csv": trajectory},
+        {points: result.best_ps, "search.json": summary, "trajectory.csv": trajectory},
         {"n": config.n, "iterations": config.iterations, "restarts": config.restarts},
         input_paths,
         f"n={config.n} best_count={result.best_count} accepted={result.accepted_moves}",

@@ -26,7 +26,6 @@ __all__ = [
     "load_json",
     "load_intervals",
     "intervals_from_dict",
-    "save_intervals",
     "write_json",
     "write_text",
 ]
@@ -163,7 +162,3 @@ def intervals_from_dict(payload: object, source: str | Path) -> IntervalFamily:
         return IntervalFamily([float(v) for v in payload["t"]], float(payload["alpha"]))
     except (ValueError, OverflowError) as exc:
         raise InputFormatError(f"{source}: bad interval family: {exc}") from exc
-
-
-def save_intervals(iv: IntervalFamily, path: str | Path) -> None:
-    write_json(path, iv.to_dict())

@@ -34,12 +34,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Point",
     "PointSet",
     "IntervalFamily",
     "HypothesisReport",
@@ -68,23 +67,12 @@ _MAX_CELLS = 2.0**30
 _PAIR_BUDGET = 160
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point in the plane. Coordinates must be finite."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
-
-
 class PointSet:
-    """An ordered, immutable list of planar points, indexable by 0-based id.
+    """An ordered, immutable planar point set: point i is row i of `coords`.
 
-    Backed by a read-only float64 array of shape (n, 2). The empty set is
-    rejected; duplicate points are allowed (they simply fail separation).
+    `coords` is a read-only float64 array of shape (n, 2), and `n` its row
+    count. The empty set is rejected; duplicate points are allowed (they
+    simply fail separation).
     """
 
     __slots__ = ("_coords",)
@@ -100,10 +88,6 @@ class PointSet:
         arr.setflags(write=False)
         self._coords = arr
 
-    @classmethod
-    def from_points(cls, points: Iterable[Point | tuple[float, float]]) -> "PointSet":
-        return cls([(p.x, p.y) if isinstance(p, Point) else tuple(p) for p in points])
-
     @property
     def coords(self) -> np.ndarray:
         """Read-only (n, 2) coordinate array."""
@@ -112,17 +96,6 @@ class PointSet:
     @property
     def n(self) -> int:
         return self._coords.shape[0]
-
-    def point(self, i: int) -> Point:
-        x, y = self._coords[i]
-        return Point(float(x), float(y))
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        for x, y in self._coords:
-            yield Point(float(x), float(y))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointSet):

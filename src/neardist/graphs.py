@@ -289,11 +289,6 @@ class TriangleAngleBounds:
     min_angle: float
     max_angle_margin: float
 
-    @property
-    def half_delta_residual(self) -> float:
-        """min_angle - delta/2, the deviation from the small-delta equivalent."""
-        return self.min_angle - self.delta / 2.0
-
     def to_dict(self) -> dict:
         return {
             "delta": self.delta,

@@ -173,8 +173,12 @@ def test_criterion_05_equivalence_and_speed():
         count_pairs(ps, iv, "brute").per_interval
         == count_pairs(ps, iv, "pruned").per_interval
     )
-    t_brute = _best_time(lambda: count_pairs(ps, iv, "brute"), repeats=3)
-    t_pruned = _best_time(lambda: count_pairs(ps, iv, "pruned"), repeats=3)
+    # Alternate the two, so that a slow spell of a shared host does not land
+    # on all the runs of one method.
+    t_brute = t_pruned = math.inf
+    for _ in range(3):
+        t_brute = min(t_brute, _best_time(lambda: count_pairs(ps, iv, "brute"), repeats=1))
+        t_pruned = min(t_pruned, _best_time(lambda: count_pairs(ps, iv, "pruned"), repeats=1))
     _gate(
         "criterion 5b: pruned at least 2x faster than brute at n=2000",
         t_pruned * 2.0 <= t_brute,

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from neardist import IntervalFamily, PointSet, cli
+from neardist import IntervalFamily, PointSet, cli, count_pairs
 from neardist.fileio import (
     InputFormatError,
     UnsupportedDimensionError,
     load_intervals,
     load_point_set,
-    save_intervals,
     save_point_set,
+    write_json,
 )
 
 from conftest import run_cli
@@ -42,7 +42,7 @@ class TestFileIO:
     def test_intervals_round_trip(self, tmp_path):
         iv = IntervalFamily([1.0, 2.5, 100.125], 0.1)
         path = tmp_path / "iv.json"
-        save_intervals(iv, path)
+        write_json(path, iv.to_dict())
         back = load_intervals(path)
         assert back.t == iv.t and back.alpha == iv.alpha
 
@@ -287,6 +287,21 @@ class TestSearchCommand:
         assert res.returncode == 0, res.stderr
         summary = json.loads((tmp_path / "out/search.json").read_text())
         assert summary["restarts"] == 2 and summary["seed"] == 3
+
+    def test_csv_format_writes_csv_points(self, tmp_path):
+        (tmp_path / "iv.json").write_text('{"alpha": 1.0, "t": [50.0]}')
+        res = run_cli(
+            "--output-dir", "o", "--format", "csv", "search", "--intervals", "iv.json",
+            "--n", 8, "--iterations", 200, "--seed", 1, cwd=tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        assert not (tmp_path / "o/best_points.json").exists()
+        manifest = json.loads((tmp_path / "o/manifest.json").read_text())
+        assert manifest["output_paths"][0] == "best_points.csv"
+        best = load_point_set(tmp_path / "o/best_points.csv")
+        summary = json.loads((tmp_path / "o/search.json").read_text())
+        recount = count_pairs(best, IntervalFamily([50.0], 1.0), method="brute")
+        assert best.n == 8 and recount.total == summary["best_count"]
 
     def test_missing_flags_exit_two(self, tmp_path):
         res = run_cli("search", "--n", 5, cwd=tmp_path)

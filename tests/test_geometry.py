@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from neardist import (
     IntervalFamily,
-    Point,
     PointSet,
     check_hypothesis,
     count_pairs,
@@ -39,17 +38,14 @@ GRID = [(float(x), float(y)) for x in range(3) for y in range(3)]
 
 
 class TestTypes:
-    def test_point_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Point(float("nan"), 0.0)
-
     def test_point_set_rejects_empty(self):
         with pytest.raises(ValueError):
             PointSet([])
 
     def test_point_set_rejects_inf(self):
-        with pytest.raises(ValueError):
-            PointSet([(0.0, float("inf"))])
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                PointSet([(0.0, bad)])
 
     def test_magnitude_limits(self):
         corner = 2.0**510
