@@ -294,6 +294,14 @@ def finite(text: str) -> float:
     return value
 
 
+def seed(text: str) -> int:
+    """argparse type of --seed: a negative seed fails at parse, for every command."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Every parser shares these three actions with SUPPRESSed defaults, so a
     # subcommand that omits a flag keeps the value given before it; main()
@@ -308,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="point file format (default json)",
     )
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="random seed")
+    common.add_argument("--seed", type=seed, default=argparse.SUPPRESS, help="random seed")
     parser = argparse.ArgumentParser(
         prog="neardist",
         description="Count, construct, verify, and search near-equal distances "

@@ -65,7 +65,8 @@ def _column_output(name: str, params: dict, anchors: list[float], sizes: list[in
     IntervalFamily(values, width). Predicts every cross-column pair plus, in
     each column, the pairs at each vertical distance in within; raises
     RuntimeError unless a pruned re-count of the output agrees."""
-    ps = PointSet([(x, float(v)) for x, h in zip(anchors, sizes) for v in range(1, h + 1)])
+    ys = np.concatenate([np.arange(1.0, h + 1) for h in sizes])
+    ps = PointSet(np.column_stack((np.repeat(anchors, sizes), ys)))
     iv = IntervalFamily(values, width)
     cross = sum(a * b for i, a in enumerate(sizes) for b in sizes[i + 1 :])
     predicted = cross + sum(max(0, h - d) for h in sizes for d in within)

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    IntervalFamily, PointSet, _block_runs, _bucket_cells, _join_cells, _label_hits, _run_pairs,
-    _sq_dists,
+    IntervalFamily, PointSet, _block_bracket, _block_runs, _bucket_cells, _cell_extremes,
+    _join_cells, _label_hits, _run_pairs, _sq_dists,
 )
 
 __all__ = ["PairCountReport", "LabeledPairs", "count_pairs", "label_pairs"]
@@ -129,7 +129,7 @@ def count_pairs(ps: PointSet, iv: IntervalFamily, method: str = "brute") -> Pair
         pairs = _candidate_pairs(_bucket_cells(xs, ys, math.inf), (row, row, row))
     else:
         grid, rows, bulk = _choose_label_grid(ps.coords, lo2, hi2, True)
-        adds = (_cell_extremes(grid, ps.coords), lo2, hi2, per) if bulk else None
+        adds = (_cell_extremes(ps.coords[grid.order], grid.starts), lo2, hi2, per) if bulk else None
         pairs = _candidate_pairs(grid, rows, adds)
     for i, j in pairs:
         for l, hit in _label_hits(_sq_dists(xs, ys, i, j), lo2, hi2):
@@ -247,7 +247,8 @@ def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, bul
         measured = bulk and len(a) * len(grid.keys) <= n
         if measured:
             lo, hi = _join_cells(grid, *rows)
-            decided = _block_labels(grid, _cell_extremes(grid, coords), a, b_lo, lo, hi, lo2, hi2)[2]
+            ext = _cell_extremes(coords[grid.order], grid.starts)
+            decided = _block_labels(grid, ext, a, b_lo, lo, hi, lo2, hi2)[2]
             same = ((a == 0) & (b_lo == 0))[:, None]
             total = int(_block_pairs(np.diff(grid.starts), same, hi - lo).sum())
             pair_cost *= 1.0 - int(decided.sum()) / total if total else 0.0
@@ -255,13 +256,6 @@ def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, bul
         if cost < best_cost:
             best, best_cost = (grid, rows, measured), cost
     return best
-
-
-def _cell_extremes(grid, coords: np.ndarray) -> np.ndarray:
-    """Per occupied cell of the grid, (x_min, y_min, -x_max, -y_max) of its points."""
-    pts = coords[grid.order]
-    first = grid.starts[:-1]
-    return np.hstack((np.minimum.reduceat(pts, first), -np.maximum.reduceat(pts, first)))
 
 
 def _block_pairs(size, same, partners):
@@ -280,17 +274,9 @@ def _block_labels(grid, ext, a, b_lo, lo, hi, lo2: np.ndarray, hi2: np.ndarray):
     _BULK_MIN_PAIRS pairs are checked. Returns (r, c, pairs, label) for the
     decided blocks: each of the pairs[m] pairs of the block (r[m], c[m]) has
     the smallest qualifying label label[m] (0-based), or none of them
-    qualifies (label[m] == len(lo2)). Every other block must be expanded to
-    its pairs.
-
-    Why the bracket holds every pair's computed squared distance, with no
-    slack: for a point i of the cell and a partner j, fl(x_i - x_j) is
-    monotone in both coordinates, so it lies between fl(x_min - x'_max) and
-    fl(x_max - x'_min), from the actual extremes of the cell and of its
-    partners (likewise in y). Rounded squaring is monotone in |dx| and
-    rounded addition in both terms, so dx*dx + dy*dy lies in
-    [fl(near_x^2 + near_y^2), fl(far_x^2 + far_y^2)] for the nearest and
-    farthest |dx|, |dy| those ranges allow.
+    qualifies (label[m] == len(lo2)), by geometry._block_bracket, which
+    holds every pair's computed squared distance with no slack. Every other
+    block must be expanded to its pairs.
     """
     size = np.diff(grid.starts)
     # size * partners bounds a block's pairs from above, so this keeps every
@@ -300,17 +286,8 @@ def _block_labels(grid, ext, a, b_lo, lo, hi, lo2: np.ndarray, hi2: np.ndarray):
     pairs = _block_pairs(size[c], (a[r] == 0) & (b_lo[r] == 0), q_hi - q_lo)
     big = pairs >= _BULK_MIN_PAIRS
     r, c, pairs = r[big], c[big], pairs[big]
-    # The partners' extremes reduce their cells, which are consecutive.
-    ends = np.stack((grid.cell_of[q_lo[big]], grid.cell_of[q_hi[big] - 1] + 1), axis=1).ravel()
-    # The padding row makes the end index len(ext) valid; odd entries span the gaps.
-    q = np.minimum.reduceat(np.vstack((ext, ext[:1])), ends, axis=0)[::2]
-    p = ext[c]
-    d_lo = p[:, :2] + q[:, 2:]
-    d_hi = -(p[:, 2:] + q[:, :2])
-    near = np.maximum(np.maximum(d_lo, -d_hi), 0.0)
-    far = np.maximum(-d_lo, d_hi)
-    b0 = near[:, 0] * near[:, 0] + near[:, 1] * near[:, 1]
-    b1 = far[:, 0] * far[:, 0] + far[:, 1] * far[:, 1]
+    # The partners' cells are consecutive.
+    b0, b1 = _block_bracket(ext, c, grid.cell_of[q_lo[big]], grid.cell_of[q_hi[big] - 1] + 1)
     label = np.full(len(r), len(lo2))
     open_ = np.ones(len(r), dtype=bool)
     for l in range(len(lo2)):

@@ -83,6 +83,8 @@ def load_point_set(path: str | Path) -> PointSet:
         return _load_point_set_csv(path)
     payload = load_json(path)
     dim = payload.get("dim")
+    if type(dim) not in (int, float):
+        raise InputFormatError(f"{path}: 'dim' must be a number, got {dim!r}")
     if dim != 2:
         raise UnsupportedDimensionError(f"{path}: only dim 2 is supported, got {dim!r}")
     points = payload.get("points")

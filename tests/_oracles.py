@@ -6,7 +6,6 @@ convention (dx*dx + dy*dy against squared bounds) so endpoint behavior is
 comparable bit for bit.
 """
 
-from fractions import Fraction
 from itertools import combinations
 import math
 
@@ -56,28 +55,6 @@ def oracle_diameter(points):
     if len(points) < 2:
         return 0.0
     return math.sqrt(max(_sq_dist(a, b) for a, b in combinations(points, 2)))
-
-
-def oracle_hull(points):
-    """Set of (x, y) vertices of the convex hull, by exact rational arithmetic."""
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        return set(pts)
-    exact = [(Fraction(x), Fraction(y)) for x, y in pts]
-
-    def chain(seq):
-        out = []
-        for b in seq:
-            while len(out) >= 2:
-                (ox, oy), (ax, ay) = out[-2], out[-1]
-                if (ax - ox) * (b[1] - oy) - (ay - oy) * (b[0] - ox) > 0:
-                    break
-                out.pop()
-            out.append(b)
-        return out
-
-    hull = chain(exact)[:-1] + chain(exact[::-1])[:-1]
-    return {(float(x), float(y)) for x, y in hull}
 
 
 def oracle_violations(t_values, alpha, delta):

@@ -2,6 +2,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,7 +23,7 @@ from neardist.fileio import (
     write_json,
 )
 
-from conftest import run_cli
+from conftest import SRC_DIR, run_cli
 
 
 class TestFileIO:
@@ -78,6 +80,18 @@ class TestFileIO:
                 load_point_set(path)
         # A lone number is a 1-D point, as [3.0] is in JSON.
         path.write_text("1.0,2.0\n3.0\n")
+        with pytest.raises(UnsupportedDimensionError):
+            load_point_set(path)
+
+    def test_dimension_must_be_a_number(self, tmp_path):
+        path = tmp_path / "pts.json"
+        for dim in ("true", '"2"', "null"):
+            path.write_text(f'{{"dim": {dim}, "points": [[0, 0]]}}')
+            with pytest.raises(InputFormatError):
+                load_point_set(path)
+        path.write_text('{"dim": 2.0, "points": [[0, 0]]}')
+        assert load_point_set(path).n == 1
+        path.write_text('{"dim": 2.5, "points": [[0, 0]]}')
         with pytest.raises(UnsupportedDimensionError):
             load_point_set(path)
 
@@ -416,6 +430,12 @@ HOLES = {
     "search-seed-negative": (
         INPUTS, ["search", "--intervals", "iv.json", "--n", 3, "--iterations", 1, "--seed", -1]),
     "random-seed-negative": ({}, ["generate", "random", "--n", 3, "--box", 6, "--seed", -1]),
+    # two-column uses no seed, yet a negative one is refused there too.
+    "column-seed-negative": (
+        {}, ["generate", "two-column", "--n", 20, "--k", 2, "--t", 500, "--seed", -1]),
+    "dim-bool": ({"d.json": '{"dim": true, "points": [[0, 0], [5, 5]]}'}, ["diameter", "d.json"]),
+    "dim-string": ({"d.json": '{"dim": "2", "points": [[0, 0], [5, 5]]}'}, ["diameter", "d.json"]),
+    "dim-missing": ({"d.json": '{"points": [[0, 0], [5, 5]]}'}, ["diameter", "d.json"]),
     # --restarts 0 is refused, not read as the default 1.
     "search-restarts-zero": (
         INPUTS, ["search", "--intervals", "iv.json", "--n", 3, "--iterations", 1, "--restarts", 0]),
@@ -436,7 +456,8 @@ class TestInputContract:
         assert res.stdout == ""
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
-    @pytest.mark.parametrize("hole", ["search-seed-negative", "random-seed-negative"])
+    @pytest.mark.parametrize(
+        "hole", ["search-seed-negative", "random-seed-negative", "column-seed-negative"])
     def test_negative_seed_error_names_seed(self, tmp_path, hole):
         files, args = HOLES[hole]
         for name, text in files.items():
@@ -457,6 +478,30 @@ class TestInputContract:
         res = run_cli(*args, cwd=tmp_path)
         assert res.returncode == 2
         assert all(word in res.stderr for word in named), res.stderr
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS, and ru_maxrss in KiB")
+    def test_oversized_column_generate_fails_at_once(self, tmp_path):
+        # 3e9 points take 48 GB as arrays: the first allocation must fail under
+        # a 2 GiB address-space limit, rather than memory grow up to it.
+        import resource
+
+        limit = 2 << 30
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+        argv = ["generate", "two-column", "--n", "3000000000", "--k", "2", "--t", "1e300",
+                "--eps", "0.5"]
+        with open(tmp_path / "stderr", "w+") as err:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "neardist", *argv], cwd=tmp_path, env=env,
+                stdout=subprocess.DEVNULL, stderr=err,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            )
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+        stderr = (tmp_path / "stderr").read_text()
+        assert child.returncode == 2, stderr
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+        assert usage.ru_maxrss < 500 * 1024
 
     def test_verify_one_point_writes_null_min_distance(self, tmp_path):
         (tmp_path / "one.json").write_text('{"dim": 2, "points": [[0.5, 0.25]]}')

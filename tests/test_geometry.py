@@ -17,18 +17,16 @@ from neardist import (
     two_column,
     verify_bound,
 )
-from neardist import counting
+from neardist import counting, geometry
 from neardist.geometry import (
     _MAX_CELLS,
     _PAIR_BUDGET,
-    _hull_vertices,
     _run_pairs,
     _touching_runs,
 )
 
 from _oracles import (
     oracle_diameter,
-    oracle_hull,
     oracle_label,
     oracle_min_distance,
     oracle_violations,
@@ -142,6 +140,28 @@ def _cluster_and_outlier():
     return [tuple(p) for p in rng.random((300, 2)) * 1e-6] + [(1e6, -1e6)]
 
 
+def _uniform_disk(n, radius):
+    rng = np.random.default_rng(11)
+    r = radius * np.sqrt(rng.random(n))
+    a = rng.random(n) * (2 * math.pi)
+    return list(zip((r * np.cos(a)).tolist(), (r * np.sin(a)).tolist()))
+
+
+def _far_blobs(m, gap):
+    rng = np.random.default_rng(12)
+    blobs = rng.normal(0.0, 30.0, (2 * m, 2))
+    blobs[m:] += (gap, gap / 3)
+    return [tuple(p) for p in blobs.tolist()]
+
+
+def _rotated_jittered_grid(side, angle):
+    rng = np.random.default_rng(13)
+    g = np.stack(np.meshgrid(np.arange(side), np.arange(side)), axis=-1).reshape(-1, 2) * 3.0
+    g += rng.uniform(-1.0, 1.0, g.shape)
+    c, s = math.cos(angle), math.sin(angle)
+    return [(x * c - y * s, x * s + y * c) for x, y in g.tolist()]
+
+
 def _rotated_columns(m, gap, angle):
     c, s = math.cos(angle), math.sin(angle)
     return [(k * c + off * s, k * s - off * c) for off in (0.0, gap) for k in range(m)]
@@ -164,6 +184,9 @@ EXACT_CASES = {
         (-102413.0, 368432.0), (-102377.0, 368414.0), (49329315394.0, 98659204091.0),
         (49329315466.0, 98659204055.0), (-102395.0, 368423.0), (49329315430.0, 98659204073.0),
     ],
+    "uniform-disk": _uniform_disk(2000, 1e3),
+    "far-gaussian-blobs": _far_blobs(800, 1e5),
+    "rotated-jittered-grid": _rotated_jittered_grid(40, 0.7),
 }
 
 
@@ -297,12 +320,21 @@ class TestExactAgainstOracle:
         assert min_pairwise_distance(ps)[0] == oracle_min_distance(points)
         assert diameter(ps) == oracle_diameter(points)
 
-    # The diameter's rescan margin hides a missing near-collinear vertex in
-    # practice, so the hull is checked on its own: exactness rests on it.
-    @pytest.mark.parametrize("points", EXACT_CASES.values(), ids=EXACT_CASES.keys())
-    def test_hull_is_exact(self, points):
-        xs, ys = map(list, zip(*sorted(points)))
-        assert {(xs[i], ys[i]) for i in _hull_vertices(xs, ys)} == oracle_hull(points)
+    def test_diameter_evaluates_few_pairs_on_a_circle(self, monkeypatch):
+        # Every point of a circle is extreme and has an antipode within a hair
+        # of the diameter, yet only the cell pairs whose bracket reaches beyond
+        # the sweeps' lower bound are evaluated: well under a quarter of all pairs.
+        points = EXACT_CASES["circle-2000"]
+        evaluated = []
+
+        def counted(xs, ys, i, j):
+            evaluated.append(np.broadcast(i, j).size)
+            return sq_dists(xs, ys, i, j)
+
+        sq_dists = geometry._sq_dists
+        monkeypatch.setattr(geometry, "_sq_dists", counted)
+        assert diameter(PointSet(points)) == oracle_diameter(points)
+        assert sum(evaluated) < len(points) ** 2 / 4
 
 
 class TestCheckHypothesis:
