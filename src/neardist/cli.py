@@ -26,7 +26,7 @@ import argparse
 import ctypes
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -89,35 +89,28 @@ def cmd_generate(args) -> Result:
     if any(getattr(args, flag) is None for flag in needs):
         raise InputFormatError(f"{name} needs " + " and ".join(f"--{flag}" for flag in needs))
     points = f"points.{args.format}"
+    seed = args.seed
     if name == "random":
-        seed = 0 if args.seed is None else args.seed
+        seed = 0 if seed is None else seed
         ps = random_separated(args.n, args.box, seed)
-        params = {"n": args.n, "box": args.box, "seed": seed}
-        sidecar = {"name": name, "params": params, "predicted_count": None}
-        return Result(
-            {points: ps, "construction.json": sidecar},
-            params | {"construction": name},
-            [],
-            f"generated random n={ps.n} -> {Path(args.output_dir) / points}",
-            seed,
-        )
-    if name == "two-column":
-        built = two_column(args.n, args.k, args.t, args.eps)
-    elif name == "remark2":
-        built = three_column(args.n, args.t1, args.t2)
-    elif name == "emp1":
-        built = column_chain(args.n, args.k, args.t)
+        params, predicted = {"n": args.n, "box": args.box, "seed": seed}, None
+        outputs = {points: ps}
+        summary = f"generated random n={ps.n} -> {Path(args.output_dir) / points}"
     else:
-        built = augmented_chain(args.n, args.k, args.t)
-    sidecar = built.to_dict() | {"name": name}
-    return Result(
-        {points: built.ps, "intervals.json": built.iv.to_dict(), "construction.json": sidecar},
-        built.params | {"construction": name},
-        [],
-        f"generated {name} n={built.ps.n} k={built.iv.k} "
-        f"predicted_count={built.predicted_count} -> {Path(args.output_dir)}",
-        args.seed,
-    )
+        if name == "two-column":
+            built = two_column(args.n, args.k, args.t, args.eps)
+        elif name == "remark2":
+            built = three_column(args.n, args.t1, args.t2)
+        elif name == "emp1":
+            built = column_chain(args.n, args.k, args.t)
+        else:
+            built = augmented_chain(args.n, args.k, args.t)
+        params, predicted = built.params, built.predicted_count
+        outputs = {points: built.ps, "intervals.json": asdict(built.iv)}
+        summary = (f"generated {name} n={built.ps.n} k={built.iv.k} "
+                   f"predicted_count={predicted} -> {Path(args.output_dir)}")
+    outputs["construction.json"] = {"name": name, "params": params, "predicted_count": predicted}
+    return Result(outputs, params | {"construction": name}, [], summary, seed)
 
 
 def cmd_count(args) -> Result:
@@ -125,7 +118,7 @@ def cmd_count(args) -> Result:
     iv = load_intervals(args.intervals)
     report = count_pairs(ps, iv, method=args.method)
     return Result(
-        {"count.json": report.to_dict()},
+        {"count.json": asdict(report)},
         {"method": args.method},
         [args.points, args.intervals],
         f"n={ps.n} total={report.total} method={report.method}",
@@ -136,7 +129,7 @@ def cmd_check_hypothesis(args) -> Result:
     iv = load_intervals(args.intervals)
     report = check_hypothesis(iv, args.delta)
     return Result(
-        {"hypothesis.json": report.to_dict()},
+        {"hypothesis.json": asdict(report)},
         {"delta": args.delta},
         [args.intervals],
         f"k={iv.k} delta={args.delta} holds={report.holds} violations={len(report.violations)}",
@@ -148,8 +141,11 @@ def cmd_verify(args) -> Result:
     ps = load_point_set(args.points)
     iv = load_intervals(args.intervals)
     report = verify_bound(ps, iv, args.delta, args.C)
+    payload = asdict(report)
+    if ps.n == 1:
+        payload["min_distance"] = None  # inf: a single point has no pairs
     return Result(
-        {"verify.json": report.to_dict()},
+        {"verify.json": payload},
         {"delta": args.delta, "C": args.C},
         [args.points, args.intervals],
         f"n={ps.n} separated={report.separated} hypothesis={report.hypothesis.holds} "
@@ -192,8 +188,15 @@ def cmd_search(args) -> Result:
         initial = load_point_set(args.initial)
 
     result = anneal(config, initial)
-    summary = result.summary_dict()
-    summary |= {"iterations": config.iterations, "restarts": config.restarts, "seed": config.seed}
+    summary = {
+        "best_count": result.best_count,
+        "accepted_moves": result.accepted_moves,
+        "rejected_moves": result.rejected_moves,
+        "n": config.n,
+        "iterations": config.iterations,
+        "restarts": config.restarts,
+        "seed": config.seed,
+    }
     trajectory = "iteration,count\n" + "".join(f"{i},{c}\n" for i, c in result.trajectory)
     points = f"best_points.{args.format}"
     return Result(
@@ -225,15 +228,15 @@ def cmd_analyze(args) -> Result:
     }
     if witness is not None:
         refined = homogenize(graph, witness, args.m)
+        payload["witness"] = asdict(witness) | {"B2": None, "D2": None, "labels": None}
         if refined is not None:
-            payload["witness"] = refined.to_dict()
+            labels = {"x_b": refined.label_xb, "x_d": refined.label_xd, "b_d": refined.label_bd}
+            payload["witness"] |= {"B2": refined.B2, "D2": refined.D2, "labels": labels}
             case = classify_label_triple(refined.label_xb, refined.label_xd, refined.label_bd)
             payload["case"] = case.value
             if case is TriangleCase.UNIQUE_MAX:
                 triangle = (witness.x, refined.B2[0], refined.D2[0])
-                payload["angle_check"] = angle_diagnostic(ps, triangle, iv, args.delta).to_dict()
-        else:
-            payload["witness"] = witness.to_dict() | {"B2": None, "D2": None, "labels": None}
+                payload["angle_check"] = asdict(angle_diagnostic(ps, triangle, iv, args.delta))
     return Result(
         {"analysis.json": payload},
         {"s": args.s, "m": args.m, "delta": args.delta},

@@ -45,13 +45,6 @@ class ConstructionOutput:
     name: str
     params: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": dict(self.params),
-            "predicted_count": self.predicted_count,
-        }
-
 
 def _balanced_split(n: int, parts: int) -> list[int]:
     """Split n into the given number of parts differing by at most 1, larger first."""
@@ -65,6 +58,9 @@ def _column_output(name: str, params: dict, anchors: list[float], sizes: list[in
     IntervalFamily(values, width). Predicts every cross-column pair plus, in
     each column, the pairs at each vertical distance in within; raises
     RuntimeError unless a pruned re-count of the output agrees."""
+    # The column bases alone first, so that an anchor past the coordinate
+    # limit fails before any array of n points is allocated.
+    PointSet([(a, 1.0) for a in anchors])
     ys = np.concatenate([np.arange(1.0, h + 1) for h in sizes])
     ps = PointSet(np.column_stack((np.repeat(anchors, sizes), ys)))
     iv = IntervalFamily(values, width)

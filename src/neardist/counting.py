@@ -83,13 +83,6 @@ class PairCountReport:
     per_interval: tuple[int, ...]
     method: str
 
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "per_interval": list(self.per_interval),
-            "method": self.method,
-        }
-
 
 def _sq_bracket(da, db, side: float):
     """Conservative (min, max) of dx*dx + dy*dy over two points in cells whose

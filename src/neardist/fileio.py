@@ -145,7 +145,7 @@ def save_point_set(ps: PointSet, path: str | Path) -> None:
         lines = [f"{float(x)!r},{float(y)!r}" for x, y in ps.coords]
         write_text(path, "\n".join(lines) + "\n")
     else:
-        write_json(path, ps.to_dict())
+        write_json(path, {"dim": 2, "points": ps.coords.tolist()})
 
 
 def load_intervals(path: str | Path) -> IntervalFamily:

@@ -103,9 +103,6 @@ class PointSet:
     def __repr__(self) -> str:
         return f"PointSet(n={self.n})"
 
-    def to_dict(self) -> dict:
-        return {"dim": 2, "points": [[float(x), float(y)] for x, y in self._coords]}
-
 
 @dataclass(frozen=True)
 class IntervalFamily:
@@ -114,8 +111,9 @@ class IntervalFamily:
     Interval l (1-based) is the closed interval [t_l, t_l + alpha].
     """
 
-    t: tuple[float, ...]
+    # The field order is the interval file's key order: asdict(iv) is the file.
     alpha: float
+    t: tuple[float, ...]
 
     def __init__(self, t: Sequence[float], alpha: float):
         values = tuple(float(v) for v in t)
@@ -154,9 +152,6 @@ class IntervalFamily:
         hits = _label_hits(np.array([sq_dist]), *self.sq_bounds)
         return next((l + 1 for l, hit in hits if hit[0]), None)
 
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "t": list(self.t)}
-
 
 class Violation(NamedTuple):
     """A triple l1 <= l2 < l3 (1-based) whose third value lands in the forbidden window."""
@@ -181,14 +176,6 @@ class HypothesisReport:
     alpha: float
     holds: bool
     violations: tuple[Violation, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "alpha": self.alpha,
-            "holds": self.holds,
-            "violations": [list(v) for v in self.violations],
-        }
 
 
 def check_hypothesis(iv: IntervalFamily, delta: float) -> HypothesisReport:
@@ -486,7 +473,7 @@ class VerifierReport:
 
     bound_value is n^2/4 + C*n with a caller-supplied constant C. The report
     only states facts; it never raises on a violated bound. min_distance is
-    inf for a single point, which has no pairs; to_dict writes it as None.
+    inf for a single point, which has no pairs; the CLI writes it as null.
     """
 
     separated: bool
@@ -497,18 +484,6 @@ class VerifierReport:
     bound_value: float
     within_bound: bool
     diameter: float
-
-    def to_dict(self) -> dict:
-        return {
-            "separated": self.separated,
-            "min_distance": self.min_distance if math.isfinite(self.min_distance) else None,
-            "hypothesis": self.hypothesis.to_dict(),
-            "count": self.count.to_dict(),
-            "bound_constant": self.bound_constant,
-            "bound_value": self.bound_value,
-            "within_bound": self.within_bound,
-            "diameter": self.diameter,
-        }
 
 
 def verify_bound(ps: PointSet, iv: IntervalFamily, delta: float, C: float) -> VerifierReport:

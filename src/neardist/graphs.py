@@ -134,9 +134,6 @@ class TripartiteWitness:
     def s(self) -> int:
         return len(self.B)
 
-    def to_dict(self) -> dict:
-        return {"x": self.x, "B": list(self.B), "D": list(self.D)}
-
 
 def _find_bipartite_in(adj, cand: list[int], s: int) -> tuple[list[int], list[int]] | None:
     """Lexicographically least complete bipartite (B, D) with parts of size s
@@ -204,17 +201,6 @@ class HomogeneousWitness:
     @property
     def m(self) -> int:
         return len(self.B2)
-
-    def to_dict(self) -> dict:
-        d = self.base.to_dict()
-        d.update(
-            {
-                "B2": list(self.B2),
-                "D2": list(self.D2),
-                "labels": {"x_b": self.label_xb, "x_d": self.label_xd, "b_d": self.label_bd},
-            }
-        )
-        return d
 
 
 def _largest_label_class(g: NearEqualGraph, x: int, members: tuple[int, ...]) -> tuple[int, list[int]]:
@@ -289,13 +275,6 @@ class TriangleAngleBounds:
     min_angle: float
     max_angle_margin: float
 
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "min_angle": self.min_angle,
-            "max_angle_margin": self.max_angle_margin,
-        }
-
 
 def triangle_angle_bounds(delta: float) -> TriangleAngleBounds:
     """Compute the angle bounds for a given delta in (0, 1)."""
@@ -324,18 +303,6 @@ class TriangleAngleReport:
     bounds: TriangleAngleBounds
     min_angle_ok: bool | None
     max_angle_ok: bool | None
-
-    def to_dict(self) -> dict:
-        return {
-            "ids": list(self.ids),
-            "side_lengths": list(self.side_lengths),
-            "labels": list(self.labels),
-            "degenerate": self.degenerate,
-            "angles": None if self.angles is None else list(self.angles),
-            "bounds": self.bounds.to_dict(),
-            "min_angle_ok": self.min_angle_ok,
-            "max_angle_ok": self.max_angle_ok,
-        }
 
 
 def angle_diagnostic(

@@ -129,8 +129,8 @@ class SearchResult:
     best_count always equals an independent full recount of best_ps; the
     trajectory samples the running count as (global iteration, count).
     moves holds a MoveCounts per move type ("jitter", "teleport") and
-    final_temperature the temperature the last restart ended at; neither is
-    part of summary_dict.
+    final_temperature the temperature the last restart ended at; search.json
+    holds neither.
     """
 
     best_ps: PointSet
@@ -140,14 +140,6 @@ class SearchResult:
     rejected_moves: int
     moves: dict[str, MoveCounts]
     final_temperature: float
-
-    def summary_dict(self) -> dict:
-        return {
-            "best_count": self.best_count,
-            "accepted_moves": self.accepted_moves,
-            "rejected_moves": self.rejected_moves,
-            "n": self.best_ps.n,
-        }
 
 
 def _placement_hits(
@@ -298,14 +290,6 @@ class ImprovingMove:
     new_y: float
     count_gain: int
 
-    def to_dict(self) -> dict:
-        return {
-            "point": self.point,
-            "new_x": self.new_x,
-            "new_y": self.new_y,
-            "count_gain": self.count_gain,
-        }
-
 
 @dataclass(frozen=True)
 class LocalOptReport:
@@ -323,15 +307,6 @@ class LocalOptReport:
     @property
     def locally_optimal(self) -> bool:
         return not self.moves
-
-    def to_dict(self) -> dict:
-        return {
-            "probe_radius": self.probe_radius,
-            "probes_per_point": self.probes_per_point,
-            "seed": self.seed,
-            "locally_optimal": self.locally_optimal,
-            "moves": [m.to_dict() for m in self.moves],
-        }
 
 
 def local_opt_check(

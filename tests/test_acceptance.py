@@ -302,7 +302,7 @@ def test_criterion_09_search_sanity():
     _soft_gate(
         "criterion 9b (soft): best_count >= 14 on at least 8 of 10 seeds",
         wins >= 8,
-        f"wins={wins}/10 counts={results} construction_optimum=16",
+        f"wins={wins}/10 counts={results} two_column_count=16",
     )
 
 

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -44,7 +45,7 @@ class TestFileIO:
     def test_intervals_round_trip(self, tmp_path):
         iv = IntervalFamily([1.0, 2.5, 100.125], 0.1)
         path = tmp_path / "iv.json"
-        write_json(path, iv.to_dict())
+        write_json(path, asdict(iv))
         back = load_intervals(path)
         assert back.t == iv.t and back.alpha == iv.alpha
 
@@ -317,6 +318,19 @@ class TestSearchCommand:
         recount = count_pairs(best, IntervalFamily([50.0], 1.0), method="brute")
         assert best.n == 8 and recount.total == summary["best_count"]
 
+    def test_summary_keys_in_order(self, tmp_path):
+        (tmp_path / "iv.json").write_text('{"alpha": 1.0, "t": [5.0]}')
+        res = run_cli(
+            "--output-dir", "out", "search", "--intervals", "iv.json",
+            "--n", 4, "--iterations", 30, "--seed", 2, "--restarts", 2, cwd=tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        summary = json.loads((tmp_path / "out/search.json").read_text())
+        assert list(summary) == ["best_count", "accepted_moves", "rejected_moves", "n",
+                                 "iterations", "restarts", "seed"]
+        assert [summary[k] for k in ("n", "iterations", "restarts", "seed")] == [4, 30, 2, 2]
+        assert summary["accepted_moves"] + summary["rejected_moves"] == 30 * 2
+
     def test_missing_flags_exit_two(self, tmp_path):
         res = run_cli("search", "--n", 5, cwd=tmp_path)
         assert res.returncode == 2
@@ -502,6 +516,35 @@ class TestInputContract:
         assert child.returncode == 2, stderr
         assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
         assert usage.ru_maxrss < 500 * 1024
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS, and ru_maxrss in KiB")
+    @pytest.mark.parametrize("argv, message", [
+        # 3e8 points, with the last of the four column anchors at 3t > 2**510:
+        # the anchors must be refused before the 2.4 GB of points is allocated.
+        (["emp1", "--n", "300000000", "--k", "3", "--t", "1.3407807929942597e153"],
+         "error: point coordinates must be finite with magnitude at most 2**510\n"),
+        # Anchors in range: the first 12 GB column fails to allocate at once.
+        (["two-column", "--n", "3000000000", "--k", "2", "--t", "1e19", "--eps", "0.5"],
+         "error: Unable to allocate "),
+    ], ids=["anchor-limit", "allocation"])
+    def test_column_generate_checks_anchors_before_points(self, tmp_path, argv, message):
+        import resource
+
+        limit = 2 << 30
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+        with open(tmp_path / "stderr", "w+") as err:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "neardist", "generate", *argv], cwd=tmp_path, env=env,
+                stdout=subprocess.DEVNULL, stderr=err,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            )
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+        stderr = (tmp_path / "stderr").read_text()
+        assert child.returncode == 2, stderr
+        assert stderr.startswith(message) and stderr.count("\n") == 1, stderr
+        assert usage.ru_maxrss < 200 * 1024
 
     def test_verify_one_point_writes_null_min_distance(self, tmp_path):
         (tmp_path / "one.json").write_text('{"dim": 2, "points": [[0.5, 0.25]]}')

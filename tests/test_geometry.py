@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -423,7 +424,7 @@ class TestVerifyBound:
     def test_report_serializes(self):
         built = two_column(8, 1, 50, 0.5)
         report = verify_bound(built.ps, built.iv, delta=0.2, C=1)
-        d = report.to_dict()
+        d = asdict(report)
         assert set(d) == {
             "separated",
             "min_distance",

@@ -261,7 +261,7 @@ class TestAngleDiagnostic:
         ps = PointSet([(0.0, 0.0), (100.2, 0.0), (200.4, 0.0)])
         iv = IntervalFamily([100.0, 200.0], 0.5)
         report = angle_diagnostic(ps, (0, 1, 2), iv, 0.1)
-        # A Python bool, not np.bool_, so that to_dict stays strict JSON.
+        # A Python bool, not np.bool_, so that asdict(report) stays strict JSON.
         assert report.degenerate is True
         assert report.angles is None
         assert report.min_angle_ok is None and report.max_angle_ok is None
