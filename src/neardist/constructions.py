@@ -42,7 +42,6 @@ class ConstructionOutput:
     ps: PointSet
     iv: IntervalFamily
     predicted_count: int
-    name: str
     params: dict
 
 
@@ -69,7 +68,7 @@ def _column_output(name: str, params: dict, anchors: list[float], sizes: list[in
     counted = count_pairs(ps, iv, method="pruned").total
     if counted != predicted:
         raise RuntimeError(f"{name} self-check failed: predicted {predicted}, counted {counted}")
-    return ConstructionOutput(ps, iv, predicted, name, params)
+    return ConstructionOutput(ps, iv, predicted, params)
 
 
 def two_column(n: int, k: int, t: float, eps: float) -> ConstructionOutput:

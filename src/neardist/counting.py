@@ -12,9 +12,9 @@ and label_pairs use the fixed-radius cell-list search of Bentley, Stanat and
 Williams, 1977, over a union of thin annuli: _offset_rows enumerates the cell
 offsets whose distance bracket meets some interval, row by row from the
 annuli, on the cell side that _choose_label_grid's cost model picks. At its
-coarsest, one cell, it is the all-pairs walk, so no input costs more than
-O(n^2) time. Memory stays O(n + chunk) for both counts and
-O(n + chunk + output) for label_pairs, about 62 bytes a pair at its peak.
+coarsest it is the all-pairs walk, so no input costs more than O(n^2) time.
+Memory stays O(n + chunk) for both counts and O(n + chunk + output) for
+label_pairs, about 62 bytes a pair at its peak.
 
 The pruned count need not evaluate every candidate pair. The join pairs each
 occupied cell with a run of partner cells per offset row; when the squared
@@ -28,9 +28,8 @@ label_pairs needs the pairs themselves and expands every block.
 Every evaluated pair's squared distance comes from geometry._sq_dists, the
 expression dx*dx + dy*dy, and is labelled by geometry._label_hits, the
 package's one smallest-label rule, so the methods agree exactly, including on
-interval endpoints. The cell-offset brackets carry a small relative
-inflation so that skipping an offset stays conservative under floating-point
-rounding; the bulk brackets need none, as rounding is monotone.
+interval endpoints. No bracket carries slack: cell sides are powers of two,
+so every point lies exactly in its cell, and rounding is monotone.
 """
 
 from __future__ import annotations
@@ -41,24 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    IntervalFamily, PointSet, _block_bracket, _block_runs, _bucket_cells, _cell_extremes,
-    _join_cells, _label_hits, _run_pairs, _sq_dists,
+    _MAX_CELLS, _MIN_EXTENT, IntervalFamily, PointSet, _block_bracket, _block_runs, _bucket_cells,
+    _cell_extremes, _join_cells, _label_hits, _run_pairs, _sq_dists,
 )
 
 __all__ = ["PairCountReport", "LabeledPairs", "count_pairs", "label_pairs"]
 
-# Relative safety margin on squared cell-distance bounds; dominates the
-# worst-case rounding of coordinate-to-cell assignment by many orders.
-_BRACKET_SLACK = 4e-9
-
 _METHODS = ("brute", "pruned")
 
-# Enumerator grids have at most 2**_LABEL_LEVELS cells per axis, so the cell
-# assignment rounds by under 2**-31 of a cell and _BRACKET_SLACK covers it.
-_LABEL_LEVELS = 20
-# Extents below this are raised to it, so that cell sides and their squares
-# stay normal floats.
-_MIN_LABEL_EXTENT = 2.0**-480
 # Offset row runs are joined a batch at a time, about this many points' runs.
 _LABEL_BATCH = 1 << 17
 # Relative costs of the enumerator grid: per occupied cell and per point for
@@ -85,8 +74,10 @@ class PairCountReport:
 
 
 def _sq_bracket(da, db, side: float):
-    """Conservative (min, max) of dx*dx + dy*dy over two points in cells whose
-    indices differ by (da, db) >= 0 on the two axes, for cells of the given side.
+    """Bounds (min, max) on the computed dx*dx + dy*dy of two points in cells
+    whose indices differ by (da, db) >= 0 on the two axes, with no slack: the
+    cells are exact, so |dx| lies between (da - 1) * side (0 for da <= 1) and
+    (da + 1) * side, both exact, and rounding is monotone (see _block_bracket).
 
     A bound that overflows is infinite and stays valid: an infinite maximum
     skips nothing, and cells more than 2**511 apart hold no pair at all.
@@ -95,9 +86,7 @@ def _sq_bracket(da, db, side: float):
     gmin_a = np.where(da > 1, (da - 1) * side, 0.0)
     gmin_b = np.where(db > 1, (db - 1) * side, 0.0)
     with np.errstate(over="ignore"):
-        bmin2 = (gmin_a**2 + gmin_b**2) * (1.0 - _BRACKET_SLACK)
-        bmax2 = (((da + 1) * side) ** 2 + ((db + 1) * side) ** 2) * (1.0 + _BRACKET_SLACK)
-    return bmin2, bmax2
+        return gmin_a**2 + gmin_b**2, ((da + 1) * side) ** 2 + ((db + 1) * side) ** 2
 
 
 def count_pairs(ps: PointSet, iv: IntervalFamily, method: str = "brute") -> PairCountReport:
@@ -167,8 +156,8 @@ def _offset_rows(side: float, nx: int, ny: int, lo2: np.ndarray, hi2: np.ndarray
     for l in range(len(lo2)):
         # In cell units: bmin2 <= hi2 needs max(a-1, 0)^2 + max(b-1, 0)^2 <= top,
         # and bmax2 >= lo2 needs (a+1)^2 + (b+1)^2 >= bottom.
-        top = min(math.sqrt(hi2[l] / (1.0 - _BRACKET_SLACK)) / side, cap) ** 2
-        bottom = min(math.sqrt(lo2[l] / (1.0 + _BRACKET_SLACK)) / side, cap) ** 2
+        top = min(math.sqrt(hi2[l]) / side, cap) ** 2
+        bottom = min(math.sqrt(lo2[l]) / side, cap) ** 2
         a_hi = min(nx - 1.0, math.sqrt(top) + 2.0)
         a_lo = max(0.0, math.sqrt(max(bottom - float(ny) * ny, 0.0)) - 2.0)
         if a_lo > a_hi:
@@ -211,9 +200,10 @@ def _offset_rows(side: float, nx: int, ny: int, lo2: np.ndarray, hi2: np.ndarray
 def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, bulk: bool):
     """The cheapest label grid by a cost model, with its offset rows.
 
-    Sides run from twice the extent (one cell: the all-pairs scan) down by
-    halves to extent / 2**_LABEL_LEVELS. The cost counts, per offset row run,
-    a key search or table lookup per occupied cell and a run per point, and
+    Sides are powers of two, from 2**(e + 1) for an extent below 2**e (at
+    most two cells per axis: the all-pairs walk) down by halves to extent /
+    _MAX_CELLS, the closest-pair grid's limit. The cost counts, per offset row
+    run, a key search or table lookup per occupied cell and a run per point, and
     bounds the candidate pairs of each offset by the sum of squared cell
     counts (Cauchy-Schwarz). With bulk (the count, which can add decided
     blocks in bulk), that bound is scaled by the share of the join's pairs
@@ -226,10 +216,11 @@ def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, bul
     measured on the grid, and so whether adding blocks in bulk pays there.
     """
     n = coords.shape[0]
-    extent = max(float(np.ptp(coords[:, 0])), float(np.ptp(coords[:, 1])), _MIN_LABEL_EXTENT)
+    extent = max(float(np.ptp(coords[:, 0])), float(np.ptp(coords[:, 1])), _MIN_EXTENT)
     best, best_cost = None, math.inf
-    for level in range(-1, _LABEL_LEVELS + 1):
-        grid = _bucket_cells(coords[:, 0], coords[:, 1], math.ldexp(extent, -level))
+    side = math.ldexp(1.0, math.frexp(extent)[1] + 1)
+    while side >= extent / _MAX_CELLS:
+        grid = _bucket_cells(coords[:, 0], coords[:, 1], side)
         rows = _offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
         a, b_lo, b_hi = rows
         overhead = len(a) * (_COST_CELL * len(grid.keys) + _COST_POINT * n)
@@ -248,6 +239,7 @@ def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, bul
         cost = overhead + pair_cost
         if cost < best_cost:
             best, best_cost = (grid, rows, measured), cost
+        side /= 2.0
     return best
 
 
@@ -312,23 +304,18 @@ def _candidate_pairs(grid, rows, adds=None):
     yielded.
 
     Why no qualifying pair is skipped on _choose_label_grid's grid and rows:
-    cells have side s >= extent / 2**20, so a point's cell coordinate
-    (x - x0) / s is off by less than 2**-31 of a cell after rounding. Two
-    points whose cells differ by (a, b) are then at least max(|a| - 1, 0) and
-    at most |a| + 1 cells apart in x up to that error (likewise in y), and
-    their computed dx*dx + dy*dy lies within a few units in the last place of
-    the exact value; _sq_bracket widens both bounds by _BRACKET_SLACK = 4e-9,
-    which covers the sum of these errors (about 1e-9) four times over. So a
-    pair with its computed squared distance in some [t_l^2, (t_l + alpha)^2]
-    sits at an offset whose bracket meets that interval. _offset_rows keeps
-    every such offset (it trims a row run only where _sq_bracket itself
-    misses the interval), and the join returns every point of every cell at a
-    kept offset. Each unordered pair is met once: offsets cover a half-plane,
-    and inside one cell each point pairs with the later points only. Skipping
-    an offset needs _BRACKET_SLACK; a block that _add_decided adds or drops
-    does not: it is bracketed from its points' actual extremes, exactly with
-    no slack (see _block_labels), so its pairs are counted as their own
-    evaluation would count them.
+    the cell side is a power of two, so _bucket_cells puts every point in its
+    cell exactly, and _sq_bracket holds every pair's computed dx*dx + dy*dy
+    at its cell offset with no slack, by the monotone rounding argument of
+    geometry._block_bracket. So a pair with its computed squared distance in
+    some [t_l^2, (t_l + alpha)^2] sits at an offset whose bracket meets that
+    interval. _offset_rows keeps every such offset (it trims a row run only
+    where _sq_bracket itself misses the interval), and the join returns every
+    point of every cell at a kept offset. Each unordered pair is met once:
+    offsets cover a half-plane, and inside one cell each point pairs with the
+    later points only. A block that _add_decided adds or drops is bracketed
+    from its points' actual extremes (see _block_labels), so its pairs are
+    counted as their own evaluation would count them.
     """
     a, b_lo, b_hi = rows
     batch = max(1, _LABEL_BATCH // len(grid.order))

@@ -18,6 +18,8 @@ one place the package writes it outside the annealer's placement test.
 Coordinates are limited to |x|, |y| <= 2**510 and interval ends to
 t_k + alpha <= 2**511, so dx*dx + dy*dy <= 2**1023 and (t_k + alpha)**2 <= 2**1022.
 
+Every grid cell side is a power of two, so every point lies exactly in its
+cell (_bucket_cells), and no bracket on squared distances carries slack.
 Neither min_pairwise_distance nor diameter scans all pairs, yet both return
 exactly what an all-pairs scan of dx*dx + dy*dy would, bit for bit. The
 minimum searches a grid of cells sized from an upper bound taken from
@@ -58,6 +60,9 @@ _MAX_INTERVAL_END = 2.0**511
 _PAIR_CHUNK = 1 << 16
 # Grid cells per axis at most, so that int64 cell keys stay exact.
 _MAX_CELLS = 2.0**30
+# Grid extents are raised to at least this, so that cell sides and their
+# squares stay normal and x / side finite.
+_MIN_EXTENT = 2.0**-480
 # Pairs per point the closest-pair grid may search before it halves its cell
 # side; above the 139 that points no closer than half the radius can fill.
 _PAIR_BUDGET = 160
@@ -225,9 +230,9 @@ def _label_hits(d2: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
 class _Cells(NamedTuple):
     """Points bucketed into square cells of the given side, in cell-key order.
 
-    Cell (ix, iy) counts from the lowest x and y; its key is ix * stride + iy
-    with stride = 2 * ny, so a key shifted by a row offset b with |b| <= ny
-    never reaches a neighbouring column's cells. The points
+    Cell (ix, iy) counts from the cell of the lowest x and y; its key is
+    ix * stride + iy with stride = 2 * ny, so a key shifted by a row offset b
+    with |b| <= ny never reaches a neighbouring column's cells. The points
     order[starts[c]:starts[c + 1]] lie in the occupied cell keys[c], and
     cell_of[p] is the cell of the point order[p].
     """
@@ -243,8 +248,14 @@ class _Cells(NamedTuple):
 
 
 def _bucket_cells(xs: np.ndarray, ys: np.ndarray, side: float) -> _Cells:
-    ix = np.floor((xs - xs.min()) / side).astype(np.int64)
-    iy = np.floor((ys - ys.min()) / side).astype(np.int64)
+    """Cells of a power-of-two side (or inf, one cell) at its multiples: on
+    an axis, cell floor(x / side) - floor(x_min / side). The division by a
+    power of two, both floors and their small difference are exact, so every
+    point lies in its cell, except that x / side underflows for
+    |x| < 2**-1022 * side, which moves x by far less than half an ulp of any
+    nonzero cell bound."""
+    ix = (np.floor(xs / side) - np.floor(xs.min() / side)).astype(np.int64)
+    iy = (np.floor(ys / side) - np.floor(ys.min() / side)).astype(np.int64)
     ny = int(iy.max()) + 1
     stride = 2 * ny
     key = ix * stride + iy
@@ -317,10 +328,10 @@ def _block_runs(cells: _Cells, a: np.ndarray, b_lo: np.ndarray, lo: np.ndarray, 
 def _touching_runs(xs: np.ndarray, ys: np.ndarray, side: float):
     """Every pair of points whose grid cells are equal or adjacent, as runs.
 
-    Cells are squares of the given side, at least extent / _MAX_CELLS so that
-    int64 cell keys stay exact. The offset rows a = 0, b in [0, 1] and a = 1,
-    b in [-1, 1], joined by _join_cells and expanded by _block_runs, hold each
-    unordered pair once, in at most 2n runs.
+    Cells are squares of the given side, a power of two at least
+    extent / _MAX_CELLS so that int64 cell keys stay exact. The offset rows
+    a = 0, b in [0, 1] and a = 1, b in [-1, 1], joined by _join_cells and
+    expanded by _block_runs, hold each unordered pair once, in <= 2n runs.
     """
     cells = _bucket_cells(xs, ys, side)
     a, b_lo, b_hi = np.array([0, 1]), np.array([0, -1]), np.array([1, 1])
@@ -354,20 +365,20 @@ def min_pairwise_distance(ps: PointSet) -> tuple[float, bool]:
     bit for bit, without scanning all pairs. delta2, the smallest squared
     distance between points consecutive in (x, y) order, belongs to an actual
     pair, so it bounds the answer from above; let r = sqrt(delta2). Cells of
-    side 2r are searched over equal and adjacent cells only. A pair whose
-    computed squared distance is at most r*r has |dx|, |dy| <= r * (1 + 3u)
-    with u = 2**-53, at most half a cell, and the rounding of the cell
-    assignment stays far below the other half, so the pair lands in the same
-    or an adjacent cell.
+    side the power of two above r * (1 + 2**-50) are searched over equal and
+    adjacent cells only. A pair whose computed squared distance is at most
+    r*r, even up to a factor 1 + 4u with u = 2**-53, has exact |dx|, |dy|
+    <= r * (1 + 6u), below the side, and every point lies exactly in its
+    cell, so the pair lands in the same or an adjacent cell.
 
     If those cells hold more than _PAIR_BUDGET * n pairs, the closest pair is
     at most r / 2 apart, and so, up to a factor 1 + 4u, is the pair with the
     smallest computed squared distance; r is halved. (Points at least r / 2
-    apart leave disjoint disks of radius r / 4, so at most (4 / pi) * 5**2 < 32
-    of them fit in a cell of side 2r, which makes at most (15 + 4 * 31) * n
-    pairs.) The cell side never drops below extent / _MAX_CELLS; a larger side
-    only adds pairs. The minimum over the pairs searched is therefore the
-    minimum over all pairs.
+    apart leave disjoint disks of radius r / 4, so at most (4 / pi) * 5.002**2
+    < 32 of them fit in a cell of side below 2.001r, which makes at most
+    (15 + 4 * 31) * n pairs.) The side never drops below extent / _MAX_CELLS;
+    a larger side only adds pairs. The minimum over the pairs searched is
+    therefore the minimum over all pairs.
 
     Cost: O(n log n) per halving plus at most _PAIR_BUDGET * n pairs, unless
     the cell side is held at its floor (a tight cluster far from the rest);
@@ -382,12 +393,13 @@ def min_pairwise_distance(ps: PointSet) -> tuple[float, bool]:
     ys = coords[order, 1]
     best = float(_sq_dists(xs, ys, np.arange(1, ps.n), np.arange(ps.n - 1)).min())
     if best > 0.0:
-        floor = max(float(np.ptp(xs)), float(np.ptp(ys))) / _MAX_CELLS
+        floor = max(float(np.ptp(xs)), float(np.ptp(ys)), _MIN_EXTENT) / _MAX_CELLS
         r2 = best
         while True:
-            side = max(2.0 * math.sqrt(r2), floor)
+            r = math.sqrt(r2) * (1.0 + 2.0**-50)
+            side = math.ldexp(1.0, math.frexp(max(r, floor))[1])
             cells, first, lo, length = _touching_runs(xs, ys, side)
-            if side == floor or length.sum() <= _PAIR_BUDGET * ps.n:
+            if r <= floor or length.sum() <= _PAIR_BUDGET * ps.n:
                 break
             r2 /= 4.0
         for i, j in _run_pairs(cells, first, lo, length):

@@ -32,14 +32,19 @@ from neardist.constructions import two_column
 from _oracles import oracle_labels
 
 
+def _level_side(coords, level):
+    """_choose_label_grid's cell side at the given level: the power of two
+    2**(e - level), for an extent in [2**(e - 1), 2**e)."""
+    extent = max(np.ptp(coords[:, 0]), np.ptp(coords[:, 1]), geometry._MIN_EXTENT)
+    return math.ldexp(1.0, math.frexp(float(extent))[1] - level)
+
+
 def _forced_grid(level):
-    """A _choose_label_grid stand-in with side extent / 2**level, on which
-    the count tries bulk adds whatever the grid's size."""
+    """A _choose_label_grid stand-in with the side of the given level, on
+    which the count tries bulk adds whatever the grid's size."""
 
     def choose(coords, lo2, hi2, bulk):
-        extent = max(np.ptp(coords[:, 0]), np.ptp(coords[:, 1]), counting._MIN_LABEL_EXTENT)
-        side = math.ldexp(float(extent), -level)
-        grid = counting._bucket_cells(coords[:, 0], coords[:, 1], side)
+        grid = counting._bucket_cells(coords[:, 0], coords[:, 1], _level_side(coords, level))
         return grid, counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2), bulk
 
     return choose
@@ -111,10 +116,10 @@ class TestLabelPairsExact:
     @example(data=([(0.0, 0.0)], [2.0**508, 2.0**509, 2.0**510], 2.0**508), level=None, bulk_min=1)
     # One block at distances 4 and 5, bracketed by [4, 5]: inside [4, 5.5],
     # yet the pair at 4 takes the earlier, overlapping [3, 4.5].
-    @example(data=([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0)], [3.0, 4.0], 1.5), level=0, bulk_min=1)
+    @example(data=([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0)], [3.0, 4.0], 1.5), level=1, bulk_min=1)
     # Blocks whose every pair sits exactly on t, or exactly on t + alpha.
-    @example(data=([(0.0, 0.0)] * 3 + [(3.0, 0.0)] * 3, [3.0], 1e-12), level=0, bulk_min=1)
-    @example(data=([(0.0, 0.0)] * 3 + [(3.0, 4.0)] * 3, [3.0], 2.0), level=0, bulk_min=1)
+    @example(data=([(0.0, 0.0)] * 3 + [(3.0, 0.0)] * 3, [3.0], 1e-12), level=1, bulk_min=1)
+    @example(data=([(0.0, 0.0)] * 3 + [(3.0, 4.0)] * 3, [3.0], 2.0), level=1, bulk_min=1)
     def test_matches_oracle_and_brute_count(self, data, level, bulk_min):
         points, t, alpha = data
         ps, iv = PointSet(points), IntervalFamily(t, alpha)
@@ -194,8 +199,7 @@ class TestJoinPaths:
     def test_table_and_search_agree(self, data, level):
         points, t, alpha = data
         coords = np.array(points)
-        extent = max(np.ptp(coords[:, 0]), np.ptp(coords[:, 1]), counting._MIN_LABEL_EXTENT)
-        side = math.inf if level is None else math.ldexp(float(extent), -level)
+        side = math.inf if level is None else _level_side(coords, level)
         grid = counting._bucket_cells(coords[:, 0], coords[:, 1], side)
         lo2, hi2 = IntervalFamily(t, alpha).sq_bounds
         rows = counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)

@@ -188,6 +188,9 @@ EXACT_CASES = {
     "uniform-disk": _uniform_disk(2000, 1e3),
     "far-gaussian-blobs": _far_blobs(800, 1e5),
     "rotated-jittered-grid": _rotated_jittered_grid(40, 0.7),
+    # A squared minimum of 1e-320 at x = 2**500: x / side stays finite only
+    # because cell sides are held at 2**-510 or more.
+    "tiny-gap-far-out": [(2.0**500, 0.0), (2.0**500, 1e-160), (2.0**500, 3e-160)],
 }
 
 
@@ -214,12 +217,11 @@ def hard_point_sets(draw):
 
 
 def _reference_cell_pairs(points, side):
-    """Pairs (p, q), p < q, whose grid cells are equal or adjacent, in pure Python."""
-    x0 = min(x for x, _ in points)
-    y0 = min(y for _, y in points)
+    """Pairs (p, q), p < q, whose grid cells, anchored at multiples of the
+    side, are equal or adjacent, in pure Python."""
     cells = {}
     for p, (x, y) in enumerate(points):
-        cells.setdefault((math.floor((x - x0) / side), math.floor((y - y0) / side)), []).append(p)
+        cells.setdefault((math.floor(x / side), math.floor(y / side)), []).append(p)
     return sorted(
         (p, q)
         for (cx, cy), members in cells.items()
@@ -278,9 +280,10 @@ class TestTouchingJoin:
     @pytest.mark.parametrize("points", EXACT_CASES.values(), ids=EXACT_CASES.keys())
     def test_regression_sets(self, points):
         xs, ys = zip(*points)
-        extent = max(max(xs) - min(xs), max(ys) - min(ys))
-        # the first grid of min_pairwise_distance, held at its floor for the cluster
-        side = max(2 * min_pairwise_distance(PointSet(points))[0], extent / _MAX_CELLS)
+        extent = max(max(xs) - min(xs), max(ys) - min(ys), geometry._MIN_EXTENT)
+        # min_pairwise_distance's side rule at the minimum, held at its floor for the cluster
+        r = min_pairwise_distance(PointSet(points))[0] * (1 + 2.0**-50)
+        side = math.ldexp(1.0, math.frexp(max(r, extent / _MAX_CELLS))[1])
         assert _joined_pairs(points, side) == _reference_cell_pairs(points, side)
         for t in BRUTE_FAMILIES:
             assert np.array_equal(_brute_codes(points, t), _all_index_codes(len(points)))
@@ -297,6 +300,66 @@ class TestTouchingJoin:
             assert np.array_equal(_brute_codes(points, t), _all_index_codes(len(points)))
 
 
+@st.composite
+def cell_bound_sets(draw):
+    """hard_point_sets plus points on cell bounds: small multiples of powers
+    of two, shifted by 0 or +-1e9, and the subnormals +-5e-324 next to 0."""
+    bound = st.builds(lambda m, j, shift: m * 2.0**j + shift, st.integers(-4, 4),
+                      st.integers(-30, 30), st.sampled_from([0.0, 1e9, -1e9]))
+    coordinate = bound | st.sampled_from([5e-324, -5e-324, 0.0])
+    return draw(hard_point_sets()) + draw(st.lists(st.tuples(coordinate, coordinate), max_size=8))
+
+
+class TestExactCells:
+    """Every pair's computed dx*dx + dy*dy lies in counting._sq_bracket of
+    its two cells' offset, with no slack, on the power-of-two sides of both
+    grid searches."""
+
+    @staticmethod
+    def _sides(points):
+        """Every side _choose_label_grid may try, and the sides
+        min_pairwise_distance takes, each checked to be a power of two."""
+        coords = np.array(points)
+        extent = max(float(np.ptp(coords[:, 0])), float(np.ptp(coords[:, 1])), geometry._MIN_EXTENT)
+        side = math.ldexp(1.0, math.frexp(extent)[1] + 1)
+        sides = []
+        while side >= extent / _MAX_CELLS:
+            sides.append(side)
+            side /= 2
+        taken = []
+
+        def record(xs, ys, side, bucket=geometry._bucket_cells):
+            taken.append(side)
+            return bucket(xs, ys, side)
+
+        with mock.patch.object(geometry, "_bucket_cells", record):
+            min_pairwise_distance(PointSet(points))
+        assert all(math.frexp(side)[0] == 0.5 for side in taken)
+        return sides + taken
+
+    @given(points=cell_bound_sets())
+    @example(points=[(-5e-324, 0.0), (0.0, 5e-324), (2.0, -2.0), (-4.0, 5e-324)])
+    @example(points=[(1e9, -1e9), (1e9 + 0.5, -1e9 - 0.5), (1e9 - 2.0**-30, -1e9)])
+    @settings(max_examples=200, deadline=None)
+    def test_pairs_lie_in_their_offset_bracket(self, points):
+        xs, ys = np.array(points).T
+        p, q = np.triu_indices(len(points), 1)
+        d2 = geometry._sq_dists(xs, ys, p, q)
+        for side in self._sides(points):
+            grid = geometry._bucket_cells(xs, ys, side)
+            key = np.empty(len(points), dtype=np.int64)
+            key[grid.order] = grid.keys[grid.cell_of]
+            ix, iy = np.divmod(key, grid.stride)
+            # Each point lies in its cell, anchored at a multiple of the side,
+            # unless x / side underflows.
+            for v, cell in ((xs, ix), (ys, iy)):
+                anchor = math.floor(v.min() / side)
+                assert all(math.floor(x / side) == anchor + c
+                           for x, c in zip(v.tolist(), cell.tolist()) if abs(x) >= 2.0**-1022 * side)
+            low, high = counting._sq_bracket(np.abs(ix[p] - ix[q]), np.abs(iy[p] - iy[q]), side)
+            assert np.all(low <= d2) and np.all(d2 <= high), side
+
+
 class TestExactAgainstOracle:
     @pytest.mark.parametrize("points", EXACT_CASES.values(), ids=EXACT_CASES.keys())
     def test_regression_sets(self, points):
@@ -311,8 +374,9 @@ class TestExactAgainstOracle:
 
     def test_interleaved_rows_halve_the_radius(self):
         xs, ys = np.array(sorted(EXACT_CASES["interleaved-rows"])).T
-        # neighbours in (x, y) order are 1e6 apart, so the first grid is one cell
-        assert _touching_runs(xs, ys, 2e6)[3].sum() > _PAIR_BUDGET * len(xs)
+        # neighbours in (x, y) order are 1e6 apart, so the first grid, of side
+        # 2**20, is one cell
+        assert _touching_runs(xs, ys, 2.0**20)[3].sum() > _PAIR_BUDGET * len(xs)
 
     @given(points=hard_point_sets())
     @settings(max_examples=300, deadline=None)
