@@ -30,6 +30,7 @@ INPUTS = {
     "two-column-k1": ["two-column", "--n", "8", "--k", "1", "--t", "50", "--eps", "0.5"],
     "two-column-k2": ["two-column", "--n", "10", "--k", "2", "--t", "40", "--eps", "0.5"],
     "emp1-k5": ["emp1", "--n", "12", "--k", "5", "--t", "30"],
+    "two-column-n40": ["two-column", "--n", "40", "--k", "2", "--t", "400", "--eps", "0.5"],
     "one-point": {
         "points.json": '{"dim": 2, "points": [[0.0, 0.0]]}',
         "intervals.json": '{"alpha": 1.0, "t": [5.0]}',
@@ -56,6 +57,8 @@ CASES = {
     "n1": ("one-point", ["--n", "1", "--iterations", "50", "--seed", "2"]),
     "config-k5-teleport": ("grid-k5", {"iterations": 3000, "teleport_probability": 0.5,
                                        "initial_temperature": 0.5}),
+    # Rows of 40 bits; the warm start lets teleports scatter both columns.
+    "config-n40": ("two-column-n40", {"n": 40, "initial_temperature": 10.0}),
 }
 
 
