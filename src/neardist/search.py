@@ -10,10 +10,16 @@ coordinate limit |x|, |y| <= 2**510 are rejected outright, which keeps the
 objective exactly the pair count.
 
 Each proposal costs one distance pass, from the proposed position to the other
-points. The walk keeps an n-by-n boolean pair-hit matrix, whose row i marks
-the points forming a qualifying pair with point i, so the count at the old
-position is read from a row instead of recomputed. The matrix costs n**2
-bytes: 64 B at n = 8, 16 MB at n = 4000.
+points, in plain Python floats. The walk keeps one int bitmask row per point,
+whose bit j marks a qualifying pair with point j, so the count at the old
+position is read from a row instead of recomputed, and an accepted move flips
+one bit in the rows of the points that joined or left. A step costs about
+7-9 us at n = 8, 19 us at n = 40 and 66-70 us at n = 200 (k = 5, in process,
+shared 2-vCPU host). A numpy pass over the same points costs 18-36 us at
+every n, mostly per-call overhead, so the scalar pass is faster below a
+crossover between n = 40 and n = 100 and slower, linearly in n, above it.
+There is one pass and no size switch: searches run at small n (n = 8 in the
+benchmark, at most 70 in the tests), and none sits above the crossover.
 
 Everything is deterministic for a fixed seed. Restarts run with derived seeds
 (seed + restart index) and merge by best count, ties to the lower restart.
@@ -143,25 +149,31 @@ class SearchResult:
 
 
 def _placement_hits(
-    coords: np.ndarray, idx: int, x: float, y: float, lo2: np.ndarray, hi2: np.ndarray
-) -> np.ndarray | None:
-    """Mask of the points forming a qualifying pair with (x, y), idx never
-    marked; None when (x, y) is closer than 1 to a point other than idx or
-    outside the coordinate limit |x|, |y| <= 2**510. The mask needs no labels,
-    so it is a union over the intervals: on a few points _label_hits'
-    generator costs more."""
+    xs: list[float], ys: list[float], idx: int, x: float, y: float,
+    bounds: list[tuple[float, float]],
+) -> int | None:
+    """Bitmask of the points forming a qualifying pair with (x, y), bit idx
+    never set; None when (x, y) is closer than 1 to a point other than idx or
+    outside the coordinate limit |x|, |y| <= 2**510. bounds holds the squared
+    (lo, hi) of each interval; the mask needs no labels, so it is a union over
+    them. Python floats round each operation to binary64 as numpy's ufuncs
+    do, so d2 is the package's dx*dx + dy*dy bit for bit."""
     if abs(x) > _MAX_COORDINATE or abs(y) > _MAX_COORDINATE:
         return None
-    dx = coords[:, 0] - x
-    dy = coords[:, 1] - y
-    d2 = dx * dx + dy * dy
-    d2[idx] = np.inf
-    if d2.min() < 1.0:
-        return None
-    hit = (d2 >= lo2[0]) & (d2 <= hi2[0])
-    for l in range(1, len(lo2)):
-        hit |= (d2 >= lo2[l]) & (d2 <= hi2[l])
-    return hit
+    mask = 0
+    for j, (px, py) in enumerate(zip(xs, ys)):
+        if j == idx:
+            continue
+        dx = px - x
+        dy = py - y
+        d2 = dx * dx + dy * dy
+        if d2 < 1.0:
+            return None
+        for lo, hi in bounds:
+            if lo <= d2 <= hi:
+                mask |= 1 << j
+                break
+    return mask
 
 
 def anneal(config: SearchConfig, initial: PointSet | None = None) -> SearchResult:
@@ -177,10 +189,15 @@ def anneal(config: SearchConfig, initial: PointSet | None = None) -> SearchResul
     is tracked across all restarts.
 
     A proposal runs one distance pass, at the new position. The gain is its
-    hit count minus the moved point's row of the pair-hit matrix (n**2 bytes,
-    filled from the start state of each restart); an accepted move writes the
-    new mask into that row and column. The running count is checked against a
-    brute recount every _RECOUNT_PERIOD iterations and at the end.
+    mask's bit count minus that of the moved point's bitmask row (rows filled
+    from the start state of each restart); an accepted move stores the new
+    mask as that row and flips the moved point's bit in the rows of the
+    points whose pair with it changed. The running count is checked against
+    a brute recount every _RECOUNT_PERIOD iterations and at the end.
+
+    The draw sequence of a step is part of every output: integers(n),
+    random(), then normal(0, sigma, 2) or two uniform() calls, then random()
+    only for a Metropolis test. tests/golden_search.json pins it.
     """
     cfg = config.resolved()
     if initial is not None:
@@ -191,10 +208,11 @@ def anneal(config: SearchConfig, initial: PointSet | None = None) -> SearchResul
             raise ValueError("initial point set is not separated")
 
     lo2, hi2 = cfg.iv.sq_bounds
+    bounds = list(zip(lo2.tolist(), hi2.tolist()))
     t_max = cfg.iv.t[-1]
     box_side = 2.0 * math.sqrt(cfg.n)
 
-    best_coords: np.ndarray | None = None
+    best_xy: tuple[list[float], list[float]] | None = None
     best_count = -1
     trajectory: list[tuple[int, int]] = []
     # [accepted, blocked, declined] of the jitter (row 0) and teleport (row 1) moves
@@ -203,49 +221,50 @@ def anneal(config: SearchConfig, initial: PointSet | None = None) -> SearchResul
 
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed + restart)
-        if initial is not None:
-            coords = np.array(initial.coords)
-        else:
-            coords = np.array(random_separated(cfg.n, box_side, cfg.seed + restart).coords)
-        current = count_pairs(PointSet(coords), cfg.iv, method="brute").total
-        hits = np.empty((cfg.n, cfg.n), dtype=bool)
-        for i in range(cfg.n):
-            hits[i] = _placement_hits(coords, i, coords[i, 0], coords[i, 1], lo2, hi2)
+        start = initial if initial is not None else random_separated(
+            cfg.n, box_side, cfg.seed + restart)
+        xs, ys = start.coords.T.tolist()
+        current = count_pairs(start, cfg.iv, method="brute").total
+        hits = [_placement_hits(xs, ys, i, xs[i], ys[i], bounds) for i in range(cfg.n)]
         base_iter = restart * cfg.iterations
         trajectory.append((base_iter, current))
         if current > best_count:
             best_count = current
-            best_coords = coords.copy()
+            best_xy = (xs[:], ys[:])
 
         temperature = cfg.initial_temperature
         for it in range(cfg.iterations):
             idx = int(rng.integers(cfg.n))
             teleport = rng.random() < cfg.teleport_probability
             if teleport:
-                lo = coords.min(axis=0) - 2.0 * t_max
-                hi = coords.max(axis=0) + 2.0 * t_max
-                nx = rng.uniform(lo[0], hi[0])
-                ny = rng.uniform(lo[1], hi[1])
+                nx = rng.uniform(min(xs) - 2.0 * t_max, max(xs) + 2.0 * t_max)
+                ny = rng.uniform(min(ys) - 2.0 * t_max, max(ys) + 2.0 * t_max)
             else:
-                step = rng.normal(0.0, cfg.jitter_sigma, 2)
-                nx = coords[idx, 0] + step[0]
-                ny = coords[idx, 1] + step[1]
+                sx, sy = rng.normal(0.0, cfg.jitter_sigma, 2).tolist()
+                nx = xs[idx] + sx
+                ny = ys[idx] + sy
 
-            hit = _placement_hits(coords, idx, nx, ny, lo2, hi2)
+            hit = _placement_hits(xs, ys, idx, nx, ny, bounds)
             if hit is None:
                 tally[teleport][1] += 1
             else:
-                gain = int(np.count_nonzero(hit)) - int(np.count_nonzero(hits[idx]))
+                old = hits[idx]
+                gain = hit.bit_count() - old.bit_count()
                 if gain >= 0 or rng.random() < math.exp(gain / temperature):
-                    coords[idx, 0] = nx
-                    coords[idx, 1] = ny
+                    xs[idx] = nx
+                    ys[idx] = ny
                     hits[idx] = hit
-                    hits[:, idx] = hit
+                    # flip bit idx in the rows of the points that joined or left
+                    changed = old ^ hit
+                    while changed:
+                        low = changed & -changed
+                        hits[low.bit_length() - 1] ^= 1 << idx
+                        changed ^= low
                     current += gain
                     tally[teleport][0] += 1
                     if current > best_count:
                         best_count = current
-                        best_coords = coords.copy()
+                        best_xy = (xs[:], ys[:])
                 else:
                     tally[teleport][2] += 1
 
@@ -255,14 +274,14 @@ def anneal(config: SearchConfig, initial: PointSet | None = None) -> SearchResul
             if (it + 1) % stride == 0:
                 trajectory.append((base_iter + it + 1, current))
             if (it + 1) % _RECOUNT_PERIOD == 0:
-                full = count_pairs(PointSet(coords), cfg.iv, method="brute").total
+                full = count_pairs(PointSet(np.column_stack((xs, ys))), cfg.iv, method="brute").total
                 if full != current:
                     raise RuntimeError(
                         f"incremental count drifted: running {current}, recount {full}"
                     )
 
-    assert best_coords is not None
-    best_ps = PointSet(best_coords)
+    assert best_xy is not None
+    best_ps = PointSet(np.column_stack(best_xy))
     recount = count_pairs(best_ps, cfg.iv, method="brute").total
     if recount != best_count:
         raise RuntimeError(f"best count drifted: tracked {best_count}, recount {recount}")
@@ -333,21 +352,21 @@ def local_opt_check(
         raise ValueError("point set is not separated")
 
     lo2, hi2 = iv.sq_bounds
-    coords = ps.coords
+    bounds = list(zip(lo2.tolist(), hi2.tolist()))
+    xs, ys = ps.coords.T.tolist()
     rng = np.random.default_rng(seed)
     moves: list[ImprovingMove] = []
     for i in range(ps.n):
-        hit = _placement_hits(coords, i, coords[i, 0], coords[i, 1], lo2, hi2)
-        old = int(np.count_nonzero(hit))
+        old = _placement_hits(xs, ys, i, xs[i], ys[i], bounds).bit_count()
         for _ in range(probes_per_point):
             rad = probe_radius * math.sqrt(rng.random())
             ang = 2.0 * math.pi * rng.random()
-            nx = coords[i, 0] + rad * math.cos(ang)
-            ny = coords[i, 1] + rad * math.sin(ang)
-            hit = _placement_hits(coords, i, nx, ny, lo2, hi2)
+            nx = xs[i] + rad * math.cos(ang)
+            ny = ys[i] + rad * math.sin(ang)
+            hit = _placement_hits(xs, ys, i, nx, ny, bounds)
             if hit is None:
                 continue
-            new = int(np.count_nonzero(hit))
+            new = hit.bit_count()
             if new > old:
                 moves.append(ImprovingMove(point=i, new_x=nx, new_y=ny, count_gain=new - old))
     return LocalOptReport(

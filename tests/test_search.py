@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -17,10 +18,43 @@ from neardist import (
     search,
     two_column,
 )
+from neardist.search import _placement_hits
+
+from _oracles import oracle_label
 
 IV50 = IntervalFamily([50.0], 1.0)
 # Five labels, the first two overlapping ([3, 4] and [3.5, 4.5]).
 IV_K5 = IntervalFamily([3.0, 3.5, 13.0, 45.0, 150.0], 1.0)
+LIMIT = 2.0**510
+
+
+@st.composite
+def placements(draw):
+    """(iv, xs, ys, idx, x, y): a proposed position (x, y) for point idx.
+
+    Partners sit on interval ends (t, t + alpha, exact at integer positions),
+    at distance 1 or one ulp below, or anywhere; idx's own old position may
+    lie within 1 of (x, y), which must not block the move.
+    """
+    iv = draw(st.sampled_from([IV50, IV_K5, IntervalFamily([2.0, 2.5], 0.5)]))
+    coordinate = st.one_of(
+        st.integers(-200, 200).map(float),
+        st.sampled_from([LIMIT, -LIMIT, math.nextafter(LIMIT, math.inf),
+                         math.nextafter(-LIMIT, -math.inf)]),
+    )
+    x, y = draw(coordinate), draw(coordinate)
+    ends = [v for t in iv.t for v in (t, t + iv.alpha)] + [1.0, math.nextafter(1.0, 0.0)]
+    offset = st.one_of(
+        st.tuples(st.sampled_from(ends), st.just(0.0)),
+        st.tuples(st.just(0.0), st.sampled_from(ends).map(lambda d: -d)),
+        st.tuples(st.floats(-160.0, 160.0), st.floats(-160.0, 160.0)),
+    )
+    partners = [(x + dx, y + dy) for dx, dy in draw(st.lists(offset, max_size=12))]
+    idx = draw(st.integers(0, len(partners)))
+    own = draw(st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)))
+    partners.insert(idx, (x + own[0], y + own[1]))
+    xs, ys = (list(c) for c in zip(*partners))
+    return iv, xs, ys, idx, x, y
 
 
 class TestSearchConfig:
@@ -58,6 +92,31 @@ class TestSearchConfig:
         fields = {"n": 4, "iv": IV50, "iterations": 10, "seed": 0} | {field: value}
         with pytest.raises(ValueError, match=field):
             SearchConfig(**fields)
+
+
+class TestPlacementHits:
+    @given(case=placements())
+    @settings(max_examples=300, deadline=None)
+    def test_bits_match_oracle(self, case):
+        iv, xs, ys, idx, x, y = case
+        d2 = {j: (xs[j] - x) * (xs[j] - x) + (ys[j] - y) * (ys[j] - y)
+              for j in range(len(xs)) if j != idx}
+        lo2, hi2 = iv.sq_bounds
+        got = _placement_hits(xs, ys, idx, x, y, list(zip(lo2.tolist(), hi2.tolist())))
+        if max(abs(x), abs(y)) > LIMIT or any(v < 1.0 for v in d2.values()):
+            assert got is None
+        else:
+            expected = {j for j, v in d2.items() if oracle_label(v, iv.t, iv.alpha) is not None}
+            assert {j for j in range(len(xs)) if got >> j & 1} == expected
+
+    def test_separation_is_closed_at_one(self):
+        bounds = [(1.0, 4.0)]
+        assert _placement_hits([0.0, 1.0], [0.0, 0.0], 0, 0.0, 0.0, bounds) == 0b10
+        below = math.nextafter(1.0, 0.0)
+        assert _placement_hits([0.0, below], [0.0, 0.0], 0, 0.0, 0.0, bounds) is None
+        beyond = math.nextafter(LIMIT, math.inf)
+        assert _placement_hits([0.0], [0.0], 0, beyond, 0.0, bounds) is None
+        assert _placement_hits([0.0], [0.0], 0, LIMIT, 0.0, bounds) == 0
 
 
 class TestAnneal:
@@ -142,10 +201,11 @@ class TestAnneal:
         assert result.accepted_moves + result.rejected_moves == 600
 
     @pytest.mark.parametrize("iv", [IV_K5, IV50], ids=["k5", "k1"])
-    @pytest.mark.parametrize("n", [1, 2, 8, 40])
-    def test_hit_matrix_never_goes_stale(self, monkeypatch, n, iv):
-        # Recount after every iteration: a pair-hit row or column left stale
-        # by an accepted move raises "incremental count drifted".
+    @pytest.mark.parametrize("n", [1, 2, 8, 40, 70])
+    def test_hit_rows_never_go_stale(self, monkeypatch, n, iv):
+        # Recount after every iteration: a bitmask row left stale by an
+        # accepted move raises "incremental count drifted". At n = 70 a row is
+        # wider than one 64-bit word.
         monkeypatch.setattr(search, "_RECOUNT_PERIOD", 1)
         cfg = SearchConfig(n=n, iv=iv, iterations=3000, seed=n, jitter_sigma=2.0,
                            teleport_probability=0.5)
