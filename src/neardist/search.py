@@ -274,7 +274,8 @@ def anneal(config: SearchConfig, initial: PointSet | None = None) -> SearchResul
             if (it + 1) % stride == 0:
                 trajectory.append((base_iter + it + 1, current))
             if (it + 1) % _RECOUNT_PERIOD == 0:
-                full = count_pairs(PointSet(np.column_stack((xs, ys))), cfg.iv, method="brute").total
+                now = PointSet(np.column_stack((xs, ys)))
+                full = count_pairs(now, cfg.iv, method="brute").total
                 if full != current:
                     raise RuntimeError(
                         f"incremental count drifted: running {current}, recount {full}"
