@@ -1,20 +1,28 @@
 """Exact counting of point pairs whose distance falls in an interval family.
 
-Both counts and label_pairs walk their pairs with one loop (_candidate_pairs):
-points are bucketed into square cells, and a batch of offset rows at a time,
-geometry's _join_cells pairs every occupied cell with the points of the cells
-at a run of offsets, which _block_runs and _run_pairs expand a fixed-size
-chunk at a time. The join reads a run's points from a prefix-count table over
-the cell keys when that table is no larger than the join's queries (dense
-grids), and from a search on the sorted cell keys otherwise. "brute" walks
-every unordered pair: one cell, and the one offset row (0, 0, 0). "pruned"
-and label_pairs use the fixed-radius cell-list search of Bentley, Stanat and
-Williams, 1977, over a union of thin annuli: _offset_rows enumerates the cell
-offsets whose distance bracket meets some interval, row by row from the
-annuli, on the cell side that _choose_label_grid's cost model picks. At its
-coarsest it is the all-pairs walk, so no input costs more than O(n^2) time.
-Memory stays O(n + chunk) for both counts and O(n + chunk + output) for
-label_pairs, about 62 bytes a pair at its peak.
+Points are bucketed into square cells, and both counts and label_pairs walk
+the pairs of cells at a set of cell offsets, with one of two passes
+(_pair_hits). "brute" walks every unordered pair: one cell, and the one
+offset row (0, 0, 0). "pruned" and label_pairs use the fixed-radius
+cell-list search of Bentley, Stanat and Williams, 1977, over a union of thin
+annuli: _offset_rows enumerates the cell offsets whose distance bracket meets
+some interval, row by row from the annuli, on the cell side and with the
+pass that _choose_label_grid's cost model picks. At its coarsest it is the
+all-pairs walk, so no input costs more than O(n^2) time.
+
+The run path (_candidate_pairs) serves every grid: a batch of offset rows at
+a time, geometry's _join_cells pairs every occupied cell with the points of
+the cells at a run of offsets, which _block_runs and _run_pairs expand a
+fixed-size chunk at a time. The join reads a run's points from a
+prefix-count table over the cell keys when that table is no larger than the
+join's queries, and from a search on the sorted cell keys otherwise. The
+image pass (_image_hits) serves dense grids, whose cells hold few points
+each: it lays the cells out as arrays with one layer per point of a cell and
+evaluates each offset as two shifted slices of them, the usual cell-list
+layout of molecular simulation (Allen and Tildesley, Computer Simulation of
+Liquids, 1987). Memory stays O(n + chunk) for both counts and O(n + chunk +
+output) for label_pairs, about 49 bytes a pair at its peak on the image
+pass and 63 on the run path.
 
 The pruned count need not evaluate every candidate pair. The join pairs each
 occupied cell with a run of partner cells per offset row; when the squared
@@ -25,11 +33,12 @@ misses every interval it drops the block (_block_labels, _add_decided). The
 column constructions put nearly all of their pairs into such blocks.
 label_pairs needs the pairs themselves and expands every block.
 
-Every evaluated pair's squared distance comes from geometry._sq_dists, the
-expression dx*dx + dy*dy, and is labelled by geometry._label_hits, the
-package's one smallest-label rule, so the methods agree exactly, including on
-interval endpoints. No bracket carries slack: cell sides are powers of two,
-so every point lies exactly in its cell, and rounding is monotone.
+Every evaluated pair's squared distance is the expression dx*dx + dy*dy
+(geometry._sq_dists on the run path), and is labelled by
+geometry._label_hits, the package's one smallest-label rule, so the methods
+and passes agree exactly, including on interval endpoints. No bracket
+carries slack: cell sides are powers of two, so every point lies exactly in
+its cell, and rounding is monotone.
 """
 
 from __future__ import annotations
@@ -50,11 +59,17 @@ _METHODS = ("brute", "pruned")
 
 # Offset row runs are joined a batch at a time, about this many points' runs.
 _LABEL_BATCH = 1 << 17
-# Relative costs of the enumerator grid: per occupied cell and per point for
-# each offset row run, and per candidate pair evaluated.
+# Relative costs of the run path: per occupied cell and per point for each
+# offset row run, and per candidate pair evaluated.
 _COST_CELL = 4.0
 _COST_POINT = 1.0
 _COST_PAIR = 1.5
+# Relative costs of the image pass, in the same unit: per (offset, layer)
+# call, and per slot pair evaluated. Measured in process on jittered grids of
+# 500 to 16000 points at sides 2 to 8, with k = 3 and 5: a unit of the run
+# path took 4-19 ns (about 10), a call about 30 us and a slot pair 2-4 ns.
+_COST_CALL = 3000.0
+_COST_SLOT = 0.4
 # A (row, cell) block of the join is checked for a bulk add only when it holds
 # at least this many pairs, so that the check costs less than the pairs.
 _BULK_MIN_PAIRS = 64
@@ -94,10 +109,11 @@ def count_pairs(ps: PointSet, iv: IntervalFamily, method: str = "brute") -> Pair
 
     Returns the total together with the per-interval breakdown by smallest
     qualifying index. Both methods produce identical counts from the same
-    walk (_candidate_pairs). "brute" walks every pair, on one cell (a side of
-    inf) with the one offset row (0, 0, 0); "pruned" walks the offset rows
-    whose distance range meets an interval, on the grid label_pairs uses,
-    adds the cell blocks whose pairs share one label in bulk, and is the
+    walk (_pair_hits). "brute" walks every pair on the run path, on one cell
+    (a side of inf) with the one offset row (0, 0, 0); "pruned" walks the
+    offset rows whose distance range meets an interval, on the grid and with
+    the pass that label_pairs uses, adds the cell blocks whose pairs share one
+    label in bulk where the run path measured that this pays, and is the
     faster path on large inputs.
     """
     if method not in _METHODS:
@@ -108,14 +124,11 @@ def count_pairs(ps: PointSet, iv: IntervalFamily, method: str = "brute") -> Pair
     per = np.zeros(iv.k, dtype=np.int64)
     if method == "brute":
         row = np.zeros(1, dtype=np.int64)
-        pairs = _candidate_pairs(_bucket_cells(xs, ys, math.inf), (row, row, row))
+        walk = _bucket_cells(xs, ys, math.inf), (row, row, row), "runs"
     else:
-        grid, rows, bulk = _choose_label_grid(ps.coords, lo2, hi2, True)
-        adds = (_cell_extremes(ps.coords[grid.order], grid.starts), lo2, hi2, per) if bulk else None
-        pairs = _candidate_pairs(grid, rows, adds)
-    for i, j in pairs:
-        for l, hit in _label_hits(_sq_dists(xs, ys, i, j), lo2, hi2):
-            per[l] += int(np.count_nonzero(hit))
+        walk = _choose_label_grid(ps.coords, lo2, hi2, True)
+    for l, hit, _, _ in _pair_hits(ps.coords, *walk, lo2, hi2, per):
+        per[l] += int(np.count_nonzero(hit))
     per_tuple = tuple(int(c) for c in per)
     return PairCountReport(total=sum(per_tuple), per_interval=per_tuple, method=method)
 
@@ -197,23 +210,41 @@ def _offset_rows(side: float, nx: int, ny: int, lo2: np.ndarray, hi2: np.ndarray
     )
 
 
+def _offset_labels(rows, side: float, lo2: np.ndarray, hi2: np.ndarray):
+    """The offsets (a, b) of the offset rows one by one, each with the range
+    [l0, l1) of the intervals that meet its _sq_bracket: lo2 and hi2 both
+    increase, so the intervals that meet a bracket form a range."""
+    a, b_lo, b_hi = rows
+    length = b_hi - b_lo + 1
+    a = np.repeat(a, length)
+    b = np.arange(len(a)) - np.repeat(np.cumsum(length) - length - b_lo, length)
+    bmin2, bmax2 = _sq_bracket(a, np.abs(b), side)
+    return a, b, np.searchsorted(hi2, bmin2), np.searchsorted(lo2, bmax2, side="right")
+
+
 def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, bulk: bool):
-    """The cheapest label grid by a cost model, with its offset rows.
+    """The cheapest label grid and pass by a cost model, with its offset rows.
 
     Sides are powers of two, from 2**(e + 1) for an extent below 2**e (at
     most two cells per axis: the all-pairs walk) down by halves to extent /
-    _MAX_CELLS, the closest-pair grid's limit. The cost counts, per offset row
-    run, a key search or table lookup per occupied cell and a run per point, and
-    bounds the candidate pairs of each offset by the sum of squared cell
-    counts (Cauchy-Schwarz). With bulk (the count, which can add decided
-    blocks in bulk), that bound is scaled by the share of the join's pairs
-    left undecided by _block_labels, measured where the join has at most n
-    (row, cell) blocks and taken as 1 elsewhere. Halving the side never
-    removes a row run or an occupied cell, so the search stops once that
-    overhead alone reaches the best cost.
+    _MAX_CELLS, the closest-pair grid's limit. Each side prices two passes.
+    The run path (_candidate_pairs) costs, per offset row run, a key search
+    or table lookup per occupied cell and a run per point, and per offset
+    the candidate pairs, bounded by the sum of squared cell counts
+    (Cauchy-Schwarz). With bulk (the count, which can add decided blocks in
+    bulk), that bound is scaled by the share of the join's pairs left
+    undecided by _block_labels, measured where the join has at most n
+    (row, cell) blocks and taken as 1 elsewhere. The image pass
+    (_image_hits) costs, per offset, layer of its m-layer image and interval
+    checked there, a call and the m * nx * ny slots it evaluates; it is
+    priced only where the image holds at most 4n slots, so that its memory
+    stays O(n). Halving the side never removes a row run or an occupied
+    cell, nor shrinks nx * ny, so the search stops once the run path's
+    overhead alone reaches the best cost and the image no longer fits.
 
-    Returns (grid, rows, measured): measured tells whether the share was
-    measured on the grid, and so whether adding blocks in bulk pays there.
+    Returns (grid, rows, walk): walk is "image" for the image pass, and for
+    the run path "bulk" where the undecided share was measured on the grid,
+    so that adding blocks in bulk pays there, and "runs" elsewhere.
     """
     n = coords.shape[0]
     extent = max(float(np.ptp(coords[:, 0])), float(np.ptp(coords[:, 1])), _MIN_EXTENT)
@@ -223,22 +254,31 @@ def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, bul
         grid = _bucket_cells(coords[:, 0], coords[:, 1], side)
         rows = _offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
         a, b_lo, b_hi = rows
-        overhead = len(a) * (_COST_CELL * len(grid.keys) + _COST_POINT * n)
-        if overhead >= best_cost:
-            break
         offsets = float((b_hi - b_lo + 1).sum())
-        pair_cost = _COST_PAIR * offsets * float((np.diff(grid.starts) ** 2).sum())
-        measured = bulk and len(a) * len(grid.keys) <= n
-        if measured:
-            lo, hi = _join_cells(grid, *rows)
-            ext = _cell_extremes(coords[grid.order], grid.starts)
-            decided = _block_labels(grid, ext, a, b_lo, lo, hi, lo2, hi2)[2]
-            same = ((a == 0) & (b_lo == 0))[:, None]
-            total = int(_block_pairs(np.diff(grid.starts), same, hi - lo).sum())
-            pair_cost *= 1.0 - int(decided.sum()) / total if total else 0.0
-        cost = overhead + pair_cost
-        if cost < best_cost:
-            best, best_cost = (grid, rows, measured), cost
+        size = np.diff(grid.starts)
+        m = int(size.max())
+        if m * grid.nx * grid.ny <= 4 * n:
+            l0, l1 = _offset_labels(rows, grid.side, lo2, hi2)[2:]
+            checks = float((l1 - l0).sum())
+            cost = checks * m * (_COST_CALL + _COST_SLOT * m * grid.nx * grid.ny)
+            if cost < best_cost:
+                best, best_cost = (grid, rows, "image"), cost
+        overhead = len(a) * (_COST_CELL * len(grid.keys) + _COST_POINT * n)
+        if overhead < best_cost:
+            pair_cost = _COST_PAIR * offsets * float((size**2).sum())
+            measured = bulk and len(a) * len(grid.keys) <= n
+            if measured:
+                lo, hi = _join_cells(grid, *rows)
+                ext = _cell_extremes(coords[grid.order], grid.starts)
+                decided = _block_labels(grid, ext, a, b_lo, lo, hi, lo2, hi2)[2]
+                same = ((a == 0) & (b_lo == 0))[:, None]
+                total = int(_block_pairs(size, same, hi - lo).sum())
+                pair_cost *= 1.0 - int(decided.sum()) / total if total else 0.0
+            cost = overhead + pair_cost
+            if cost < best_cost:
+                best, best_cost = (grid, rows, "bulk" if measured else "runs"), cost
+        elif grid.nx * grid.ny > 4 * n:
+            break
         side /= 2.0
     return best
 
@@ -293,8 +333,10 @@ def _add_decided(grid, a, b_lo, lo, hi, ext, lo2: np.ndarray, hi2: np.ndarray, p
 
 
 def _candidate_pairs(grid, rows, adds=None):
-    """Yield index arrays (i, j) that together hold, once each, the pairs of
-    points whose grid cells differ by an offset of the rows (a, b_lo, b_hi).
+    """The run path: yield index arrays (i, j) that together hold, once each,
+    the pairs of points whose grid cells differ by an offset of the rows
+    (a, b_lo, b_hi), on any grid; _image_hits yields the same pairs on dense
+    grids, offset by offset.
 
     _join_cells, _block_runs and _run_pairs expand a batch of rows at a time,
     _PAIR_CHUNK pairs at a time. Pairs come in no particular order, and i < j
@@ -310,12 +352,13 @@ def _candidate_pairs(grid, rows, adds=None):
     geometry._block_bracket. So a pair with its computed squared distance in
     some [t_l^2, (t_l + alpha)^2] sits at an offset whose bracket meets that
     interval. _offset_rows keeps every such offset (it trims a row run only
-    where _sq_bracket itself misses the interval), and the join returns every
-    point of every cell at a kept offset. Each unordered pair is met once:
-    offsets cover a half-plane, and inside one cell each point pairs with the
-    later points only. A block that _add_decided adds or drops is bracketed
-    from its points' actual extremes (see _block_labels), so its pairs are
-    counted as their own evaluation would count them.
+    where _sq_bracket itself misses the interval), and the join, like the
+    image pass, returns every point of every cell at a kept offset. Each
+    unordered pair is met once: offsets cover a half-plane, and inside one
+    cell each point pairs with the later points only. A block that
+    _add_decided adds or drops is bracketed from its points' actual extremes
+    (see _block_labels), so its pairs are counted as their own evaluation
+    would count them.
     """
     a, b_lo, b_hi = rows
     batch = max(1, _LABEL_BATCH // len(grid.order))
@@ -334,6 +377,77 @@ def _candidate_pairs(grid, rows, adds=None):
         del runs
 
 
+def _image_hits(coords: np.ndarray, grid, rows, lo2: np.ndarray, hi2: np.ndarray):
+    """Yield (l, hit, i, j) for the pairs of points whose grid cells differ
+    by an offset of the rows, as _pair_hits does, from an image of the grid.
+
+    The image lays the cells out as dense (m, nx, ny) arrays of x, y and
+    point id, m the largest cell count: layer k holds each cell's k-th point
+    in the cell order, and an empty slot holds coordinate 0 and id -1. At the
+    offset (a, b) a slice of the cells (cx, cy) and the slice shifted by
+    (a, b) hold the cells the offset pairs; each layer k of the first is
+    evaluated against every layer of the second, or only the later layers
+    at (0, 0), so the pairs are exactly those the join yields at the offset,
+    with no join, no runs and no gathers. d2 is dx*dx + dy*dy, whatever the
+    sign of dx, as fl(p - q) = -fl(q - p); a slot pair with an empty slot
+    gets d2 = 0, which no interval holds (lo2 >= 1), and every d2 is finite,
+    as coordinates are at most 2**510. Only the intervals that meet the
+    offset's _sq_bracket are checked: every pair at the offset lies inside
+    it, so the smallest qualifying label is unchanged.
+    """
+    nx, ny = grid.nx, grid.ny
+    m = int(np.diff(grid.starts).max())
+    ix, iy = np.divmod(grid.keys[grid.cell_of], grid.stride)
+    layer = np.arange(len(grid.order)) - grid.starts[grid.cell_of]
+    slot = (layer * nx + ix) * ny + iy
+    ids = np.full(m * nx * ny, -1, dtype=np.int64)
+    ids[slot] = grid.order
+    ids = ids.reshape(m, nx, ny)
+    xs, ys = np.zeros((2, m * nx * ny))
+    xs[slot], ys[slot] = coords[grid.order].T
+    xs, ys = xs.reshape(m, nx, ny), ys.reshape(m, nx, ny)
+    full = ids >= 0
+    offsets = _offset_labels(rows, grid.side, lo2, hi2)
+    for a, b, l0, l1 in zip(*(v.tolist() for v in offsets)):
+        cells = slice(0, nx - a), slice(max(0, -b), ny - max(0, b))
+        partners = slice(a, nx), slice(max(0, b), ny - max(0, -b))
+        same = a == 0 and b == 0
+        for k in range(m - 1 if same else m):
+            p = (k, *cells)
+            q = (slice(k + 1 if same else 0, m), *partners)
+            dx = xs[p] - xs[q]
+            dy = ys[p] - ys[q]
+            d2 = dx * dx
+            d2 += dy * dy
+            d2 *= full[p] & full[q]
+            for l, hit in _label_hits(d2, lo2[l0:l1], hi2[l0:l1]):
+                yield l0 + l, hit, ids[p], ids[q]
+
+
+def _pair_hits(coords: np.ndarray, grid, rows, walk: str, lo2: np.ndarray, hi2: np.ndarray,
+               per: np.ndarray | None = None):
+    """Yield (l, hit, i, j) for the qualifying pairs of the grid's cells at
+    the offset rows, walked by the pass walk of _choose_label_grid: the
+    pairs of the ids i and j (broadcast against hit) where hit holds have
+    the smallest qualifying 0-based label l, by geometry._label_hits.
+
+    "image" walks the pairs with _image_hits; "runs" and "bulk" with
+    _candidate_pairs and geometry._sq_dists, and "bulk" first adds the blocks
+    that _add_decided decides to per and yields none of their pairs. Each
+    qualifying pair that is not added in bulk is yielded once, in one hit.
+    The grid is not held here, so that the walk can free it.
+    """
+    if walk == "image":
+        return _image_hits(coords, grid, rows, lo2, hi2)
+    xs = coords[:, 0]
+    ys = coords[:, 1]
+    adds = None
+    if walk == "bulk":
+        adds = _cell_extremes(coords[grid.order], grid.starts), lo2, hi2, per
+    return ((l, hit, i, j) for i, j in _candidate_pairs(grid, rows, adds)
+            for l, hit in _label_hits(_sq_dists(xs, ys, i, j), lo2, hi2))
+
+
 def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
     """All qualifying pairs (i, j, l) with i < j and l the smallest interval index.
 
@@ -343,18 +457,16 @@ def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
     that qualifies.
     """
     n = ps.n
-    xs = ps.coords[:, 0]
-    ys = ps.coords[:, 1]
     lo2, hi2 = iv.sq_bounds
     empty = np.zeros(0, dtype=np.int64)
     keys, found = [empty], [empty]
     # Only the walk holds the grid, so the grid is freed before the final sort.
-    for i, j in _candidate_pairs(*_choose_label_grid(ps.coords, lo2, hi2, False)[:2]):
-        for l, hit in _label_hits(_sq_dists(xs, ys, i, j), lo2, hi2):
-            at = np.flatnonzero(hit)
-            p, q = i[at], j[at]
-            keys.append(np.minimum(p, q) * n + np.maximum(p, q))
-            found.append(np.full(len(at), l + 1))
+    hits = _pair_hits(ps.coords, *_choose_label_grid(ps.coords, lo2, hi2, False), lo2, hi2)
+    for l, hit, i, j in hits:
+        p = np.broadcast_to(i, hit.shape)[hit]
+        q = np.broadcast_to(j, hit.shape)[hit]
+        keys.append(np.minimum(p, q) * n + np.maximum(p, q))
+        found.append(np.full(len(p), l + 1))
     key = np.concatenate(keys)
     del keys
     by = np.argsort(key)

@@ -13,7 +13,8 @@ epsilon slack. Pairs at exactly representable endpoints therefore count, and a
 pair in overlapping intervals takes the smallest label. _label_hits is that
 rule, behind both pair counts, label_pairs and smallest_label; _sq_dists
 evaluates the expression on index arrays, broadcast ones included, and is the
-one place the package writes it outside the annealer's placement test.
+one place the package writes it outside the annealer's placement test and
+the counting image pass, which evaluate it on their own arrays.
 
 Coordinates are limited to |x|, |y| <= 2**510 and interval ends to
 t_k + alpha <= 2**511, so dx*dx + dy*dy <= 2**1023 and (t_k + alpha)**2 <= 2**1022.
@@ -24,13 +25,14 @@ Neither min_pairwise_distance nor diameter scans all pairs, yet both return
 exactly what an all-pairs scan of dx*dx + dy*dy would, bit for bit. The
 minimum searches a grid of cells sized from an upper bound taken from
 neighbours in (x, y) order: O(n log n) plus the pairs in touching cells, O(n)
-memory, from the cell join of the counting walk (_join_cells, _block_runs
-and _run_pairs). The diameter takes a lower bound from two farthest-point
-sweeps, cuts the points into about sqrt(n) cells of about sqrt(n) points by
-x and y rank, and evaluates only the cell pairs whose _block_bracket, the
-slack-free bound that the pruned count's bulk adds also use, exceeds it:
-O(n log n) plus n pairs per cell pair evaluated, O(n) memory. Their
-docstrings give the exactness arguments.
+memory, from the cell join of counting's run path (_join_cells, _block_runs
+and _run_pairs); counting walks dense grids with an image pass instead. The
+diameter takes a lower bound from two farthest-point sweeps, cuts the points
+into about sqrt(n) cells of about sqrt(n) points by x and y rank, and
+evaluates only the cell pairs whose _block_bracket, the slack-free bound
+that the pruned count's bulk adds also use, exceeds it: O(n log n) plus n
+pairs per cell pair evaluated, O(n) memory. Their docstrings give the
+exactness arguments.
 """
 
 from __future__ import annotations

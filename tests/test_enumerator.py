@@ -29,7 +29,7 @@ from neardist import (
 from neardist import counting, geometry
 from neardist.constructions import two_column
 
-from _oracles import oracle_labels
+from _oracles import _sq_dist, oracle_labels
 
 
 def _level_side(coords, level):
@@ -39,15 +39,23 @@ def _level_side(coords, level):
     return math.ldexp(1.0, math.frexp(float(extent))[1] - level)
 
 
-def _forced_grid(level):
+def _forced_grid(level, image=False):
     """A _choose_label_grid stand-in with the side of the given level, on
-    which the count tries bulk adds whatever the grid's size."""
+    which the walk takes the image pass whatever the image's size, or else
+    the run path, where the count tries bulk adds whatever the grid's size."""
 
     def choose(coords, lo2, hi2, bulk):
         grid = counting._bucket_cells(coords[:, 0], coords[:, 1], _level_side(coords, level))
-        return grid, counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2), bulk
+        walk = "image" if image else "bulk" if bulk else "runs"
+        return grid, counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2), walk
 
     return choose
+
+
+# A forced side for each pass: the image pass evaluates a slice pair per
+# offset and layer, so it gets the coarser sides, where offsets are few.
+forced_sides = st.none() | st.tuples(st.integers(-1, 12), st.just(False)) | st.tuples(
+    st.integers(-1, 5), st.just(True))
 
 
 @st.composite
@@ -108,22 +116,29 @@ def labeled_inputs(draw):
 class TestLabelPairsExact:
     @given(
         data=labeled_inputs(),
-        level=st.none() | st.integers(-1, 12),
+        forced=forced_sides,
         bulk_min=st.sampled_from([1, counting._BULK_MIN_PAIRS]),
     )
     @settings(max_examples=400, deadline=None)
     # One point: the smallest cell side meets the largest interval.
-    @example(data=([(0.0, 0.0)], [2.0**508, 2.0**509, 2.0**510], 2.0**508), level=None, bulk_min=1)
+    @example(data=([(0.0, 0.0)], [2.0**508, 2.0**509, 2.0**510], 2.0**508), forced=None, bulk_min=1)
     # One block at distances 4 and 5, bracketed by [4, 5]: inside [4, 5.5],
     # yet the pair at 4 takes the earlier, overlapping [3, 4.5].
-    @example(data=([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0)], [3.0, 4.0], 1.5), level=1, bulk_min=1)
+    @example(data=([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0)], [3.0, 4.0], 1.5), forced=(1, False),
+             bulk_min=1)
     # Blocks whose every pair sits exactly on t, or exactly on t + alpha.
-    @example(data=([(0.0, 0.0)] * 3 + [(3.0, 0.0)] * 3, [3.0], 1e-12), level=1, bulk_min=1)
-    @example(data=([(0.0, 0.0)] * 3 + [(3.0, 4.0)] * 3, [3.0], 2.0), level=1, bulk_min=1)
-    def test_matches_oracle_and_brute_count(self, data, level, bulk_min):
+    @example(data=([(0.0, 0.0)] * 3 + [(3.0, 0.0)] * 3, [3.0], 1e-12), forced=(1, False),
+             bulk_min=1)
+    @example(data=([(0.0, 0.0)] * 3 + [(3.0, 4.0)] * 3, [3.0], 2.0), forced=(1, False), bulk_min=1)
+    # The same blocks as image layers: three points to a cell.
+    @example(data=([(0.0, 0.0)] * 3 + [(3.0, 4.0)] * 3, [3.0], 2.0), forced=(1, True), bulk_min=1)
+    # Coordinates at the 2**510 limit on the image: d2 of an empty slot stays finite.
+    @example(data=([(2.0**510, 0.0), (-(2.0**510), 2.0**509)], [2.0**509], 2.0**510),
+             forced=(3, True), bulk_min=1)
+    def test_matches_oracle_and_brute_count(self, data, forced, bulk_min):
         points, t, alpha = data
         ps, iv = PointSet(points), IntervalFamily(t, alpha)
-        chooser = counting._choose_label_grid if level is None else _forced_grid(level)
+        chooser = counting._choose_label_grid if forced is None else _forced_grid(*forced)
         with mock.patch.object(counting, "_choose_label_grid", chooser), mock.patch.object(
             counting, "_BULK_MIN_PAIRS", bulk_min
         ):
@@ -157,6 +172,109 @@ class TestLabelPairsExact:
         assert list(got) == [(0, 1, 2), (0, 2, 1), (0, 3, 2), (1, 2, 2), (1, 3, 1), (2, 3, 2)]
         assert all(type(v) is int for triple in got for v in triple)
         assert got.i.dtype == got.j.dtype == got.label.dtype == np.int64
+
+
+@st.composite
+def occupied_grids(draw):
+    """(points, side, t, alpha): up to three points to a cell of a power-of-two
+    side, some cells left empty, at quarter-cell positions so that distances
+    are exact and many pairs sit exactly on t or t + alpha; some sets are
+    translated by about 1e9."""
+    side = draw(st.sampled_from([0.5, 1.0, 4.0]))
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1)),
+                          min_size=1, max_size=nx * ny, unique=True))
+    quarter = st.integers(0, 3)
+    spots = [(cx + fx / 4.0, cy + fy / 4.0) for cx, cy in cells
+             for fx, fy in draw(st.lists(st.tuples(quarter, quarter), min_size=1, max_size=3))]
+    sx, sy = draw(st.sampled_from([(0.0, 0.0), (1e9, -1e9), (-1e9 + 0.25, 1e9 + 0.5)]))
+    points = [(x * side + sx, y * side + sy) for x, y in spots]
+    # Quarter-cell steps of at least 1: t and t + alpha are exact distances.
+    step = side / 4.0
+    t = sorted(draw(st.sets(st.integers(math.ceil(1.0 / step), 40), min_size=1, max_size=3)))
+    alpha = draw(st.sampled_from([1e-12, step, 4.0 * step]))
+    return points, side, [v * step for v in t], alpha
+
+
+def _walk_pairs(points, side, rows, walk, lo2, hi2):
+    """(pairs, labels) of a pass at the rows: pairs lists every pair that it
+    evaluates as (key, bits of d2), with key = min * n + max and d2 as read
+    before the membership test; labels lists the qualifying ones as (key, label)."""
+    n = len(points)
+    coords = np.array(points)
+    grid = counting._bucket_cells(coords[:, 0], coords[:, 1], side)
+
+    def walked():
+        for l, hit, i, j in counting._pair_hits(coords, grid, rows, walk, lo2, hi2):
+            i, j = (np.broadcast_to(v, hit.shape)[hit] for v in (i, j))
+            yield l, hit, np.minimum(i, j) * n + np.maximum(i, j), np.minimum(i, j) >= 0
+
+    labels = sorted((k, l + 1) for l, _, key, _ in walked() for k in key.tolist())
+    seen, pairs = [], []
+
+    def everything(d2, lo2, hi2):
+        seen.append(d2)
+        yield 0, np.ones(d2.shape, dtype=bool)
+
+    with mock.patch.object(counting, "_label_hits", everything):
+        for _, hit, key, real in walked():
+            d2 = seen[-1][hit]
+            # An image slot pair with an empty slot evaluates to exactly 0.
+            assert not d2[~real].any()
+            pairs += zip(key[real].tolist(), d2[real].view(np.int64).tolist())
+    return sorted(pairs), labels
+
+
+class TestImagePass:
+    @given(data=occupied_grids())
+    @settings(max_examples=300, deadline=None)
+    # Three points in one cell, a pair on t there and one on t + alpha at the offset (1, -1).
+    @example(data=([(0.0, 0.0), (0.0, 3.0), (3.0, 0.0), (4.0, -3.0)], 4.0, [3.0], 2.0))
+    def test_same_pairs_and_bits_as_the_run_path(self, data):
+        points, side, t, alpha = data
+        coords = np.array(points)
+        lo2, hi2 = IntervalFamily(t, alpha).sq_bounds
+        grid = counting._bucket_cells(coords[:, 0], coords[:, 1], side)
+        # Every offset of the half-plane: (0, 0), b < 0, and the far corners.
+        top = grid.ny - 1
+        whole = (np.arange(grid.nx), np.where(np.arange(grid.nx) > 0, -top, 0),
+                 np.full(grid.nx, top))
+        n = len(points)
+        want = sorted((i * n + j, int(np.float64(_sq_dist(points[i], points[j])).view(np.int64)))
+                      for i, j in combinations(range(n), 2))
+        for walk in ("image", "runs"):
+            assert _walk_pairs(points, side, whole, walk, lo2, hi2)[0] == want
+        # At the rows that _offset_rows keeps, with labels checked per offset.
+        rows = counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
+        labels = [(i * n + j, l) for i, j, l in oracle_labels(points, t, alpha)]
+        for walk in ("image", "runs"):
+            assert _walk_pairs(points, side, rows, walk, lo2, hi2)[1] == labels
+
+    def test_chooser_takes_the_image_on_a_dense_grid_only(self):
+        iv = IntervalFamily([3.0, 13.0, 45.0, 150.0, 500.0], 1.0)
+        grid_like = random_separated(2000, 2 * math.sqrt(2000), seed=1)
+        columns = two_column(12000, 5, 359880010, 0.1)
+        cluster = random_separated(1000, 2 * math.sqrt(1000), seed=2).coords
+        clusters = PointSet(np.concatenate((cluster, cluster + (1e6, 3e5))))
+        for ps, fam, walk in ((grid_like, iv, "image"), (columns.ps, columns.iv, "runs"),
+                              (clusters, iv, "runs")):
+            for bulk in (True, False):
+                grid, _, got = counting._choose_label_grid(ps.coords, *fam.sq_bounds, bulk)
+                assert got.replace("bulk", "runs") == walk
+                if walk == "image":
+                    # One point to a cell, as on the verify-uniform layout.
+                    assert int(np.diff(grid.starts).max()) == 1
+
+    @given(data=labeled_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_image_never_exceeds_4n_slots(self, data):
+        points, t, alpha = data
+        coords = np.array(points)
+        lo2, hi2 = IntervalFamily(t, alpha).sq_bounds
+        for bulk in (True, False):
+            grid, _, walk = counting._choose_label_grid(coords, lo2, hi2, bulk)
+            if walk == "image":
+                assert int(np.diff(grid.starts).max()) * grid.nx * grid.ny <= 4 * len(points)
 
 
 class TestOffsetRows:
@@ -316,8 +434,9 @@ class TestPairOutputMemory:
                              ids=["label_pairs", "build_graph"])
     def test_peak_bytes_per_pair(self, build, budget):
         # label_pairs holds one sort key and one label per pair, and the graph
-        # build sorts one row array: about 62 and 89 bytes a pair at their
-        # peaks here. The budgets leave about a quarter of headroom.
+        # build sorts one row array: about 49 and 89 bytes a pair at their
+        # peaks here, where label_pairs takes the image pass (about 63 on the
+        # run path). The budgets leave about a quarter of headroom.
         ps = random_separated(5000, 2 * math.sqrt(5000), seed=5)
         iv = IntervalFamily([3.0, 13.0, 45.0, 150.0, 500.0], 1.0)
         tracemalloc.start()
