@@ -21,8 +21,8 @@ each: it lays the cells out as arrays with one layer per point of a cell and
 evaluates each offset as two shifted slices of them, the usual cell-list
 layout of molecular simulation (Allen and Tildesley, Computer Simulation of
 Liquids, 1987). Memory stays O(n + chunk) for both counts and O(n + chunk +
-output) for label_pairs, about 49 bytes a pair at its peak on the image
-pass and 63 on the run path.
+output) for label_pairs, which holds one int64 a pair while it walks and
+sorts them in place: about 24 bytes a pair at its peak on the image pass.
 
 The pruned count need not evaluate every candidate pair. The join pairs each
 occupied cell with a run of partner cells per offset row; when the squared
@@ -458,18 +458,22 @@ def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
     """
     n = ps.n
     lo2, hi2 = iv.sq_bounds
-    empty = np.zeros(0, dtype=np.int64)
-    keys, found = [empty], [empty]
+    # One int64 a pair, (min * n + max) * (k + 1) + label, sorted in place:
+    # no index array and no copy of the pairs beside the three outputs.
+    k1 = iv.k + 1
+    if n * n * k1 > 2**63:
+        raise ValueError(f"label_pairs needs n * n * (k + 1) <= 2**63, got n={n}, k={iv.k}")
+    packed = [np.zeros(0, dtype=np.int64)]
     # Only the walk holds the grid, so the grid is freed before the final sort.
     hits = _pair_hits(ps.coords, *_choose_label_grid(ps.coords, lo2, hi2, False), lo2, hi2)
     for l, hit, i, j in hits:
         p = np.broadcast_to(i, hit.shape)[hit]
         q = np.broadcast_to(j, hit.shape)[hit]
-        keys.append(np.minimum(p, q) * n + np.maximum(p, q))
-        found.append(np.full(len(p), l + 1))
-    key = np.concatenate(keys)
-    del keys
-    by = np.argsort(key)
-    i, j = np.divmod(key[by], n)
-    del key
-    return LabeledPairs(i, j, np.concatenate(found)[by])
+        packed.append((np.minimum(p, q) * n + np.maximum(p, q)) * k1 + (l + 1))
+    key = np.concatenate(packed)
+    del packed
+    key.sort()
+    label = key % k1
+    key //= k1
+    i = key // n
+    return LabeledPairs(i, np.remainder(key, n, out=key), label)

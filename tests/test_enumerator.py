@@ -433,10 +433,11 @@ class TestPairOutputMemory:
     @pytest.mark.parametrize("build, budget", [(label_pairs, 80), (build_graph, 112)],
                              ids=["label_pairs", "build_graph"])
     def test_peak_bytes_per_pair(self, build, budget):
-        # label_pairs holds one sort key and one label per pair, and the graph
-        # build sorts one row array: about 49 and 89 bytes a pair at their
-        # peaks here, where label_pairs takes the image pass (about 63 on the
-        # run path). The budgets leave about a quarter of headroom.
+        # label_pairs holds one packed sort key per pair, and the graph build
+        # sorts one row array: about 24 and 89 bytes a pair at their peaks
+        # here, where label_pairs takes the image pass. The budgets also hold
+        # the run path, whose batch arrays come on top (about 63 bytes a pair
+        # on this input when label_pairs took it).
         ps = random_separated(5000, 2 * math.sqrt(5000), seed=5)
         iv = IntervalFamily([3.0, 13.0, 45.0, 150.0, 500.0], 1.0)
         tracemalloc.start()
