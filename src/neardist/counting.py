@@ -397,15 +397,12 @@ def _image_hits(coords: np.ndarray, grid, rows, lo2: np.ndarray, hi2: np.ndarray
     """
     nx, ny = grid.nx, grid.ny
     m = int(np.diff(grid.starts).max())
-    ix, iy = np.divmod(grid.keys[grid.cell_of], grid.stride)
-    layer = np.arange(len(grid.order)) - grid.starts[grid.cell_of]
-    slot = (layer * nx + ix) * ny + iy
-    ids = np.full(m * nx * ny, -1, dtype=np.int64)
+    slot = (np.arange(len(grid.order)) - grid.starts[grid.cell_of],
+            *np.divmod(grid.keys[grid.cell_of], grid.stride))
+    ids = np.full((m, nx, ny), -1, dtype=np.int64)
     ids[slot] = grid.order
-    ids = ids.reshape(m, nx, ny)
-    xs, ys = np.zeros((2, m * nx * ny))
+    xs, ys = np.zeros((2, m, nx, ny))
     xs[slot], ys[slot] = coords[grid.order].T
-    xs, ys = xs.reshape(m, nx, ny), ys.reshape(m, nx, ny)
     full = ids >= 0
     offsets = _offset_labels(rows, grid.side, lo2, hi2)
     for a, b, l0, l1 in zip(*(v.tolist() for v in offsets)):
