@@ -2,7 +2,7 @@
 
 Points are bucketed into square cells, and both counts and label_pairs walk
 the pairs of cells at a set of cell offsets, with one of two passes
-(_pair_hits). "brute" walks every unordered pair: one cell, and the one
+(_visit_hits). "brute" walks every unordered pair: one cell, and the one
 offset row (0, 0, 0). "pruned" and label_pairs use the fixed-radius
 cell-list search of Bentley, Stanat and Williams, 1977, over a union of thin
 annuli: _offset_rows enumerates the cell offsets whose distance bracket meets
@@ -109,7 +109,7 @@ def count_pairs(ps: PointSet, iv: IntervalFamily, method: str = "brute") -> Pair
 
     Returns the total together with the per-interval breakdown by smallest
     qualifying index. Both methods produce identical counts from the same
-    walk (_pair_hits). "brute" walks every pair on the run path, on one cell
+    walk (_visit_hits). "brute" walks every pair on the run path, on one cell
     (a side of inf) with the one offset row (0, 0, 0); "pruned" walks the
     offset rows whose distance range meets an interval, on the grid and with
     the pass that label_pairs uses, adds the cell blocks whose pairs share one
@@ -127,8 +127,11 @@ def count_pairs(ps: PointSet, iv: IntervalFamily, method: str = "brute") -> Pair
         walk = _bucket_cells(xs, ys, math.inf), (row, row, row), "runs"
     else:
         walk = _choose_label_grid(ps.coords, lo2, hi2, True)
-    for l, hit, _, _ in _pair_hits(ps.coords, *walk, lo2, hi2, per):
+
+    def count(l, hit, i, j):
         per[l] += int(np.count_nonzero(hit))
+
+    _visit_hits(ps.coords, *walk, lo2, hi2, count, per)
     per_tuple = tuple(int(c) for c in per)
     return PairCountReport(total=sum(per_tuple), per_interval=per_tuple, method=method)
 
@@ -377,9 +380,10 @@ def _candidate_pairs(grid, rows, adds=None):
         del runs
 
 
-def _image_hits(coords: np.ndarray, grid, rows, lo2: np.ndarray, hi2: np.ndarray):
-    """Yield (l, hit, i, j) for the pairs of points whose grid cells differ
-    by an offset of the rows, as _pair_hits does, from an image of the grid.
+def _image_hits(coords: np.ndarray, grid, rows, lo2: np.ndarray, hi2: np.ndarray, visit):
+    """Call visit(l, hit, i, j) for the pairs of points whose grid cells
+    differ by an offset of the rows, as _visit_hits does, from an image of
+    the grid.
 
     The image lays the cells out as dense (m, nx, ny) arrays of x, y and
     point id, m the largest cell count: layer k holds each cell's k-th point
@@ -418,31 +422,36 @@ def _image_hits(coords: np.ndarray, grid, rows, lo2: np.ndarray, hi2: np.ndarray
             d2 += dy * dy
             d2 *= full[p] & full[q]
             for l, hit in _label_hits(d2, lo2[l0:l1], hi2[l0:l1]):
-                yield l0 + l, hit, ids[p], ids[q]
+                visit(l0 + l, hit, ids[p], ids[q])
 
 
-def _pair_hits(coords: np.ndarray, grid, rows, walk: str, lo2: np.ndarray, hi2: np.ndarray,
-               per: np.ndarray | None = None):
-    """Yield (l, hit, i, j) for the qualifying pairs of the grid's cells at
-    the offset rows, walked by the pass walk of _choose_label_grid: the
+def _visit_hits(coords: np.ndarray, grid, rows, walk: str, lo2: np.ndarray, hi2: np.ndarray,
+                visit, per: np.ndarray | None = None) -> None:
+    """Call visit(l, hit, i, j) for the qualifying pairs of the grid's cells
+    at the offset rows, walked by the pass walk of _choose_label_grid: the
     pairs of the ids i and j (broadcast against hit) where hit holds have
     the smallest qualifying 0-based label l, by geometry._label_hits.
 
     "image" walks the pairs with _image_hits; "runs" and "bulk" with
     _candidate_pairs and geometry._sq_dists, and "bulk" first adds the blocks
-    that _add_decided decides to per and yields none of their pairs. Each
-    qualifying pair that is not added in bulk is yielded once, in one hit.
-    The grid is not held here, so that the walk can free it.
+    that _add_decided decides to per and visits none of their pairs. Each
+    qualifying pair that is not added in bulk is visited once, in one hit.
+    A callback, not a generator, so that no caller holds a chunk while the
+    next one is evaluated; the grid is not held here, so that the run path
+    can free it before its last batch.
     """
     if walk == "image":
-        return _image_hits(coords, grid, rows, lo2, hi2)
+        return _image_hits(coords, grid, rows, lo2, hi2, visit)
     xs = coords[:, 0]
     ys = coords[:, 1]
     adds = None
     if walk == "bulk":
         adds = _cell_extremes(coords[grid.order], grid.starts), lo2, hi2, per
-    return ((l, hit, i, j) for i, j in _candidate_pairs(grid, rows, adds)
-            for l, hit in _label_hits(_sq_dists(xs, ys, i, j), lo2, hi2))
+    pairs = _candidate_pairs(grid, rows, adds)
+    del grid
+    for i, j in pairs:
+        for l, hit in _label_hits(_sq_dists(xs, ys, i, j), lo2, hi2):
+            visit(l, hit, i, j)
 
 
 def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
@@ -461,12 +470,14 @@ def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
     if n * n * k1 > 2**63:
         raise ValueError(f"label_pairs needs n * n * (k + 1) <= 2**63, got n={n}, k={iv.k}")
     packed = [np.zeros(0, dtype=np.int64)]
-    # Only the walk holds the grid, so the grid is freed before the final sort.
-    hits = _pair_hits(ps.coords, *_choose_label_grid(ps.coords, lo2, hi2, False), lo2, hi2)
-    for l, hit, i, j in hits:
+
+    def keep(l, hit, i, j):
         p = np.broadcast_to(i, hit.shape)[hit]
         q = np.broadcast_to(j, hit.shape)[hit]
         packed.append((np.minimum(p, q) * n + np.maximum(p, q)) * k1 + (l + 1))
+
+    # Only the walk holds the grid, so the grid is freed before the final sort.
+    _visit_hits(ps.coords, *_choose_label_grid(ps.coords, lo2, hi2, False), lo2, hi2, keep)
     key = np.concatenate(packed)
     del packed
     key.sort()

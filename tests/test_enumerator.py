@@ -203,26 +203,30 @@ def _walk_pairs(points, side, rows, walk, lo2, hi2):
     n = len(points)
     coords = np.array(points)
     grid = counting._bucket_cells(coords[:, 0], coords[:, 1], side)
+    labels, pairs, seen = [], [], []
 
-    def walked():
-        for l, hit, i, j in counting._pair_hits(coords, grid, rows, walk, lo2, hi2):
-            i, j = (np.broadcast_to(v, hit.shape)[hit] for v in (i, j))
-            yield l, hit, np.minimum(i, j) * n + np.maximum(i, j), np.minimum(i, j) >= 0
+    def keys(hit, i, j):
+        i, j = (np.broadcast_to(v, hit.shape)[hit] for v in (i, j))
+        return np.minimum(i, j) * n + np.maximum(i, j), np.minimum(i, j) >= 0
 
-    labels = sorted((k, l + 1) for l, _, key, _ in walked() for k in key.tolist())
-    seen, pairs = [], []
+    def label(l, hit, i, j):
+        labels.extend((k, l + 1) for k in keys(hit, i, j)[0].tolist())
 
     def everything(d2, lo2, hi2):
         seen.append(d2)
         yield 0, np.ones(d2.shape, dtype=bool)
 
+    def pair(l, hit, i, j):
+        key, real = keys(hit, i, j)
+        d2 = seen[-1][hit]
+        # An image slot pair with an empty slot evaluates to exactly 0.
+        assert not d2[~real].any()
+        pairs.extend(zip(key[real].tolist(), d2[real].view(np.int64).tolist()))
+
+    counting._visit_hits(coords, grid, rows, walk, lo2, hi2, label)
     with mock.patch.object(counting, "_label_hits", everything):
-        for _, hit, key, real in walked():
-            d2 = seen[-1][hit]
-            # An image slot pair with an empty slot evaluates to exactly 0.
-            assert not d2[~real].any()
-            pairs += zip(key[real].tolist(), d2[real].view(np.int64).tolist())
-    return sorted(pairs), labels
+        counting._visit_hits(coords, grid, rows, walk, lo2, hi2, pair)
+    return sorted(pairs), sorted(labels)
 
 
 class TestImagePass:
