@@ -59,7 +59,7 @@ __all__ = [
 _MAX_COORDINATE = 2.0**510
 _MAX_INTERVAL_END = 2.0**511
 # Pair distances are evaluated this many at a time, so memory stays O(n).
-_PAIR_CHUNK = 1 << 16
+_PAIR_CHUNK = 1 << 15
 # Grid cells per axis at most, so that int64 cell keys stay exact.
 _MAX_CELLS = 2.0**30
 # Grid extents are raised to at least this, so that cell sides and their
@@ -355,7 +355,10 @@ def _run_pairs(order: np.ndarray, first: np.ndarray, lo: np.ndarray, length: np.
         r1 = int(np.searchsorted(run_start, q1, side="left"))
         taken = np.minimum(run_end[r0:r1], q1) - np.maximum(run_start[r0:r1], q0)
         run = np.repeat(np.arange(r0, r1), taken)
-        yield src[run], order[np.arange(q0, q1) + shift[run]]
+        pairs = src[run], order[np.arange(q0, q1) + shift[run]]
+        # Free the chunk's run index before its pairs are evaluated.
+        del run
+        yield pairs
 
 
 def min_pairwise_distance(ps: PointSet) -> tuple[float, bool]:
