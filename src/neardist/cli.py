@@ -23,7 +23,6 @@ as null.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -381,20 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pin_malloc_thresholds() -> None:
-    """Pin glibc's mmap threshold at 32 MiB, the ceiling its sliding default
-    climbs to, and its trim threshold at twice that. Sliding, it put a 5-30 MB
-    array on the heap or in a mapping of its own by what was freed before, so
-    analyze's peak RSS on a 621k-edge graph read 91 or 107 MB by the length of
-    the environment; pinned, it stayed within 4 MB. No-op without glibc.
-    """
-    if sys.platform == "linux" and hasattr(libc := ctypes.CDLL(None), "mallopt"):
-        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def main(argv: list[str] | None = None) -> int:
-    _pin_malloc_thresholds()
     defaults = argparse.Namespace(output_dir=".", format="json", seed=None)
     return run(build_parser().parse_args(argv, defaults))
 

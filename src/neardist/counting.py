@@ -13,16 +13,15 @@ all-pairs walk, so no input costs more than O(n^2) time.
 The run path (_candidate_pairs) serves every grid: a batch of offset rows at
 a time, geometry's _join_cells pairs every occupied cell with the points of
 the cells at a run of offsets, which _block_runs and _run_pairs expand a
-fixed-size chunk at a time. The join reads a run's points from a
-prefix-count table over the cell keys when that table is no larger than the
-join's queries, and from a search on the sorted cell keys otherwise. The
-image pass (_image_hits) serves dense grids, whose cells hold few points
-each: it lays the cells out as arrays with one layer per point of a cell and
-evaluates each offset as two shifted slices of them, the usual cell-list
-layout of molecular simulation (Allen and Tildesley, Computer Simulation of
-Liquids, 1987). Memory stays O(n + chunk) for both counts and O(n + chunk +
-output) for label_pairs, which holds one int64 a pair while it walks and
-sorts them in place: about 24 bytes a pair at its peak on the image pass.
+fixed-size chunk at a time. The join finds a run's points by a search on the
+sorted cell keys. The image pass (_image_hits) serves dense grids, whose
+cells hold few points each: it lays the cells out as arrays with one layer
+per point of a cell and evaluates each offset as two shifted slices of them,
+the usual cell-list layout of molecular simulation (Allen and Tildesley,
+Computer Simulation of Liquids, 1987). Memory stays O(n + chunk) for both
+counts and O(n + chunk + output) for label_pairs, which holds one int64 a
+pair while it walks and sorts them in place: about 24 bytes a pair at its
+peak on the image pass.
 
 The pruned count need not evaluate every candidate pair. The join pairs each
 occupied cell with a run of partner cells per offset row; when the squared
@@ -232,11 +231,11 @@ def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, bul
     most two cells per axis: the all-pairs walk) down by halves to extent /
     _MAX_CELLS, the closest-pair grid's limit. Each side prices two passes.
     The run path (_candidate_pairs) costs, per offset row run, a key search
-    or table lookup per occupied cell and a run per point, and per offset
-    the candidate pairs, bounded by the sum of squared cell counts
-    (Cauchy-Schwarz). With bulk (the count, which can add decided blocks in
-    bulk), that bound is scaled by the share of the join's pairs left
-    undecided by _block_labels, measured where the join has at most n
+    per occupied cell and a run per point, and per offset the candidate
+    pairs, bounded by the sum of squared cell counts (Cauchy-Schwarz). With
+    bulk (the count, which can add decided blocks in bulk), that bound is
+    scaled by the share of the join's pairs left undecided by _block_labels,
+    measured where the join has at most n
     (row, cell) blocks and taken as 1 elsewhere. The image pass
     (_image_hits) costs, per offset, layer of its m-layer image and interval
     checked there, a call and the m * nx * ny slots it evaluates; it is

@@ -269,44 +269,21 @@ def _bucket_cells(xs: np.ndarray, ys: np.ndarray, side: float) -> _Cells:
     return _Cells(side, int(ix.max()) + 1, ny, stride, order, skey[first], starts, cell_of)
 
 
-def _below_by_table(cells: _Cells, q: np.ndarray) -> np.ndarray:
-    """For each cell key in q, the number of points whose cell key is below
-    it, gathered from a direct-address table of 2 * nx * stride + 1 prefix
-    counts (every key shifted by an offset row (a, b) with 0 <= a < nx and
-    |b| < ny stays inside it)."""
-    below = np.zeros(2 * cells.nx * cells.stride + 1, dtype=np.int64)
-    below[cells.keys + 1] = np.diff(cells.starts)
-    return np.cumsum(below, out=below)[q]
-
-
-def _below_by_search(cells: _Cells, q: np.ndarray) -> np.ndarray:
-    """_below_by_table's answer from a binary search on the sorted cell keys."""
-    return cells.starts[np.searchsorted(cells.keys, q)]
-
-
 def _join_cells(cells: _Cells, a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray):
     """The cell blocks of the offset rows (a, b), b_lo <= b <= b_hi.
 
-    The row runs cover the half-plane a > 0 or a == 0 <= b, with |b| <= ny,
-    so a row's cells have consecutive keys and their points are consecutive
-    in the cell order: the block of the cell with key k holds the points
-    whose key is at least k + a * stride + b_lo and below
-    k + a * stride + b_hi + 1. Both ends count the points below a key: by a
-    gather from a prefix-count table over all keys (_below_by_table) when it
-    has no more entries than the (rows, occupied cells) query array, so that
-    it costs no more memory than the join itself, and else by a search on
-    the sorted keys (sparse grids, few rows). The two give the same integers.
-    The table is built per call: kept with the grid, it would add its size
-    to the pruned count's peak memory. Rows with |a| < nx and |b| < ny, as
-    from _offset_rows, keep every query in [0, 2 * nx * stride); the
-    closest-pair search's two touching rows, which may not, never take the
-    table, as it has 4 * nx * ny + 1 entries, more than twice the cells.
+    The row runs cover the half-plane a > 0 or a == 0 <= b, with |b| <= ny.
+    The key stride 2 * ny keeps a key shifted by b out of the neighbouring
+    column, so a row's cells have consecutive keys and their points are
+    consecutive in the cell order: the block of the cell with key k holds
+    the points whose key is at least k + a * stride + b_lo and below
+    k + a * stride + b_hi + 1. A search on the sorted cell keys counts the
+    points below each end.
     Returns (lo, hi), of shape (rows, occupied cells): row r pairs the points
     of the occupied cell c with the points order[lo[r, c]:hi[r, c]].
     """
     ends = cells.keys + (a * cells.stride + np.stack((b_lo, b_hi + 1)))[:, :, None]
-    dense = 2 * cells.nx * cells.stride + 1 <= ends[0].size
-    lo, hi = (_below_by_table if dense else _below_by_search)(cells, ends)
+    lo, hi = cells.starts[np.searchsorted(cells.keys, ends)]
     return lo, hi
 
 

@@ -470,6 +470,22 @@ class TestInputContract:
         assert res.stdout == ""
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("name, args", [
+        ("raw.json", ["diameter", "raw.json"]),
+        ("raw.json", ["count", "pts.json", "raw.json"]),
+        ("raw.json", ["search", "--config", "raw.json"]),
+        ("raw.csv", ["diameter", "raw.csv"]),
+    ], ids=["points", "intervals", "config", "csv"])
+    def test_undecodable_byte_error_names_file(self, tmp_path, name, args):
+        (tmp_path / "pts.json").write_text(PTS, encoding="utf-8")
+        (tmp_path / name).write_bytes(b'{"dim": 2, "t": [\xff]}\n' if name.endswith(".json")
+                                      else b"0,0\n\xff,1\n")
+        res = run_cli("--output-dir", "out", *args, cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+        assert name in res.stderr
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
     @pytest.mark.parametrize(
         "hole", ["search-seed-negative", "random-seed-negative", "column-seed-negative"])
     def test_negative_seed_error_names_seed(self, tmp_path, hole):

@@ -268,6 +268,13 @@ class TestImagePass:
                 if walk == "image":
                     # One point to a cell, as on the verify-uniform layout.
                     assert int(np.diff(grid.starts).max()) == 1
+        # The measured undecided share is what sends the columns' count to a
+        # fine grid: without it the count would price label_pairs' coarse one.
+        bounds = columns.iv.sq_bounds
+        count_grid, _, count_walk = counting._choose_label_grid(columns.ps.coords, *bounds, True)
+        pairs_grid = counting._choose_label_grid(columns.ps.coords, *bounds, False)[0]
+        assert count_walk == "bulk"
+        assert count_grid.side < pairs_grid.side
 
     @given(data=labeled_inputs())
     @settings(max_examples=200, deadline=None)
@@ -313,12 +320,12 @@ class TestOffsetRows:
         assert [(r.dtype, r.tolist()) for r in rows] == [(np.int64, [0])] * 3
 
 
-class TestJoinPaths:
+class TestCellJoin:
     @given(data=labeled_inputs(), level=st.none() | st.integers(-1, 12))
     @settings(max_examples=300, deadline=None)
     # The one-cell grid of side inf, where the offset rows once took 0 * inf.
     @example(data=([(0.0, 0.0), (10000.0, 0.0)], [1.0, 3.0, 10000.0], 0.1), level=None)
-    def test_table_and_search_agree(self, data, level):
+    def test_blocks_are_the_partner_cells(self, data, level):
         points, t, alpha = data
         coords = np.array(points)
         side = math.inf if level is None else _level_side(coords, level)
@@ -331,45 +338,27 @@ class TestJoinPaths:
         edges = [(0, b, b) for b in range(top + 1)] + [(0, 0, top)]
         if grid.nx > 1:
             edges += [(grid.nx - 1, b, b) for b in range(-top, top + 1)] + [(grid.nx - 1, -top, top)]
-        rows = [np.concatenate((r, e)) for r, e in zip(rows, np.array(edges, dtype=np.int64).T)]
-        with mock.patch.object(geometry, "_below_by_search", geometry._below_by_table):
-            by_table = geometry._join_cells(grid, *rows)
-        with mock.patch.object(geometry, "_below_by_table", geometry._below_by_search):
-            by_search = geometry._join_cells(grid, *rows)
-        for got, want in zip(by_table, by_search):
-            assert got.dtype == want.dtype == np.int64
-            assert np.array_equal(got, want)
-
-    def test_dense_grid_takes_table_sparse_grid_search(self):
-        rng = np.random.default_rng(0)
-        # A jittered 45 x 45 lattice of spacing 2: about one point per cell.
-        lattice = 2.0 * np.stack(np.divmod(np.arange(2000), 45), axis=1)
-        jittered = PointSet(lattice + rng.uniform(-0.4, 0.4, lattice.shape))
-        columns = two_column(400, 3, 1e6, 0.2)
-        cases = ((jittered, IntervalFamily([3.0, 13.0, 45.0], 1.0), "table"),
-                 (columns.ps, columns.iv, "search"))
-        for ps, iv, path in cases:
-            chosen, taken = [], []
-
-            def choose(*args, choose=counting._choose_label_grid):
-                chosen.append(choose(*args))
-                return chosen[-1]
-
-            def spy(name):
-                below = getattr(geometry, f"_below_by_{name}")
-
-                def record(cells, q):
-                    taken.append((name, cells))
-                    return below(cells, q)
-
-                return mock.patch.object(geometry, f"_below_by_{name}", record)
-
-            with spy("table"), spy("search"), mock.patch.object(
-                counting, "_choose_label_grid", choose
-            ):
-                count_pairs(ps, iv, "pruned")
-            # Every join on the chosen grid, the count's batches included.
-            assert {name for name, cells in taken if cells is chosen[0][0]} == {path}
+        edges = np.array(edges, dtype=np.int64).T
+        a, b_lo, b_hi = (np.concatenate((r, e)) for r, e in zip(rows, edges))
+        lo, hi = geometry._join_cells(grid, a, b_lo, b_hi)
+        assert lo.dtype == hi.dtype == np.int64
+        # Each point's cell from its coordinates, in the join's point order,
+        # and a direct count of the points whose cell key lies in a row's range.
+        xs, ys = coords[grid.order, 0], coords[grid.order, 1]
+        ix = (np.floor(xs / side) - np.floor(coords[:, 0].min() / side)).astype(np.int64)
+        iy = (np.floor(ys / side) - np.floor(coords[:, 1].min() / side)).astype(np.int64)
+        key = ix * grid.stride + iy
+        pos = np.arange(len(key))
+        for c, k in enumerate(grid.keys.tolist()):
+            start = k + a * grid.stride + b_lo
+            assert np.array_equal(lo[:, c], (key < start[:, None]).sum(axis=1))
+            assert np.array_equal(hi[:, c], (key <= (start + b_hi - b_lo)[:, None]).sum(axis=1))
+            # The block holds exactly the points of the cells (cx + a, cy + b),
+            # b_lo <= b <= b_hi: no shifted key reaches a neighbouring column.
+            cx, cy = divmod(k, grid.stride)
+            b = iy - cy
+            partner = (ix == cx + a[:, None]) & (b >= b_lo[:, None]) & (b <= b_hi[:, None])
+            assert np.array_equal(partner, (lo[:, c, None] <= pos) & (pos < hi[:, c, None]))
 
 
 class TestGraphConstruction:
