@@ -112,8 +112,7 @@ def count_pairs(ps: PointSet, iv: IntervalFamily, method: str = "brute") -> Pair
     (a side of inf) with the one offset row (0, 0, 0); "pruned" walks the
     offset rows whose distance range meets an interval, on the grid and with
     the pass that label_pairs uses, adds the cell blocks whose pairs share one
-    label in bulk where the run path measured that this pays, and is the
-    faster path on large inputs.
+    label in bulk on the run path, and is the faster path on large inputs.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
@@ -130,7 +129,7 @@ def count_pairs(ps: PointSet, iv: IntervalFamily, method: str = "brute") -> Pair
     def count(l, hit, i, j):
         per[l] += int(np.count_nonzero(hit))
 
-    _visit_hits(ps.coords, *walk, lo2, hi2, count, per)
+    _visit_hits(ps.coords, *walk, lo2, hi2, count, None if method == "brute" else per)
     per_tuple = tuple(int(c) for c in per)
     return PairCountReport(total=sum(per_tuple), per_interval=per_tuple, method=method)
 
@@ -160,37 +159,37 @@ def _offset_rows(side: float, nx: int, ny: int, lo2: np.ndarray, hi2: np.ndarray
     Returns (a, b_lo, b_hi): offsets (a, b) for b_lo <= b <= b_hi, over the
     half-plane a > 0 or a == 0 <= b, with |a| < nx and |b| < ny. The offset
     (0, 0) stands for the pairs inside one cell. Each interval's offsets in a
-    row form one run of |b| (both bracket ends grow with |b|); a run is found
-    from the annulus by square roots, widened by two, then trimmed with
-    _sq_bracket itself, so nothing proportional to nx * ny is built.
+    row form one run of |b| (both bracket ends grow with |b|); the runs of
+    every (interval, row) pair are found at once from the annuli by square
+    roots, widened by two, then trimmed with _sq_bracket itself, so nothing
+    proportional to nx * ny is built.
     """
-    rows = []
     # No offset inside the grid is farther than this many cells; capping the
-    # radii there changes no run and keeps their squares finite.
+    # radii there changes no run and keeps their squares finite. In cell units:
+    # bmin2 <= hi2 needs max(a-1, 0)^2 + max(b-1, 0)^2 <= top, and bmax2 >= lo2
+    # needs (a+1)^2 + (b+1)^2 >= bottom.
     cap = nx + ny + 4.0
-    for l in range(len(lo2)):
-        # In cell units: bmin2 <= hi2 needs max(a-1, 0)^2 + max(b-1, 0)^2 <= top,
-        # and bmax2 >= lo2 needs (a+1)^2 + (b+1)^2 >= bottom.
-        top = min(math.sqrt(hi2[l]) / side, cap) ** 2
-        bottom = min(math.sqrt(lo2[l]) / side, cap) ** 2
-        a_hi = min(nx - 1.0, math.sqrt(top) + 2.0)
-        a_lo = max(0.0, math.sqrt(max(bottom - float(ny) * ny, 0.0)) - 2.0)
-        if a_lo > a_hi:
-            continue
-        a = np.arange(int(a_lo), int(a_hi) + 1, dtype=np.float64)
-        ga = np.maximum(a - 1.0, 0.0)
-        b_hi = np.minimum(np.floor(np.sqrt(np.maximum(top - ga * ga, 0.0))) + 2.0, ny - 1.0)
-        b_lo = np.maximum(np.ceil(np.sqrt(np.maximum(bottom - (a + 1.0) ** 2, 0.0))) - 2.0, 0.0)
-        while True:
-            live = b_lo <= b_hi
-            high = live & (_sq_bracket(a, b_hi, side)[0] > hi2[l])
-            low = live & (_sq_bracket(a, b_lo, side)[1] < lo2[l])
-            if not (high.any() or low.any()):
-                break
-            b_hi -= high
-            b_lo += low
-        rows.append(np.stack((a, b_lo, b_hi))[:, live])
-    a, b_lo, b_hi = np.concatenate(rows or [np.zeros((3, 0))], axis=1).astype(np.int64)
+    top = np.minimum(np.sqrt(hi2) / side, cap) ** 2
+    bottom = np.minimum(np.sqrt(lo2) / side, cap) ** 2
+    a_hi = np.minimum(nx - 1.0, np.sqrt(top) + 2.0)
+    a_lo = np.maximum(0.0, np.sqrt(np.maximum(bottom - float(ny) * ny, 0.0)) - 2.0)
+    first = a_lo.astype(np.int64)
+    length = np.where(a_lo > a_hi, 0, a_hi.astype(np.int64) + 1 - first)
+    l = np.repeat(np.arange(len(lo2)), length)
+    a = _spans(first, length).astype(np.float64)
+    ga = np.maximum(a - 1.0, 0.0)
+    b_hi = np.minimum(np.floor(np.sqrt(np.maximum(top[l] - ga * ga, 0.0))) + 2.0, ny - 1.0)
+    b_lo = np.maximum(np.ceil(np.sqrt(np.maximum(bottom[l] - (a + 1.0) ** 2, 0.0))) - 2.0, 0.0)
+    lo2, hi2 = lo2[l], hi2[l]
+    while True:
+        live = b_lo <= b_hi
+        high = live & (_sq_bracket(a, b_hi, side)[0] > hi2)
+        low = live & (_sq_bracket(a, b_lo, side)[1] < lo2)
+        if not (high.any() or low.any()):
+            break
+        b_hi -= high
+        b_lo += low
+    a, b_lo, b_hi = np.stack((a, b_lo, b_hi))[:, live].astype(np.int64)
     if not len(a):
         return a, b_lo, b_hi
     # Merge the runs of different intervals that overlap or touch in a row.
@@ -212,16 +211,25 @@ def _offset_rows(side: float, nx: int, ny: int, lo2: np.ndarray, hi2: np.ndarray
     )
 
 
+def _spans(start, length):
+    """start[r], start[r] + 1, ..., start[r] + length[r] - 1 for every r, in one array."""
+    return np.arange(length.sum()) - np.repeat(np.cumsum(length) - length - start, length)
+
+
+def _meeting(b0, b1, lo2: np.ndarray, hi2: np.ndarray):
+    """The range [l0, l1) of the intervals that meet each bracket [b0, b1]:
+    lo2 and hi2 both increase, so those with hi2 >= b0 and lo2 <= b1 form a
+    range, empty where l0 >= l1."""
+    return np.searchsorted(hi2, b0), np.searchsorted(lo2, b1, side="right")
+
+
 def _offset_labels(rows, side: float, lo2: np.ndarray, hi2: np.ndarray):
     """The offsets (a, b) of the offset rows one by one, each with the range
-    [l0, l1) of the intervals that meet its _sq_bracket: lo2 and hi2 both
-    increase, so the intervals that meet a bracket form a range."""
+    [l0, l1) of the intervals that meet its _sq_bracket (_meeting)."""
     a, b_lo, b_hi = rows
     length = b_hi - b_lo + 1
-    a = np.repeat(a, length)
-    b = np.arange(len(a)) - np.repeat(np.cumsum(length) - length - b_lo, length)
-    bmin2, bmax2 = _sq_bracket(a, np.abs(b), side)
-    return a, b, np.searchsorted(hi2, bmin2), np.searchsorted(lo2, bmax2, side="right")
+    a, b = np.repeat(a, length), _spans(b_lo, length)
+    return a, b, *_meeting(*_sq_bracket(a, np.abs(b), side), lo2, hi2)
 
 
 def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, bulk: bool):
@@ -233,20 +241,19 @@ def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, bul
     The run path (_candidate_pairs) costs, per offset row run, a key search
     per occupied cell and a run per point, and per offset the candidate
     pairs, bounded by the sum of squared cell counts (Cauchy-Schwarz). With
-    bulk (the count, which can add decided blocks in bulk), that bound is
-    scaled by the share of the join's pairs left undecided by _block_labels,
-    measured where the join has at most n
-    (row, cell) blocks and taken as 1 elsewhere. The image pass
-    (_image_hits) costs, per offset, layer of its m-layer image and interval
-    checked there, a call and the m * nx * ny slots it evaluates; it is
-    priced only where the image holds at most 4n slots, so that its memory
-    stays O(n). Halving the side never removes a row run or an occupied
-    cell, nor shrinks nx * ny, so the search stops once the run path's
-    overhead alone reaches the best cost and the image no longer fits.
+    bulk (the count, which adds decided blocks in bulk on the run path),
+    that bound is scaled by the share of the join's pairs left undecided by
+    _block_labels, measured where the join has at most n (row, cell) blocks
+    and taken as 1 elsewhere. The image pass (_image_hits) costs, per
+    offset, layer of its m-layer image and interval checked there, a call
+    and the m * nx * ny slots it evaluates; it is priced only where the
+    image holds at most 4n slots, so that its memory stays O(n). Halving the
+    side never removes a row run or an occupied cell, nor shrinks nx * ny,
+    so the search stops once the run path's overhead alone reaches the best
+    cost and the image no longer fits.
 
-    Returns (grid, rows, walk): walk is "image" for the image pass, and for
-    the run path "bulk" where the undecided share was measured on the grid,
-    so that adding blocks in bulk pays there, and "runs" elsewhere.
+    Returns (grid, rows, walk): walk is "image" for the image pass and
+    "runs" for the run path.
     """
     n = coords.shape[0]
     extent = max(float(np.ptp(coords[:, 0])), float(np.ptp(coords[:, 1])), _MIN_EXTENT)
@@ -268,8 +275,7 @@ def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, bul
         overhead = len(a) * (_COST_CELL * len(grid.keys) + _COST_POINT * n)
         if overhead < best_cost:
             pair_cost = _COST_PAIR * offsets * float((size**2).sum())
-            measured = bulk and len(a) * len(grid.keys) <= n
-            if measured:
+            if bulk and len(a) * len(grid.keys) <= n:
                 lo, hi = _join_cells(grid, *rows)
                 ext = _cell_extremes(coords[grid.order], grid.starts)
                 decided = _block_labels(grid, ext, a, b_lo, lo, hi, lo2, hi2)[2]
@@ -278,7 +284,7 @@ def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, bul
                 pair_cost *= 1.0 - int(decided.sum()) / total if total else 0.0
             cost = overhead + pair_cost
             if cost < best_cost:
-                best, best_cost = (grid, rows, "bulk" if measured else "runs"), cost
+                best, best_cost = (grid, rows, "runs"), cost
         elif grid.nx * grid.ny > 4 * n:
             break
         side /= 2.0
@@ -298,12 +304,12 @@ def _block_labels(grid, ext, a, b_lo, lo, hi, lo2: np.ndarray, hi2: np.ndarray):
     """The (row, cell) blocks of a _join_cells join whose pairs share one label.
 
     ext is _cell_extremes of the grid; only blocks of at least
-    _BULK_MIN_PAIRS pairs are checked. Returns (r, c, pairs, label) for the
-    decided blocks: each of the pairs[m] pairs of the block (r[m], c[m]) has
-    the smallest qualifying label label[m] (0-based), or none of them
-    qualifies (label[m] == len(lo2)), by geometry._block_bracket, which
-    holds every pair's computed squared distance with no slack. Every other
-    block must be expanded to its pairs.
+    _BULK_MIN_PAIRS pairs are checked. A block is decided when its bracket
+    by geometry._block_bracket, which holds every pair's computed squared
+    distance with no slack, meets no interval (label len(lo2)), or lies
+    inside the first one it meets (_meeting), whose 0-based label all its
+    pairs then take; every other block must be expanded to its pairs.
+    Returns (r, c, pairs, label) for the decided blocks (r[m], c[m]).
     """
     size = np.diff(grid.starts)
     # size * partners bounds a block's pairs from above, so this keeps every
@@ -315,12 +321,9 @@ def _block_labels(grid, ext, a, b_lo, lo, hi, lo2: np.ndarray, hi2: np.ndarray):
     r, c, pairs = r[big], c[big], pairs[big]
     # The partners' cells are consecutive.
     b0, b1 = _block_bracket(ext, c, grid.cell_of[q_lo[big]], grid.cell_of[q_hi[big] - 1] + 1)
-    label = np.full(len(r), len(lo2))
-    open_ = np.ones(len(r), dtype=bool)
-    for l in range(len(lo2)):
-        meets = open_ & (b0 <= hi2[l]) & (b1 >= lo2[l])
-        label[meets] = np.where((b0[meets] >= lo2[l]) & (b1[meets] <= hi2[l]), l, -1)
-        open_ &= ~meets
+    l0, l1 = _meeting(b0, b1, lo2, hi2)
+    at = np.minimum(l0, len(lo2) - 1)
+    label = np.where(l0 >= l1, len(lo2), np.where((b0 >= lo2[at]) & (b1 <= hi2[at]), l0, -1))
     m = label >= 0
     return r[m], c[m], pairs[m], label[m]
 
@@ -431,21 +434,19 @@ def _visit_hits(coords: np.ndarray, grid, rows, walk: str, lo2: np.ndarray, hi2:
     pairs of the ids i and j (broadcast against hit) where hit holds have
     the smallest qualifying 0-based label l, by geometry._label_hits.
 
-    "image" walks the pairs with _image_hits; "runs" and "bulk" with
-    _candidate_pairs and geometry._sq_dists, and "bulk" first adds the blocks
-    that _add_decided decides to per and visits none of their pairs. Each
-    qualifying pair that is not added in bulk is visited once, in one hit.
-    A callback, not a generator, so that no caller holds a chunk while the
-    next one is evaluated; the grid is not held here, so that the run path
-    can free it before its last batch.
+    "image" walks the pairs with _image_hits, and "runs" with
+    _candidate_pairs and geometry._sq_dists; given per, the run path first
+    adds the blocks that _add_decided decides to per and visits none of
+    their pairs. Each qualifying pair that is not added in bulk is visited
+    once, in one hit. A callback, not a generator, so that no caller holds a
+    chunk while the next one is evaluated; the grid is not held here, so
+    that the run path can free it before its last batch.
     """
     if walk == "image":
         return _image_hits(coords, grid, rows, lo2, hi2, visit)
     xs = coords[:, 0]
     ys = coords[:, 1]
-    adds = None
-    if walk == "bulk":
-        adds = _cell_extremes(coords[grid.order], grid.starts), lo2, hi2, per
+    adds = None if per is None else (_cell_extremes(coords[grid.order], grid.starts), lo2, hi2, per)
     pairs = _candidate_pairs(grid, rows, adds)
     del grid
     for i, j in pairs:

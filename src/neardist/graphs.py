@@ -310,13 +310,16 @@ def angle_diagnostic(
 ) -> TriangleAngleReport:
     """Check a qualifying unique-max triangle's angles against the delta bounds.
 
-    The three pairs must all qualify for some interval and their labels must
-    classify as UNIQUE_MAX; otherwise ValueError. Collinear triangles are
-    reported as degenerate with no angles.
+    The ids must lie in [0, n), or IndexError, and the three pairs must all
+    qualify for some interval with labels that classify as UNIQUE_MAX, or
+    ValueError. Collinear triangles are reported as degenerate with no angles.
     """
     i, j, k = ids
     if len({i, j, k}) != 3:
         raise ValueError(f"triangle ids must be distinct, got {ids}")
+    for v in ids:
+        if not 0 <= v < ps.n:
+            raise IndexError(f"vertex {v} out of range for n={ps.n}")
     coords = ps.coords
     ends = np.array([i, j, k])
     sq = _sq_dists(coords[:, 0], coords[:, 1], ends, np.roll(ends, -1)).tolist()

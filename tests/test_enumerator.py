@@ -46,8 +46,8 @@ def _forced_grid(level, image=False):
 
     def choose(coords, lo2, hi2, bulk):
         grid = counting._bucket_cells(coords[:, 0], coords[:, 1], _level_side(coords, level))
-        walk = "image" if image else "bulk" if bulk else "runs"
-        return grid, counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2), walk
+        rows = counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
+        return grid, rows, "image" if image else "runs"
 
     return choose
 
@@ -264,16 +264,15 @@ class TestImagePass:
                               (clusters, iv, "runs")):
             for bulk in (True, False):
                 grid, _, got = counting._choose_label_grid(ps.coords, *fam.sq_bounds, bulk)
-                assert got.replace("bulk", "runs") == walk
+                assert got == walk
                 if walk == "image":
                     # One point to a cell, as on the verify-uniform layout.
                     assert int(np.diff(grid.starts).max()) == 1
         # The measured undecided share is what sends the columns' count to a
         # fine grid: without it the count would price label_pairs' coarse one.
         bounds = columns.iv.sq_bounds
-        count_grid, _, count_walk = counting._choose_label_grid(columns.ps.coords, *bounds, True)
+        count_grid = counting._choose_label_grid(columns.ps.coords, *bounds, True)[0]
         pairs_grid = counting._choose_label_grid(columns.ps.coords, *bounds, False)[0]
-        assert count_walk == "bulk"
         assert count_grid.side < pairs_grid.side
 
     @given(data=labeled_inputs())
@@ -288,6 +287,35 @@ class TestImagePass:
                 assert int(np.diff(grid.starts).max()) * grid.nx * grid.ny <= 4 * len(points)
 
 
+# Families for _meeting, one with overlapping intervals, and every squared
+# interval end of them, 1 ulp either side of it, 0 and inf as bracket ends.
+_FAMILIES = [([3.0, 4.0], 1.5), ([1.0, 3.0, 10000.0], 0.1), ([1.0], 1e-12),
+             ([2.0, 3.0, 5.0, 6.0], 1.0), ([2.0**400], 1.0)]
+_ENDS = np.concatenate([IntervalFamily(*f).sq_bounds for f in _FAMILIES], axis=None)
+_ENDS = sorted({0.0, math.inf, *_ENDS.tolist(), *np.nextafter(_ENDS, 0.0).tolist(),
+                *np.nextafter(_ENDS, math.inf).tolist()})
+
+
+class TestMeeting:
+    @given(
+        family=st.sampled_from(_FAMILIES),
+        brackets=st.lists(st.lists(st.sampled_from(_ENDS) | st.floats(0.0, math.inf),
+                                   min_size=2, max_size=2), min_size=1, max_size=16),
+    )
+    @settings(max_examples=300, deadline=None)
+    # [3, 4.5] and [4, 5.5]: squared ends 9, 20.25 and 16, 30.25.
+    @example(family=([3.0, 4.0], 1.5), brackets=[
+        [16.0, math.inf], [20.25, 20.25], [float(np.nextafter(20.25, math.inf)), math.inf],
+        [0.0, float(np.nextafter(9.0, 0.0))], [9.0, 9.0], [math.inf, math.inf]])
+    def test_matches_the_per_interval_rule(self, family, brackets):
+        lo2, hi2 = IntervalFamily(*family).sq_bounds
+        b0, b1 = np.sort(np.array(brackets), axis=1).T
+        l0, l1 = counting._meeting(b0, b1, lo2, hi2)
+        for x, y, first, stop in zip(b0.tolist(), b1.tolist(), l0.tolist(), l1.tolist()):
+            meets = [l for l in range(len(lo2)) if x <= hi2[l] and y >= lo2[l]]
+            assert list(range(first, stop)) == meets
+
+
 class TestOffsetRows:
     @given(
         side=st.sampled_from([0.3, 1.0, 2.5, 7.0, 1e-3]),
@@ -297,6 +325,12 @@ class TestOffsetRows:
         alpha=st.sampled_from([1e-12, 0.3, 1.0, 8.0]),
     )
     @settings(max_examples=200, deadline=None)
+    # No offset at all: the one cell's bracket [0, 98] lies below 60^2.
+    @example(side=7.0, nx=1, ny=1, t=[60.0], alpha=1.0)
+    # In row 0 the two intervals' runs of b overlap ([2, 4] and [3, 5]), or
+    # touch ([1, 4] and [5, 5]), and merge into one.
+    @example(side=1.0, nx=6, ny=6, t=[3.0, 4.0], alpha=1e-12)
+    @example(side=1.0, nx=6, ny=6, t=[2.0, 6.0], alpha=1.0)
     def test_rows_are_the_non_skip_offsets(self, side, nx, ny, t, alpha):
         iv = IntervalFamily(sorted(t), alpha)
         lo2, hi2 = iv.sq_bounds

@@ -266,6 +266,16 @@ class TestAngleDiagnostic:
         assert report.angles is None
         assert report.min_angle_ok is None and report.max_angle_ok is None
 
+    @pytest.mark.parametrize("ids", [(-4, 1, 2), (0, -1, 2), (0, 1, 4)])
+    def test_vertex_out_of_range_raises(self, ids):
+        # A 3-4-5 triangle at points 0, 1 and 2: -4 must not wrap to point 0.
+        ps = PointSet([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0), (20.0, 20.0)])
+        iv = IntervalFamily([3.0, 4.0, 5.0], 0.5)
+        assert angle_diagnostic(ps, (0, 1, 2), iv, 0.1).labels == (1, 2, 3)
+        bad = next(v for v in ids if not 0 <= v < 4)
+        with pytest.raises(IndexError, match=f"vertex {bad} out of range for n=4"):
+            angle_diagnostic(ps, ids, iv, 0.1)
+
     def test_flags_violated_bound(self):
         # thin triangle: apex angle close to pi exceeds the margin at delta 0.9
         ps = _triangle_points(200.5, 100.2, 100.4)
