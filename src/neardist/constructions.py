@@ -87,8 +87,9 @@ def two_column(n: int, k: int, t: float, eps: float) -> ConstructionOutput:
     """
     if n < 2:
         raise ValueError(f"two-column needs n >= 2, got {n}")
-    if k < 1:
-        raise ValueError(f"two-column needs k >= 1, got {k}")
+    # Values 3**(l - 1) past 2**510 leave the coordinate limit; min keeps a huge k cheap.
+    if k < 1 or 3 ** min(k - 1, 511) > 2**510:
+        raise ValueError(f"two-column needs k >= 1 and 3**(k - 1) <= 2**510, got k={k}")
     if not (0.0 < eps < 1.0):
         raise ValueError(f"two-column needs 0 < eps < 1, got {eps}")
     ha = (n + 1) // 2

@@ -23,14 +23,14 @@ counts and O(n + chunk + output) for label_pairs, which holds one int64 a
 pair while it walks and sorts them in place: about 24 bytes a pair at its
 peak on the image pass.
 
-The pruned count need not evaluate every candidate pair. The join pairs each
+Neither pruned walk evaluates every candidate pair. The join pairs each
 occupied cell with a run of partner cells per offset row; when the squared
 distances of such a (row, cell) block are bracketed, from the actual extremes
-of its points, inside one interval and away from every earlier one, the
-count adds the block's pairs to that label in bulk, and when the bracket
-misses every interval it drops the block (_block_labels, _add_decided). The
-column constructions put nearly all of their pairs into such blocks.
-label_pairs needs the pairs themselves and expands every block.
+of its points, away from every interval, both drop the block, and when they
+are bracketed inside one interval and away from every earlier one, the count
+adds the block's pairs to that label in bulk (_block_labels, _add_decided).
+label_pairs expands such a block: all its pairs are output. The column
+constructions put nearly all of their pairs into decided blocks.
 
 Every evaluated pair's squared distance is the expression dx*dx + dy*dy
 (geometry._sq_dists on the run path), and is labelled by
@@ -117,14 +117,12 @@ def count_pairs(ps: PointSet, iv: IntervalFamily, method: str = "brute") -> Pair
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     lo2, hi2 = iv.sq_bounds
-    xs = ps.coords[:, 0]
-    ys = ps.coords[:, 1]
     per = np.zeros(iv.k, dtype=np.int64)
     if method == "brute":
         row = np.zeros(1, dtype=np.int64)
-        walk = _bucket_cells(xs, ys, math.inf), (row, row, row), "runs"
+        walk = _bucket_cells(*ps.coords.T, math.inf), (row, row, row), "runs"
     else:
-        walk = _choose_label_grid(ps.coords, lo2, hi2, True)
+        walk = _choose_label_grid(ps.coords, lo2, hi2)
 
     def count(l, hit, i, j):
         per[l] += int(np.count_nonzero(hit))
@@ -232,7 +230,7 @@ def _offset_labels(rows, side: float, lo2: np.ndarray, hi2: np.ndarray):
     return a, b, *_meeting(*_sq_bracket(a, np.abs(b), side), lo2, hi2)
 
 
-def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, bulk: bool):
+def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
     """The cheapest label grid and pass by a cost model, with its offset rows.
 
     Sides are powers of two, from 2**(e + 1) for an extent below 2**e (at
@@ -240,10 +238,9 @@ def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, bul
     _MAX_CELLS, the closest-pair grid's limit. Each side prices two passes.
     The run path (_candidate_pairs) costs, per offset row run, a key search
     per occupied cell and a run per point, and per offset the candidate
-    pairs, bounded by the sum of squared cell counts (Cauchy-Schwarz). With
-    bulk (the count, which adds decided blocks in bulk on the run path),
-    that bound is scaled by the share of the join's pairs left undecided by
-    _block_labels, measured where the join has at most n (row, cell) blocks
+    pairs, bounded by the sum of squared cell counts (Cauchy-Schwarz) times
+    the share of the join's pairs left undecided by _block_labels, as the
+    count walks it: measured where the join has at most n (row, cell) blocks
     and taken as 1 elsewhere. The image pass (_image_hits) costs, per
     offset, layer of its m-layer image and interval checked there, a call
     and the m * nx * ny slots it evaluates; it is priced only where the
@@ -275,7 +272,7 @@ def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, bul
         overhead = len(a) * (_COST_CELL * len(grid.keys) + _COST_POINT * n)
         if overhead < best_cost:
             pair_cost = _COST_PAIR * offsets * float((size**2).sum())
-            if bulk and len(a) * len(grid.keys) <= n:
+            if len(a) * len(grid.keys) <= n:
                 lo, hi = _join_cells(grid, *rows)
                 ext = _cell_extremes(coords[grid.order], grid.starts)
                 decided = _block_labels(grid, ext, a, b_lo, lo, hi, lo2, hi2)[2]
@@ -329,12 +326,14 @@ def _block_labels(grid, ext, a, b_lo, lo, hi, lo2: np.ndarray, hi2: np.ndarray):
 
 
 def _add_decided(grid, a, b_lo, lo, hi, ext, lo2: np.ndarray, hi2: np.ndarray, per: np.ndarray):
-    """Adds each block of the join (lo, hi) that _block_labels decides to per
-    in bulk, and empties it in place (hi = lo)."""
+    """Empties in place (hi = lo) each block of the join (lo, hi) that
+    _block_labels finds with no qualifying pair or with a label below
+    len(per), adding the latter's pairs to per in bulk."""
     r, c, pairs, label = _block_labels(grid, ext, a, b_lo, lo, hi, lo2, hi2)
-    some = label < len(per)
-    np.add.at(per, label[some], pairs[some])
-    hi[r, c] = lo[r, c]
+    add = label < len(per)
+    np.add.at(per, label[add], pairs[add])
+    done = add | (label == len(lo2))
+    hi[r[done], c[done]] = lo[r[done], c[done]]
 
 
 def _candidate_pairs(grid, rows, adds=None):
@@ -345,9 +344,9 @@ def _candidate_pairs(grid, rows, adds=None):
 
     _join_cells, _block_runs and _run_pairs expand a batch of rows at a time,
     _PAIR_CHUNK pairs at a time. Pairs come in no particular order, and i < j
-    need not hold. Given adds = (ext, lo2, hi2, per), the count's bulk adds,
-    _add_decided first adds the blocks whose pairs all share one smallest
-    label to per and drops those with no qualifying pair; only the rest are
+    need not hold. Given adds = (ext, lo2, hi2, per), _add_decided first
+    drops the blocks with no qualifying pair and adds to per those whose
+    pairs all share a smallest label below len(per); only the rest are
     yielded.
 
     Why no qualifying pair is skipped on _choose_label_grid's grid and rows:
@@ -436,16 +435,15 @@ def _visit_hits(coords: np.ndarray, grid, rows, walk: str, lo2: np.ndarray, hi2:
 
     "image" walks the pairs with _image_hits, and "runs" with
     _candidate_pairs and geometry._sq_dists; given per, the run path first
-    adds the blocks that _add_decided decides to per and visits none of
-    their pairs. Each qualifying pair that is not added in bulk is visited
-    once, in one hit. A callback, not a generator, so that no caller holds a
-    chunk while the next one is evaluated; the grid is not held here, so
-    that the run path can free it before its last batch.
+    drops or adds to per the blocks that _add_decided decides, and visits
+    none of their pairs. Each qualifying pair that is not added in bulk is
+    visited once, in one hit. A callback, not a generator, so that no caller
+    holds a chunk while the next one is evaluated; the grid is not held
+    here, so that the run path can free it before its last batch.
     """
     if walk == "image":
         return _image_hits(coords, grid, rows, lo2, hi2, visit)
-    xs = coords[:, 0]
-    ys = coords[:, 1]
+    xs, ys = coords.T
     adds = None if per is None else (_cell_extremes(coords[grid.order], grid.starts), lo2, hi2, per)
     pairs = _candidate_pairs(grid, rows, adds)
     del grid
@@ -459,8 +457,8 @@ def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
 
     Entries are sorted by (i, j); l is 1-based. The result equals, bit for
     bit, a scan of all pairs with the package's membership test: the pairs
-    come from the pruned count's walk without its bulk adds, which skips none
-    that qualifies.
+    come from the pruned count's walk, given a per of no labels, so that it
+    adds no block in bulk, and it skips none that qualifies.
     """
     n = ps.n
     lo2, hi2 = iv.sq_bounds
@@ -477,11 +475,15 @@ def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
         packed.append((np.minimum(p, q) * n + np.maximum(p, q)) * k1 + (l + 1))
 
     # Only the walk holds the grid, so the grid is freed before the final sort.
-    _visit_hits(ps.coords, *_choose_label_grid(ps.coords, lo2, hi2, False), lo2, hi2, keep)
-    key = np.concatenate(packed)
-    del packed
+    _visit_hits(ps.coords, *_choose_label_grid(ps.coords, lo2, hi2), lo2, hi2, keep, np.empty(0))
+    packed = np.concatenate(packed)
+    return LabeledPairs(*_sort_pairs(packed, n, k1))
+
+
+def _sort_pairs(key: np.ndarray, n: int, k1: int):
+    """(a, b, label) of the int64 keys (a * n + b) * k1 + label, 0 <= label <
+    k1, sorted by (a, b, label): key is sorted in place and reused for b."""
     key.sort()
     label = key % k1
     key //= k1
-    i = key // n
-    return LabeledPairs(i, np.remainder(key, n, out=key), label)
+    return key // n, np.remainder(key, n, out=key), label

@@ -3,13 +3,14 @@
 The graph on a point set has an edge for every pair whose distance falls in
 the interval family, labeled with the smallest qualifying interval index.
 The graph is stored as CSR arrays, built from label_pairs' arrays by one
-stable sort of both edge directions by row, about 90 bytes per edge. Witness
-extraction looks for a K(1, s, s): a hub vertex x and two disjoint s-sets B,
-D with every x-B, x-D and B-D edge present. Homogenization refines a witness to
-subsets on which each of the three edge classes carries a single label. Both
-searches are explicit and deterministic; they are meant for small witnesses
-(roughly s <= 4) and degrade to exponential enumeration in s and in the
-degree of dense neighbourhoods beyond that.
+in-place sort of both edge directions packed with their labels (about 77
+bytes per edge at the peak). Witness extraction looks for a K(1, s, s): a
+hub x and two disjoint s-sets B, D with every x-B, x-D and B-D edge present.
+Homogenization refines a witness to subsets on which each of the three edge
+classes carries a single label. Both searches are explicit and deterministic;
+they are meant for small witnesses (roughly s <= 4) and degrade to
+exponential enumeration in s and in the degree of dense neighbourhoods
+beyond that.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .counting import label_pairs
+from .counting import _sort_pairs, label_pairs
 from .geometry import IntervalFamily, PointSet, _sq_dists
 
 __all__ = [
@@ -51,34 +52,32 @@ class NearEqualGraph:
     Stored as CSR with every edge in both directions: the neighbours of v are
     indices[indptr[v]:indptr[v + 1]], in increasing order, and labels holds
     the edge labels alongside. Built from parallel edge arrays (i, j, label)
-    with i != j, each unordered edge at most once.
+    with i != j, each unordered edge at most once, and every label >= 1 with
+    n * n * (max label + 1) <= 2**63; ValueError otherwise.
     """
 
     __slots__ = ("n", "indptr", "indices", "labels")
 
     def __init__(self, n: int, i, j, labels):
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        labels = np.asarray(labels, dtype=np.int64)
+        i, j, labels = (np.asarray(v, dtype=np.int64) for v in (i, j, labels))
         if not len(i) == len(j) == len(labels):
             raise ValueError("edge arrays i, j and labels must have one length")
         bad = (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)
         if bad.any():
             e = int(np.argmax(bad))
             raise ValueError(f"edge ({i[e]}, {j[e]}) out of range for n={n}")
-        # Each edge enters as the two directed keys i*n + j and j*n + i: one
-        # sort puts the rows in order with each row's neighbours increasing.
-        key = np.concatenate((i * n + j, j * n + i))
-        by = np.argsort(key)
-        key = key[by]
-        if (key[1:] == key[:-1]).any():
+        if (labels < 1).any():
+            raise ValueError("edge labels must be >= 1")
+        k1 = int(labels.max(initial=0)) + 1
+        if int(n) ** 2 * k1 > 2**63:
+            raise ValueError(f"need n * n * (max label + 1) <= 2**63: n={n}, max label {k1 - 1}")
+        # Both directions of every edge with its label, in one sort: rows in order.
+        key = np.concatenate(((i * n + j) * k1 + labels, (j * n + i) * k1 + labels))
+        rows, self.indices, self.labels = _sort_pairs(key, n, k1)
+        if ((rows[1:] == rows[:-1]) & (self.indices[1:] == self.indices[:-1])).any():
             raise ValueError("each edge may be given only once")
-        rows, self.indices = divmod(key, n)
-        del key
         self.n = n
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-        del rows
-        self.labels = np.concatenate((labels, labels))[by]
 
     @property
     def edge_count(self) -> int:

@@ -420,6 +420,8 @@ HOLES = {
     "C-nan": (INPUTS, ["verify", "pts.json", "iv.json", "--delta", 0.2, "--C", "nan"]),
     "bound-overflow": (INPUTS, ["verify", "pts.json", "iv.json", "--delta", 0.2, "--C", 1e308]),
     "interval-value-overflow": ({}, ["generate", "two-column", "--n", 4, "--k", 1000, "--t", 10]),
+    # 3**1999 overflows a float: k is refused by name before the power is taken.
+    "column-k-beyond-limit": ({}, ["generate", "two-column", "--n", 10, "--k", 2000, "--t", 500]),
     "point-object": (
         {"obj.json": '{"dim": 2, "points": [{"x": 1, "y": 2}, [0, 0]]}'}, ["diameter", "obj.json"]),
     "point-string": ({"str.json": '{"dim": 2, "points": ["12", [5, 5]]}'}, ["diameter", "str.json"]),
@@ -500,6 +502,7 @@ class TestInputContract:
         ("config-with-flags", ["--seed", "--n", "--iterations", "--restarts"]),
         ("config-unknown-key", ["'bogus'"]),
         ("config-without-seed-with-seed-flag", ["--seed"]),
+        ("column-k-beyond-limit", ["k=2000"]),
     ])
     def test_config_error_names_flag_or_key(self, tmp_path, hole, named):
         files, args = HOLES[hole]

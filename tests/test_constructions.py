@@ -65,6 +65,15 @@ class TestTwoColumn:
         with pytest.raises(ValueError):
             two_column(4, 1, 100, 1.0)
 
+    def test_rejects_k_past_the_coordinate_limit(self):
+        # 3**(k - 1) > 2**510 from k = 323 on; at k >= 648 the float power
+        # overflows, so k must be refused by name before it is taken.
+        for k in (323, 2000, 10**12):
+            with pytest.raises(ValueError, match=f"k={k}$"):
+                two_column(10, k, 500, 0.5)
+        with pytest.raises(ValueError, match="needs t >= "):
+            two_column(10, 322, 500, 0.5)
+
     @given(
         n=st.integers(2, 60),
         k=st.integers(2, 5),

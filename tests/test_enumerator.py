@@ -42,9 +42,10 @@ def _level_side(coords, level):
 def _forced_grid(level, image=False):
     """A _choose_label_grid stand-in with the side of the given level, on
     which the walk takes the image pass whatever the image's size, or else
-    the run path, where the count tries bulk adds whatever the grid's size."""
+    the run path, where the count tries bulk adds, and label_pairs drops
+    blocks, whatever the grid's size."""
 
-    def choose(coords, lo2, hi2, bulk):
+    def choose(coords, lo2, hi2):
         grid = counting._bucket_cells(coords[:, 0], coords[:, 1], _level_side(coords, level))
         rows = counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
         return grid, rows, "image" if image else "runs"
@@ -262,18 +263,41 @@ class TestImagePass:
         clusters = PointSet(np.concatenate((cluster, cluster + (1e6, 3e5))))
         for ps, fam, walk in ((grid_like, iv, "image"), (columns.ps, columns.iv, "runs"),
                               (clusters, iv, "runs")):
-            for bulk in (True, False):
-                grid, _, got = counting._choose_label_grid(ps.coords, *fam.sq_bounds, bulk)
-                assert got == walk
-                if walk == "image":
-                    # One point to a cell, as on the verify-uniform layout.
-                    assert int(np.diff(grid.starts).max()) == 1
-        # The measured undecided share is what sends the columns' count to a
-        # fine grid: without it the count would price label_pairs' coarse one.
-        bounds = columns.iv.sq_bounds
-        count_grid = counting._choose_label_grid(columns.ps.coords, *bounds, True)[0]
-        pairs_grid = counting._choose_label_grid(columns.ps.coords, *bounds, False)[0]
-        assert count_grid.side < pairs_grid.side
+            grid, _, got = counting._choose_label_grid(ps.coords, *fam.sq_bounds)
+            assert got == walk
+            if walk == "image":
+                # One point to a cell, as on the verify-uniform layout.
+                assert int(np.diff(grid.starts).max()) == 1
+        # The measured undecided share is what sends the columns to a fine
+        # grid, for the count and label_pairs alike: priced without it, the
+        # pick would be the coarse all-pairs grid.
+        assert counting._choose_label_grid(columns.ps.coords, *columns.iv.sq_bounds)[0].side == 8.0
+
+    @pytest.mark.parametrize("shape", ["columns", "clusters"])
+    def test_label_pairs_evaluates_the_counts_pairs_and_its_own_at_most(self, shape):
+        # label_pairs walks the count's grid and drops the blocks the count
+        # drops; of the rest, it expands only those the count adds in bulk,
+        # whose pairs it lists. Neither walk evaluates every pair.
+        if shape == "columns":
+            built = two_column(2000, 3, 1e6, 0.5)
+            ps, iv = built.ps, built.iv
+        else:
+            cluster = random_separated(3000, 2 * math.sqrt(3000), seed=2).coords
+            ps = PointSet(np.concatenate((cluster, cluster + (1e6, 3e5))))
+            iv = IntervalFamily([3.0, 13.0, 45.0, 150.0, 500.0], 1.0)
+        evaluated = []
+
+        def sq_dists(xs, ys, i, j):
+            evaluated.append(np.broadcast(i, j).size)
+            return geometry._sq_dists(xs, ys, i, j)
+
+        with mock.patch.object(counting, "_sq_dists", sq_dists):
+            count_pairs(ps, iv, "pruned")
+            counted = sum(evaluated)
+            evaluated.clear()
+            got = label_pairs(ps, iv)
+        assert 0 < sum(evaluated) <= counted + len(got)
+        assert sum(evaluated) < 0.6 * ps.n * (ps.n - 1) / 2
 
     @given(data=labeled_inputs())
     @settings(max_examples=200, deadline=None)
@@ -281,10 +305,9 @@ class TestImagePass:
         points, t, alpha = data
         coords = np.array(points)
         lo2, hi2 = IntervalFamily(t, alpha).sq_bounds
-        for bulk in (True, False):
-            grid, _, walk = counting._choose_label_grid(coords, lo2, hi2, bulk)
-            if walk == "image":
-                assert int(np.diff(grid.starts).max()) * grid.nx * grid.ny <= 4 * len(points)
+        grid, _, walk = counting._choose_label_grid(coords, lo2, hi2)
+        if walk == "image":
+            assert int(np.diff(grid.starts).max()) * grid.nx * grid.ny <= 4 * len(points)
 
 
 # Families for _meeting, one with overlapping intervals, and every squared
@@ -404,12 +427,29 @@ class TestGraphConstruction:
         assert g.label(2, 0) == 7 and g.edge_count == 4
 
     @pytest.mark.parametrize(
-        "i, j", [([0], [0]), ([0], [4]), ([-1], [2]), ([0, 1], [1, 0])],
-        ids=["loop", "beyond-n", "negative", "duplicate"],
+        "i, j, labels",
+        [([0], [0], [1]), ([0], [4], [1]), ([-1], [2], [1]), ([0, 1], [1, 0], [1, 1]),
+         ([0, 1], [1, 0], [2, 1])],
+        ids=["loop", "beyond-n", "negative", "duplicate", "duplicate-relabeled"],
     )
-    def test_bad_edges_rejected(self, i, j):
+    def test_bad_edges_rejected(self, i, j, labels):
         with pytest.raises(ValueError):
-            NearEqualGraph(4, i, j, [1] * len(i))
+            NearEqualGraph(4, i, j, labels)
+
+    @pytest.mark.parametrize("labels, rule", [
+        ([0], "labels must be >= 1"),
+        # (3 * 4 + 2) * (2**61 + 1) + 2**61 wraps past int64.
+        ([2**61], r"n \* n \* \(max label \+ 1\) <= 2\*\*63"),
+    ], ids=["label-zero", "packed-key-beyond-2**63"])
+    def test_labels_the_packed_sort_cannot_hold_rejected(self, labels, rule):
+        with pytest.raises(ValueError, match=rule):
+            NearEqualGraph(4, [3], [2], labels)
+
+    def test_largest_packable_label_kept(self):
+        # n * n * (max label + 1) == 2**63: the largest key is 2**63 - 1.
+        g = NearEqualGraph(4, [3, 0], [2, 1], [2**59 - 1, 1])
+        assert g.labels.tolist() == [1, 1, 2**59 - 1, 2**59 - 1]
+        assert g.indices.tolist() == [1, 0, 3, 2]
 
     def test_missing_edge_label_raises(self):
         g = NearEqualGraph(3, [0], [1], [1])
@@ -457,14 +497,16 @@ class TestGraphConstruction:
 
 
 class TestPairOutputMemory:
-    @pytest.mark.parametrize("build, budget", [(label_pairs, 80), (build_graph, 112)],
+    @pytest.mark.parametrize("build, budget", [(label_pairs, 80), (build_graph, 88)],
                              ids=["label_pairs", "build_graph"])
     def test_peak_bytes_per_pair(self, build, budget):
         # label_pairs holds one packed sort key per pair, and the graph build
-        # sorts one row array: about 24 and 89 bytes a pair at their peaks
-        # here, where label_pairs takes the image pass. The budgets also hold
-        # the run path, whose batch arrays come on top (about 63 bytes a pair
-        # on this input when label_pairs took it).
+        # sorts one packed key per edge direction: about 24 and 77 bytes a
+        # pair at their peaks here, where label_pairs takes the image pass.
+        # label_pairs' budget also holds the run path, whose batch arrays come
+        # on top (about 63 bytes a pair on this input when it took it). The
+        # graph's budget leaves too little room for a 2E permutation and a
+        # gather through it (89 bytes a pair).
         ps = random_separated(5000, 2 * math.sqrt(5000), seed=5)
         iv = IntervalFamily([3.0, 13.0, 45.0, 150.0, 500.0], 1.0)
         tracemalloc.start()
