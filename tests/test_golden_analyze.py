@@ -34,7 +34,7 @@ GENERATED = {
     "problem3": ["problem3", "--n", "30", "--k", "3", "--t", "60"],
 }
 NAMES = [*GENERATED, "random-1", "random-2"]
-SIZES = [(s, m) for s in (1, 2, 3) for m in sorted({1, s})]
+SIZES = [(s, m) for s in (1, 2, 3, 4, 5) for m in sorted({1, s})]
 CASES = [f"{name}-s{s}-m{m}" for name in NAMES for s, m in SIZES]
 
 
