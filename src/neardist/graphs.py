@@ -2,20 +2,24 @@
 
 The graph on a point set has an edge for every pair whose distance falls in
 the interval family, labeled with the smallest qualifying interval index.
-The graph is stored as CSR arrays, built from label_pairs' arrays by one
+build_graph stores it as CSR arrays, built from label_pairs' arrays by one
 in-place sort of both edge directions packed with their labels (about 77
-bytes per edge at the peak). Witness extraction looks for a K(1, s, s): a
-hub x and two disjoint s-sets B, D with every x-B, x-D and B-D edge present.
-Homogenization refines a witness to subsets on which each of the three edge
-classes carries a single label. Both searches are explicit and deterministic;
-they are meant for small witnesses (roughly s <= 4) and degrade to
-exponential enumeration in s and in the degree of dense neighbourhoods
-beyond that.
+bytes per edge at the peak). The point-set graph that `analyze` uses holds no
+edge: it takes the degrees from one walk of the pruned count and reads a
+hub's neighbourhood, the edges inside it and single labels from the points
+when asked, in O(n) memory beside one hub's edges. Witness extraction looks
+for a K(1, s, s): a hub x and two disjoint s-sets B, D with every x-B, x-D
+and B-D edge present; it reads only each tried hub's neighbourhood and the
+edges inside it, so one search body serves both graphs. Homogenization
+refines a witness to subsets on which each of the three edge classes carries
+a single label, and reads only the witness's own labels. Both searches are
+explicit and deterministic; they are meant for small witnesses (roughly
+s <= 4) and degrade to exponential enumeration in s and in the degree of
+dense neighbourhoods beyond that.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -23,8 +27,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .counting import _sort_pairs, label_pairs
-from .geometry import IntervalFamily, PointSet, _sq_dists
+from .counting import _choose_label_grid, _sort_pairs, _spans, _visit_hits, label_pairs
+from .geometry import IntervalFamily, PointSet, _label_hits, _run_pairs, _sq_dists
 
 __all__ = [
     "NearEqualGraph",
@@ -83,6 +87,19 @@ class NearEqualGraph:
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
+    @property
+    def _degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def _hub(self, x: int):
+        """N(x), sorted, and the edges inside it as id arrays (u, v), u < v."""
+        nbrs = self.indices[self.indptr[x]:self.indptr[x + 1]]
+        start = self.indptr[nbrs]
+        length = self.indptr[nbrs + 1] - start
+        u, v = np.repeat(nbrs, length), self.indices[_spans(start, length)]
+        keep = (u < v) & np.isin(v, nbrs)
+        return nbrs, u[keep], v[keep]
+
     def _row(self, v: int) -> tuple[int, int]:
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range for n={self.n}")
@@ -115,6 +132,67 @@ def build_graph(ps: PointSet, iv: IntervalFamily) -> NearEqualGraph:
     """Build the qualifying-pair graph; edge count equals the pair count."""
     pairs = label_pairs(ps, iv)
     return NearEqualGraph(ps.n, pairs.i, pairs.j, pairs.label)
+
+
+class _PointGraph:
+    """The qualifying-pair graph of a point set, read from the points.
+
+    Holds no edge: the degrees come from one walk of the pruned count, on its
+    grid and pass (counting._choose_label_grid), dropping the cell blocks with
+    no qualifying pair and expanding the rest, as label_pairs does. A hub's
+    neighbourhood N(x) comes from one pass of x against every point, and the
+    edges inside it from its deg * (deg - 1) / 2 pairs, _PAIR_CHUNK at a time;
+    label(i, j) evaluates its one pair. Every pair is evaluated with the
+    walk's dx*dx + dy*dy and _label_hits, and fl(a - b) = -fl(b - a), so
+    degrees, edges and labels equal build_graph's bit for bit, in O(n) memory
+    beside a hub's edges.
+    """
+
+    __slots__ = ("n", "edge_count", "_degrees", "_xs", "_ys", "_lo2", "_hi2")
+
+    def __init__(self, ps: PointSet, iv: IntervalFamily):
+        coords = ps.coords
+        self.n = n = ps.n
+        self._xs, self._ys = coords.T
+        self._lo2, self._hi2 = lo2, hi2 = iv.sq_bounds
+        degrees = np.zeros(n, dtype=np.int64)
+
+        def add(l, hit, i, j):
+            for ends in (i, j):
+                np.add.at(degrees, np.broadcast_to(ends, hit.shape)[hit], 1)
+
+        _visit_hits(coords, *_choose_label_grid(coords, lo2, hi2), lo2, hi2, add, np.empty(0))
+        self._degrees = degrees
+        self.edge_count = int(degrees.sum()) // 2
+
+    def _labels(self, i, j) -> np.ndarray:
+        """1-based smallest labels of the pairs (i, j), 0 where none qualifies."""
+        d2 = _sq_dists(self._xs, self._ys, i, j)
+        labels = np.zeros(np.shape(d2), dtype=np.int64)
+        for l, hit in _label_hits(d2, self._lo2, self._hi2):
+            labels[hit] = l + 1
+        return labels
+
+    def _hub(self, x: int):
+        """N(x), sorted, and the edges inside it as id arrays (u, v), u < v."""
+        # x itself is no neighbour: its d2 of 0 lies in no interval (t >= 1).
+        nbrs = np.flatnonzero(self._labels(x, np.arange(self.n)))
+        pos = np.arange(len(nbrs) - 1)
+        u, v = [nbrs[:0]], [nbrs[:0]]
+        for i, j in _run_pairs(nbrs, pos, pos + 1, len(nbrs) - 1 - pos):
+            keep = self._labels(i, j) > 0
+            u.append(i[keep])
+            v.append(j[keep])
+        return nbrs, np.concatenate(u), np.concatenate(v)
+
+    def label(self, i: int, j: int) -> int:
+        for v in (i, j):
+            if not 0 <= v < self.n:
+                raise IndexError(f"vertex {v} out of range for n={self.n}")
+        label = int(self._labels(i, j))
+        if not label:
+            raise KeyError((i, j))
+        return label
 
 
 @dataclass(frozen=True)
@@ -162,20 +240,26 @@ def _find_bipartite_in(adj, cand: list[int], s: int) -> tuple[list[int], list[in
     return extend([], 0, cand_set)
 
 
-def find_tripartite(g: NearEqualGraph, s: int) -> TripartiteWitness | None:
+def find_tripartite(g: NearEqualGraph | _PointGraph, s: int) -> TripartiteWitness | None:
     """Search for a K(1, s, s) witness; None when the graph contains none.
 
     Deterministic: returns the least witness under lexicographic order of
     (x, sorted B, sorted D). Exhaustive over hubs of degree at least 2s,
-    branch and bound inside each hub's neighborhood. Neighbour sets are built
-    only for the vertices the search reaches.
+    branch and bound inside each hub's neighborhood. The search reads a
+    graph's degrees and, per hub x tried, N(x) with the edges inside it, the
+    only edges it can use: every set it intersects is a subset of N(x). So it
+    serves both the CSR graph and the point-set graph, whose hub reads cost
+    O(n + deg(x)**2) time and O(n + edges in N(x)) memory.
     """
     if s < 1:
         raise ValueError(f"witness part size must be >= 1, got {s}")
-    adj = functools.cache(g.neighbors)
-    for x in np.flatnonzero(np.diff(g.indptr) >= 2 * s).tolist():
-        nbrs = g.indices[g.indptr[x]:g.indptr[x + 1]].tolist()
-        found = _find_bipartite_in(adj, nbrs, s)
+    for x in np.flatnonzero(g._degrees >= 2 * s).tolist():
+        nbrs, u, v = g._hub(x)
+        adj = {w: set() for w in nbrs.tolist()}
+        for a, b in zip(u.tolist(), v.tolist()):
+            adj[a].add(b)
+            adj[b].add(a)
+        found = _find_bipartite_in(adj.__getitem__, list(adj), s)
         if found is not None:
             B, D = found
             return TripartiteWitness(x=x, B=tuple(B), D=tuple(D))
@@ -202,7 +286,9 @@ class HomogeneousWitness:
         return len(self.B2)
 
 
-def _largest_label_class(g: NearEqualGraph, x: int, members: tuple[int, ...]) -> tuple[int, list[int]]:
+def _largest_label_class(
+    g: NearEqualGraph | _PointGraph, x: int, members: tuple[int, ...]
+) -> tuple[int, list[int]]:
     """Partition members by their edge label to x; largest class wins, ties to
     the smaller label."""
     classes: dict[int, list[int]] = {}
@@ -212,7 +298,9 @@ def _largest_label_class(g: NearEqualGraph, x: int, members: tuple[int, ...]) ->
     return label, sorted(classes[label])
 
 
-def homogenize(g: NearEqualGraph, w: TripartiteWitness, m: int) -> HomogeneousWitness | None:
+def homogenize(
+    g: NearEqualGraph | _PointGraph, w: TripartiteWitness, m: int
+) -> HomogeneousWitness | None:
     """Refine a witness to m-subsets with one label per edge class, or None.
 
     B is first restricted to its largest x-label class (ties to the smaller

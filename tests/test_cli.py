@@ -367,6 +367,18 @@ class TestAnalyzeCommand:
         assert payload["witness"] is None
         assert "witness=none" in res.stdout
 
+    def test_huge_s_finds_no_witness(self, tmp_path):
+        # 2 * s lies far beyond int64: no hub qualifies, and the search ends cleanly.
+        (tmp_path / "pts.json").write_text('{"dim": 2, "points": [[0, 0], [5, 0], [0, 5], [5, 5]]}')
+        (tmp_path / "iv.json").write_text('{"alpha": 1.0, "t": [5.0]}')
+        res = run_cli(
+            "--output-dir", "ana", "analyze", "pts.json", "iv.json", "--s", 10**21, "--m", 1,
+            cwd=tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        payload = json.loads((tmp_path / "ana/analysis.json").read_text())
+        assert payload["edges"] == 4 and payload["witness"] is None
+
 
 class TestDiameterCommand:
     def test_reports_value(self, tmp_path):

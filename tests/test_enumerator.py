@@ -8,9 +8,11 @@ label, so both must equal an all-pairs scan bit for bit, whatever cell side
 they run on. These tests compare them with the pure-Python oracle on inputs
 chosen to stress that claim, both at the side the cost model picks and at
 forced sides from one cell to thousands per axis, with bulk adds tried on
-every block or only on the large ones. The graph's CSR must not depend on
-the order in which its edges are given, and label_pairs and build_graph must
-stay within a memory budget per pair.
+every block or only on the large ones; the point-set graph's degree walk
+and labels are held to the same oracle. The graph's CSR must not depend on
+the order in which its edges are given, label_pairs and build_graph must
+stay within a memory budget per pair, and the point-set graph with its
+witness search within one per point.
 """
 
 import math
@@ -24,10 +26,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neardist import (
-    IntervalFamily, NearEqualGraph, PointSet, build_graph, count_pairs, label_pairs, random_separated,
+    IntervalFamily, NearEqualGraph, PointSet, build_graph, count_pairs, find_tripartite, label_pairs,
+    random_separated,
 )
-from neardist import counting, geometry
+from neardist import counting, geometry, graphs
 from neardist.constructions import two_column
+from neardist.graphs import _PointGraph
 
 from _oracles import _sq_dist, oracle_labels
 
@@ -141,12 +145,14 @@ class TestLabelPairsExact:
         ps, iv = PointSet(points), IntervalFamily(t, alpha)
         chooser = counting._choose_label_grid if forced is None else _forced_grid(*forced)
         with mock.patch.object(counting, "_choose_label_grid", chooser), mock.patch.object(
-            counting, "_BULK_MIN_PAIRS", bulk_min
-        ):
+            graphs, "_choose_label_grid", chooser
+        ), mock.patch.object(counting, "_BULK_MIN_PAIRS", bulk_min):
             got = label_pairs(ps, iv)
             pruned = count_pairs(ps, iv, "pruned").per_interval
+            degrees = _PointGraph(ps, iv)._degrees
         want = oracle_labels(points, t, alpha)
         assert list(got) == want
+        assert degrees.tolist() == np.bincount(np.append(got.i, got.j), minlength=ps.n).tolist()
         per = tuple(np.bincount(got.label, minlength=iv.k + 1)[1:].tolist())
         assert per == count_pairs(ps, iv, "brute").per_interval == pruned
 
@@ -154,17 +160,22 @@ class TestLabelPairsExact:
     @settings(max_examples=100, deadline=None)
     def test_graph_agrees_with_oracle_dict(self, data):
         points, t, alpha = data
-        g = build_graph(PointSet(points), IntervalFamily(t, alpha))
+        ps, iv = PointSet(points), IntervalFamily(t, alpha)
+        g, pg = build_graph(ps, iv), _PointGraph(ps, iv)
         want = {(i, j): l for i, j, l in oracle_labels(points, t, alpha)}
-        assert g.edge_count == len(want)
+        assert g.edge_count == pg.edge_count == len(want)
         for a in range(g.n):
             nbrs = {b for b in range(g.n) if (min(a, b), max(a, b)) in want}
             assert g.neighbors(a) == frozenset(nbrs)
+            assert pg._hub(a)[0].tolist() == sorted(nbrs)
             for b in range(g.n):
                 key = (min(a, b), max(a, b))
                 assert g.has_edge(a, b) == (key in want)
                 if key in want:
-                    assert g.label(a, b) == want[key]
+                    assert g.label(a, b) == pg.label(a, b) == want[key]
+                else:
+                    with pytest.raises(KeyError):
+                        pg.label(a, b)
 
     def test_types_and_order(self):
         ps = PointSet([(0.0, 0.0), (3.0, 0.0), (0.0, 1.0), (3.0, 1.0)])
@@ -496,7 +507,22 @@ class TestGraphConstruction:
             assert g.indptr.dtype == g.indices.dtype == g.labels.dtype == np.int64
 
 
+def _peak_bytes(fn):
+    """fn's result and the peak memory that tracemalloc traces while it runs."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestPairOutputMemory:
+    @staticmethod
+    def _input():
+        return random_separated(5000, 2 * math.sqrt(5000), seed=5), IntervalFamily(
+            [3.0, 13.0, 45.0, 150.0, 500.0], 1.0)
+
     @pytest.mark.parametrize("build, budget", [(label_pairs, 80), (build_graph, 88)],
                              ids=["label_pairs", "build_graph"])
     def test_peak_bytes_per_pair(self, build, budget):
@@ -507,14 +533,22 @@ class TestPairOutputMemory:
         # on top (about 63 bytes a pair on this input when it took it). The
         # graph's budget leaves too little room for a 2E permutation and a
         # gather through it (89 bytes a pair).
-        ps = random_separated(5000, 2 * math.sqrt(5000), seed=5)
-        iv = IntervalFamily([3.0, 13.0, 45.0, 150.0, 500.0], 1.0)
-        tracemalloc.start()
-        try:
-            out = build(ps, iv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = _peak_bytes(lambda: build(*self._input()))
         pairs = len(out) if build is label_pairs else out.edge_count
         assert pairs > 150_000
         assert peak / pairs <= budget
+
+    def test_point_graph_peak_bytes_per_point(self):
+        # The point-set graph and the witness search hold no edge list: about
+        # 155 bytes a point at their peak here, most of it the pruned count's
+        # grid pick and walk, against about 2.6 kB a point for build_graph.
+        # One int32 per edge direction would take about 270 bytes a point.
+        ps, iv = self._input()
+
+        def search():
+            g = _PointGraph(ps, iv)
+            return g, find_tripartite(g, 3)
+
+        (g, w), peak = _peak_bytes(search)
+        assert g.edge_count > 150_000 and w is not None
+        assert peak / ps.n <= 192

@@ -1,8 +1,9 @@
 """Golden `analyze` outputs: witnesses and refinements must not drift.
 
-`golden_analyze.json` holds the exact analysis.json text of every case below,
-recorded with the all-pairs `label_pairs` and the dict-based graph. Any faster
-enumerator or graph layout must reproduce them byte for byte. To re-record
+`golden_analyze.json` holds the exact analysis.json text of every case below:
+the s <= 3 cases recorded with the all-pairs `label_pairs` and the dict-based
+graph, the s = 4 and 5 cases with the CSR graph. Any faster enumerator, graph
+layout or witness search must reproduce them byte for byte. To re-record
 (only when a change of output is intended), run this file as a script:
 
     PYTHONPATH=src python tests/test_golden_analyze.py

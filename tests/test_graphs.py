@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,9 @@ from neardist import (
     triangle_angle_bounds,
     two_column,
 )
+
+from neardist import counting
+from neardist.graphs import _PointGraph
 
 from _oracles import (
     oracle_tripartite_exists,
@@ -117,6 +121,70 @@ class TestFindTripartite:
         found = find_tripartite(g, s)
         got = None if found is None else (found.x, found.B, found.D)
         assert got == best
+
+
+def _assert_same_graph(ps, iv):
+    """The point-set graph reads the CSR graph's degrees, hubs, labels,
+    witnesses and refinements, bit for bit."""
+    csr, g = build_graph(ps, iv), _PointGraph(ps, iv)
+    assert (g.n, g.edge_count) == (csr.n, csr.edge_count)
+    np.testing.assert_array_equal(g._degrees, np.diff(csr.indptr))
+    for x in range(min(ps.n, 40)):
+        (nbrs, *edges), (want, *want_edges) = g._hub(x), csr._hub(x)
+        np.testing.assert_array_equal(nbrs, want)
+        assert set(zip(*edges)) == set(zip(*want_edges))
+    for s in (1, 2, 3):
+        w = find_tripartite(g, s)
+        assert w == find_tripartite(csr, s)
+        if w is None:
+            continue
+        pairs = [(w.x, v) for v in w.B + w.D] + [(b, d) for b in w.B for d in w.D]
+        assert [g.label(*p) for p in pairs] == [csr.label(*p) for p in pairs]
+        for m in range(1, s + 1):
+            assert homogenize(g, w, m) == homogenize(csr, w, m)
+
+
+def _lattice(w, h, shift):
+    return PointSet([(a + shift[0], b + shift[1]) for a in range(w) for b in range(h)])
+
+
+class TestPointGraph:
+    @given(seed=st.integers(0, 3000), n=st.integers(2, 40), t2=st.floats(2.2, 6.0))
+    @settings(max_examples=40, deadline=None)
+    def test_random_sets_match_csr(self, seed, n, t2):
+        ps = random_separated(n, max(6.0, 2.6 * math.sqrt(n)), seed)
+        _assert_same_graph(ps, IntervalFamily([1.0, t2], 1.0))
+
+    # Integer lattices put many pairs exactly on t (2, 5) and on t + alpha (3, 6);
+    # an exact translation by (1e9, -1e9) keeps them there, an inexact one moves
+    # them off by rounding, and every cell index is a difference of large floors.
+    @given(w=st.integers(1, 9), h=st.integers(2, 9),
+           shift=st.sampled_from([(0.0, 0.0), (1e9, -1e9), (1e9 + 0.37, -1e9 + 0.11)]))
+    @settings(max_examples=40, deadline=None)
+    def test_lattices_match_csr(self, w, h, shift):
+        _assert_same_graph(_lattice(w, h, shift), IntervalFamily([2.0, 5.0], 1.0))
+
+    def test_column_construction_on_the_run_path(self):
+        built = two_column(40, 3, 400, 0.5)
+        assert counting._choose_label_grid(built.ps.coords, *built.iv.sq_bounds)[2] == "runs"
+        _assert_same_graph(built.ps, built.iv)
+
+    def test_no_hub_of_degree_2s(self):
+        # A path of four points: degrees 1, 2, 2, 1, so no hub for s = 2.
+        ps = PointSet([(0.0, 0.0), (3.0, 0.0), (6.0, 0.0), (9.0, 0.0)])
+        g = _PointGraph(ps, IntervalFamily([3.0], 0.5))
+        assert g._degrees.tolist() == [1, 2, 2, 1]
+        assert find_tripartite(g, 1) is None and find_tripartite(g, 2) is None
+
+    def test_label_of_a_non_edge_or_a_non_vertex(self):
+        g = _PointGraph(PointSet([(0.0, 0.0), (3.0, 0.0), (9.0, 0.0)]), IntervalFamily([3.0], 0.5))
+        assert g.label(1, 0) == g.label(0, 1) == 1
+        with pytest.raises(KeyError):
+            g.label(0, 2)
+        with pytest.raises(KeyError):
+            g.label(0, 0)
+        with pytest.raises(IndexError, match="vertex -1 out of range for n=3"):
+            g.label(-1, 0)
 
 
 class TestHomogenize:
