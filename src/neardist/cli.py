@@ -7,6 +7,8 @@ the summary and maps errors to exit codes. Re-running a command reproduces
 its outputs byte for byte (all randomness is seeded, manifests carry no
 timestamps, output paths are relative to the output directory). --output-dir,
 --format and --seed work before or after the subcommand; the later one wins.
+A command imports the library modules beyond fileio and geometry when it
+first uses them, so each start loads only the modules its command runs.
 
 Exit codes: 0 success (for verify and check-hypothesis, the positive
 verdict); 1 semantic negative (bound exceeded or near-sum check fails); 2
@@ -29,14 +31,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
-from .constructions import (
-    augmented_chain,
-    column_chain,
-    random_separated,
-    three_column,
-    two_column,
-)
-from .counting import count_pairs
 from .fileio import (
     InputFormatError,
     UnsupportedDimensionError,
@@ -49,17 +43,41 @@ from .fileio import (
     write_text,
 )
 from .geometry import PointSet, check_hypothesis, diameter, verify_bound
-from .graphs import (
-    TriangleCase,
-    _PointGraph,
-    angle_diagnostic,
-    build_graph,  # unused here; perfbench/traced.py wraps cli.build_graph by name
-    classify_label_triple,
-    find_tripartite,
-    homogenize,
-    triangle_angle_bounds,
-)
-from .search import SearchConfig, anneal
+
+# The names each command takes from the other library modules, imported with
+# their module on first use, so a command loads only the modules it runs.
+# Commands read them as `_cli.name`: a bare global would miss `__getattr__`
+# before the first use, and a name patched on this module must be what runs.
+_LAZY = {
+    "augmented_chain": "constructions",
+    "column_chain": "constructions",
+    "random_separated": "constructions",
+    "three_column": "constructions",
+    "two_column": "constructions",
+    "count_pairs": "counting",
+    "TriangleCase": "graphs",
+    "_PointGraph": "graphs",
+    "angle_diagnostic": "graphs",
+    "build_graph": "graphs",  # unused here; perfbench/traced.py wraps cli.build_graph by name
+    "classify_label_triple": "graphs",
+    "find_tripartite": "graphs",
+    "homogenize": "graphs",
+    "triangle_angle_bounds": "graphs",
+    "SearchConfig": "search",
+    "anneal": "search",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = f"{__package__}.{_LAZY[name]}"
+    __import__(module)  # the import statement's hook, which `python -X importtime` times
+    value = globals()[name] = getattr(sys.modules[module], name)
+    return value
+
+
+_cli = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -92,19 +110,19 @@ def cmd_generate(args) -> Result:
     seed = args.seed
     if name == "random":
         seed = 0 if seed is None else seed
-        ps = random_separated(args.n, args.box, seed)
+        ps = _cli.random_separated(args.n, args.box, seed)
         params, predicted = {"n": args.n, "box": args.box, "seed": seed}, None
         outputs = {points: ps}
         summary = f"generated random n={ps.n} -> {Path(args.output_dir) / points}"
     else:
         if name == "two-column":
-            built = two_column(args.n, args.k, args.t, args.eps)
+            built = _cli.two_column(args.n, args.k, args.t, args.eps)
         elif name == "remark2":
-            built = three_column(args.n, args.t1, args.t2)
+            built = _cli.three_column(args.n, args.t1, args.t2)
         elif name == "emp1":
-            built = column_chain(args.n, args.k, args.t)
+            built = _cli.column_chain(args.n, args.k, args.t)
         else:
-            built = augmented_chain(args.n, args.k, args.t)
+            built = _cli.augmented_chain(args.n, args.k, args.t)
         params, predicted = built.params, built.predicted_count
         outputs = {points: built.ps, "intervals.json": asdict(built.iv)}
         summary = (f"generated {name} n={built.ps.n} k={built.iv.k} "
@@ -116,7 +134,7 @@ def cmd_generate(args) -> Result:
 def cmd_count(args) -> Result:
     ps = load_point_set(args.points)
     iv = load_intervals(args.intervals)
-    report = count_pairs(ps, iv, method=args.method)
+    report = _cli.count_pairs(ps, iv, method=args.method)
     return Result(
         {"count.json": asdict(report)},
         {"method": args.method},
@@ -162,20 +180,20 @@ def cmd_search(args) -> Result:
             raise InputFormatError(f"search --config cannot be combined with {', '.join(flags)}")
         input_paths = [args.config]
         raw = load_json(args.config)
-        names = {f.name for f in fields(SearchConfig)} - {"iv"}
+        names = {f.name for f in fields(_cli.SearchConfig)} - {"iv"}
         unknown = sorted(raw.keys() - names - {"intervals"})
         if unknown:
             raise InputFormatError(f"{args.config}: unknown key {', '.join(map(repr, unknown))}")
         iv = intervals_from_dict(raw.get("intervals"), f"{args.config}: intervals")
         try:
-            config = SearchConfig(iv=iv, **{k: v for k, v in raw.items() if k != "intervals"})
+            config = _cli.SearchConfig(iv=iv, **{k: v for k, v in raw.items() if k != "intervals"})
         except TypeError as exc:
             raise InputFormatError(f"{args.config}: {exc}") from exc
     else:
         if args.intervals is None or args.n is None or args.iterations is None:
             raise InputFormatError("search needs --config, or --intervals with --n and --iterations")
         input_paths = [args.intervals]
-        config = SearchConfig(
+        config = _cli.SearchConfig(
             n=args.n,
             iv=load_intervals(args.intervals),
             iterations=args.iterations,
@@ -187,7 +205,7 @@ def cmd_search(args) -> Result:
         input_paths.append(args.initial)
         initial = load_point_set(args.initial)
 
-    result = anneal(config, initial)
+    result = _cli.anneal(config, initial)
     summary = {
         "best_count": result.best_count,
         "accepted_moves": result.accepted_moves,
@@ -211,11 +229,11 @@ def cmd_search(args) -> Result:
 def cmd_analyze(args) -> Result:
     if not 1 <= args.m <= args.s:
         raise InputFormatError(f"analyze needs 1 <= m <= s, got m={args.m}, s={args.s}")
-    triangle_angle_bounds(args.delta)
+    _cli.triangle_angle_bounds(args.delta)
     ps = load_point_set(args.points)
     iv = load_intervals(args.intervals)
-    graph = _PointGraph(ps, iv)
-    witness = find_tripartite(graph, args.s)
+    graph = _cli._PointGraph(ps, iv)
+    witness = _cli.find_tripartite(graph, args.s)
     payload: dict = {
         "n": graph.n,
         "edges": graph.edge_count,
@@ -227,16 +245,16 @@ def cmd_analyze(args) -> Result:
         "angle_check": None,
     }
     if witness is not None:
-        refined = homogenize(graph, witness, args.m)
+        refined = _cli.homogenize(graph, witness, args.m)
         payload["witness"] = asdict(witness) | {"B2": None, "D2": None, "labels": None}
         if refined is not None:
             labels = {"x_b": refined.label_xb, "x_d": refined.label_xd, "b_d": refined.label_bd}
             payload["witness"] |= {"B2": refined.B2, "D2": refined.D2, "labels": labels}
-            case = classify_label_triple(refined.label_xb, refined.label_xd, refined.label_bd)
+            case = _cli.classify_label_triple(refined.label_xb, refined.label_xd, refined.label_bd)
             payload["case"] = case.value
-            if case is TriangleCase.UNIQUE_MAX:
+            if case is _cli.TriangleCase.UNIQUE_MAX:
                 triangle = (witness.x, refined.B2[0], refined.D2[0])
-                payload["angle_check"] = asdict(angle_diagnostic(ps, triangle, iv, args.delta))
+                payload["angle_check"] = asdict(_cli.angle_diagnostic(ps, triangle, iv, args.delta))
     return Result(
         {"analysis.json": payload},
         {"s": args.s, "m": args.m, "delta": args.delta},

@@ -109,6 +109,11 @@ class SearchConfig:
             cool = self.cooling_factor
         elif self.iterations > 10:
             cool = 1.0 - 10.0 / self.iterations
+            if cool == 1.0:  # from about 1.8e17 iterations on
+                raise ValueError(
+                    f"iterations={self.iterations} rounds the default cooling factor "
+                    "1 - 10 / iterations to 1.0; set cooling_factor in (0, 1)"
+                )
         else:
             cool = 0.5
         return replace(self, initial_temperature=temp, cooling_factor=cool)

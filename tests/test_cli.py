@@ -335,6 +335,15 @@ class TestSearchCommand:
         res = run_cli("search", "--n", 5, cwd=tmp_path)
         assert res.returncode == 2
 
+    def test_iterations_too_large_for_default_cooling_exit_two(self, tmp_path):
+        (tmp_path / "iv.json").write_text('{"alpha": 1.0, "t": [5.0]}')
+        res = run_cli("--output-dir", "out", "search", "--intervals", "iv.json",
+                      "--n", 4, "--iterations", 10**18, cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr == ("error: iterations=1000000000000000000 rounds the default "
+                              "cooling factor 1 - 10 / iterations to 1.0; "
+                              "set cooling_factor in (0, 1)\n")
+
 
 class TestAnalyzeCommand:
     def test_witness_found_on_chain(self, tmp_path):

@@ -82,6 +82,18 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="seed"):
             SearchConfig(n=4, iv=IV50, iterations=10, seed=-1)
 
+    def test_default_cooling_rounding_to_one_names_iterations(self):
+        # 1 - 10 / iterations rounds to 1.0 from 180143985094819824 iterations
+        # on; the error names iterations, which the caller set, not the
+        # cooling factor, which it did not.
+        SearchConfig(n=4, iv=IV50, iterations=180143985094819823, seed=0).resolved()
+        cfg = SearchConfig(n=4, iv=IV50, iterations=180143985094819824, seed=0)
+        message = r"^iterations=180143985094819824 .*set cooling_factor"
+        with pytest.raises(ValueError, match=message):
+            cfg.resolved()
+        assert SearchConfig(n=4, iv=IV50, iterations=10**18, seed=0,
+                            cooling_factor=0.5).resolved().cooling_factor == 0.5
+
     @pytest.mark.parametrize(
         "field, value",
         [("n", True), ("iterations", 10.5), ("seed", "x"), ("restarts", None),
