@@ -67,6 +67,10 @@ _COST_PAIR = 1.5
 # call, and per slot pair evaluated. Measured in process on jittered grids of
 # 500 to 16000 points at sides 2 to 8, with k = 3 and 5: a unit of the run
 # path took 4-19 ns (about 10), a call about 30 us and a slot pair 2-4 ns.
+# All five constants are kept as fitted, so that no pick moves: on the same
+# grids, with a visitor that does nothing, a least-squares fit of the image
+# pass now gives about 2.0 ns a slot pair and 4 us a call (2 shared vCPUs,
+# numpy 2.4), so the model overprices it a little.
 _COST_CALL = 3000.0
 _COST_SLOT = 0.4
 # A (row, cell) block of the join is checked for a bulk add only when it holds
@@ -254,10 +258,11 @@ def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
     """
     n = coords.shape[0]
     extent = max(float(np.ptp(coords[:, 0])), float(np.ptp(coords[:, 1])), _MIN_EXTENT)
-    best, best_cost = None, math.inf
+    best, best_cost, order = None, math.inf, None
     side = math.ldexp(1.0, math.frexp(extent)[1] + 1)
     while side >= extent / _MAX_CELLS:
-        grid = _bucket_cells(coords[:, 0], coords[:, 1], side)
+        grid = _bucket_cells(coords[:, 0], coords[:, 1], side, order)
+        order = grid.order
         rows = _offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
         a, b_lo, b_hi = rows
         offsets = float((b_hi - b_lo + 1).sum())
@@ -388,17 +393,18 @@ def _image_hits(coords: np.ndarray, grid, rows, lo2: np.ndarray, hi2: np.ndarray
 
     The image lays the cells out as dense (m, nx, ny) arrays of x, y and
     point id, m the largest cell count: layer k holds each cell's k-th point
-    in the cell order, and an empty slot holds coordinate 0 and id -1. At the
-    offset (a, b) a slice of the cells (cx, cy) and the slice shifted by
+    in the cell order, and an empty slot holds coordinates NaN and id -1. At
+    the offset (a, b) a slice of the cells (cx, cy) and the slice shifted by
     (a, b) hold the cells the offset pairs; each layer k of the first is
     evaluated against every layer of the second, or only the later layers
     at (0, 0), so the pairs are exactly those the join yields at the offset,
     with no join, no runs and no gathers. d2 is dx*dx + dy*dy, whatever the
-    sign of dx, as fl(p - q) = -fl(q - p); a slot pair with an empty slot
-    gets d2 = 0, which no interval holds (lo2 >= 1), and every d2 is finite,
-    as coordinates are at most 2**510. Only the intervals that meet the
-    offset's _sq_bracket are checked: every pair at the offset lies inside
-    it, so the smallest qualifying label is unchanged.
+    sign of dx, as fl(p - q) = -fl(q - p), evaluated in place; a slot pair
+    with an empty slot gets d2 = NaN, and no comparison with NaN holds, so
+    no interval holds it and it needs no mask. Every real pair's d2 is
+    finite, as coordinates are at most 2**510. Only the intervals that meet
+    the offset's _sq_bracket are checked: every pair at the offset lies
+    inside it, so the smallest qualifying label is unchanged.
     """
     nx, ny = grid.nx, grid.ny
     m = int(np.diff(grid.starts).max())
@@ -406,9 +412,8 @@ def _image_hits(coords: np.ndarray, grid, rows, lo2: np.ndarray, hi2: np.ndarray
             *np.divmod(grid.keys[grid.cell_of], grid.stride))
     ids = np.full((m, nx, ny), -1, dtype=np.int64)
     ids[slot] = grid.order
-    xs, ys = np.zeros((2, m, nx, ny))
+    xs, ys = np.full((2, m, nx, ny), np.nan)
     xs[slot], ys[slot] = coords[grid.order].T
-    full = ids >= 0
     offsets = _offset_labels(rows, grid.side, lo2, hi2)
     for a, b, l0, l1 in zip(*(v.tolist() for v in offsets)):
         cells = slice(0, nx - a), slice(max(0, -b), ny - max(0, b))
@@ -417,11 +422,11 @@ def _image_hits(coords: np.ndarray, grid, rows, lo2: np.ndarray, hi2: np.ndarray
         for k in range(m - 1 if same else m):
             p = (k, *cells)
             q = (slice(k + 1 if same else 0, m), *partners)
-            dx = xs[p] - xs[q]
+            d2 = xs[p] - xs[q]
+            d2 *= d2
             dy = ys[p] - ys[q]
-            d2 = dx * dx
-            d2 += dy * dy
-            d2 *= full[p] & full[q]
+            dy *= dy
+            d2 += dy
             for l, hit in _label_hits(d2, lo2[l0:l1], hi2[l0:l1]):
                 visit(l0 + l, hit, ids[p], ids[q])
 

@@ -219,12 +219,26 @@ def _sq_dists(xs: np.ndarray, ys: np.ndarray, i: np.ndarray, j: np.ndarray) -> n
 
 def _label_hits(d2: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
     """Yield (l, hit) for each 0-based interval l, hit masking the squared
-    distances whose smallest qualifying interval is l; stops once none is left."""
-    remaining = np.ones(d2.shape, dtype=bool)
+    distances whose smallest qualifying interval is l; stops once none is left.
+
+    The mask of the squared distances still unlabelled is made only when a
+    later interval follows, as the complement of the first hit, and is not
+    updated after the last one. NaN compares false, so it never hits.
+    """
+    remaining = None
     for l in range(len(lo2)):
-        hit = remaining & (d2 >= lo2[l]) & (d2 <= hi2[l])
+        hit = d2 >= lo2[l]
+        hit &= d2 <= hi2[l]
+        if remaining is not None:
+            hit &= remaining
         yield l, hit
-        remaining &= ~hit
+        if l == len(lo2) - 1:
+            return
+        if remaining is None:
+            remaining = ~hit
+        else:
+            # hit lies inside remaining, so this clears it.
+            remaining ^= hit
         if not remaining.any():
             return
 
@@ -249,21 +263,36 @@ class _Cells(NamedTuple):
     cell_of: np.ndarray
 
 
-def _bucket_cells(xs: np.ndarray, ys: np.ndarray, side: float) -> _Cells:
+def _bucket_cells(xs: np.ndarray, ys: np.ndarray, side: float, order: np.ndarray | None = None) -> _Cells:
     """Cells of a power-of-two side (or inf, one cell) at its multiples: on
     an axis, cell floor(x / side) - floor(x_min / side). The division by a
     power of two, both floors and their small difference are exact, so every
     point lies in its cell, except that x / side underflows for
     |x| < 2**-1022 * side, which moves x by far less than half an ulp of any
-    nonzero cell bound."""
+    nonzero cell bound.
+
+    The points are in cell-key order, ties in index order: a stable sort.
+    order, if given, is the cell order of the same points at a coarser
+    power-of-two side; the keys are then sorted stably from that order,
+    which is nearly sorted already and so sorts in about linear time.
+    Power-of-two cells nest, so the points of one cell here share a coarser
+    cell, where they stand in index order, and the result is the fresh
+    sort's. Underflow can break the nesting (at side 1, -2**-1074 lies in
+    cell -1, at side 2 in cell 0): if a tie then comes out of index order,
+    the keys are sorted afresh.
+    """
     ix = (np.floor(xs / side) - np.floor(xs.min() / side)).astype(np.int64)
     iy = (np.floor(ys / side) - np.floor(ys.min() / side)).astype(np.int64)
     ny = int(iy.max()) + 1
     stride = 2 * ny
     key = ix * stride + iy
-    order = np.argsort(key, kind="stable")
+    fresh = order is None
+    order = np.argsort(key, kind="stable") if fresh else order[np.argsort(key[order], kind="stable")]
     skey = key[order]
-    first = np.flatnonzero(np.concatenate(([True], skey[1:] != skey[:-1])))
+    new = np.concatenate(([True], skey[1:] != skey[:-1]))
+    if not fresh and (~new[1:] & (order[1:] < order[:-1])).any():
+        order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(new)
     starts = np.append(first, len(skey))
     cell_of = np.repeat(np.arange(len(first)), np.diff(starts))
     return _Cells(side, int(ix.max()) + 1, ny, stride, order, skey[first], starts, cell_of)

@@ -15,9 +15,12 @@ stay within a memory budget per pair, and the point-set graph with its
 witness search within one per point.
 """
 
+import hashlib
+import importlib.util
 import math
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -33,7 +36,9 @@ from neardist import counting, geometry, graphs
 from neardist.constructions import two_column
 from neardist.graphs import _PointGraph
 
-from _oracles import _sq_dist, oracle_labels
+from _oracles import _sq_dist, oracle_count, oracle_labels
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def _level_side(coords, level):
@@ -137,7 +142,7 @@ class TestLabelPairsExact:
     @example(data=([(0.0, 0.0)] * 3 + [(3.0, 4.0)] * 3, [3.0], 2.0), forced=(1, False), bulk_min=1)
     # The same blocks as image layers: three points to a cell.
     @example(data=([(0.0, 0.0)] * 3 + [(3.0, 4.0)] * 3, [3.0], 2.0), forced=(1, True), bulk_min=1)
-    # Coordinates at the 2**510 limit on the image: d2 of an empty slot stays finite.
+    # Coordinates at the 2**510 limit on the image: every real pair's d2 stays finite.
     @example(data=([(2.0**510, 0.0), (-(2.0**510), 2.0**509)], [2.0**509], 2.0**510),
              forced=(3, True), bulk_min=1)
     def test_matches_oracle_and_brute_count(self, data, forced, bulk_min):
@@ -208,6 +213,29 @@ def occupied_grids(draw):
     return points, side, [v * step for v in t], alpha
 
 
+@st.composite
+def sparse_deep_grids(draw):
+    """(points, side, t, alpha) whose image is deep and mostly empty: one
+    cell of 3 to 5 points, one point in each corner cell, a few elsewhere,
+    on a grid of 3 to 7 cells per axis, so at least two thirds of the
+    image's slots are empty. Points sit at quarter-cell positions, as in
+    occupied_grids; some sets are translated by about 1e9."""
+    side = draw(st.sampled_from([0.5, 1.0, 4.0]))
+    nx, ny = draw(st.integers(3, 7)), draw(st.integers(3, 7))
+    cell = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
+    quarter = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    deep = draw(cell)
+    spots = [(deep, f) for f in draw(st.lists(quarter, min_size=3, max_size=5))]
+    spots += [(c, draw(quarter)) for c in [(0, 0), (nx - 1, ny - 1), *draw(st.lists(cell, max_size=2))]]
+    sx, sy = draw(st.sampled_from([(0.0, 0.0), (1e9, -1e9), (-1e9, 1e9)]))
+    points = [((cx + fx / 4.0) * side + sx, (cy + fy / 4.0) * side + sy)
+              for (cx, cy), (fx, fy) in draw(st.permutations(spots))]
+    step = side / 4.0
+    t = sorted(draw(st.sets(st.integers(math.ceil(1.0 / step), 40), min_size=1, max_size=3)))
+    alpha = draw(st.sampled_from([1e-12, step, 4.0 * step]))
+    return points, side, [v * step for v in t], alpha
+
+
 def _walk_pairs(points, side, rows, walk, lo2, hi2):
     """(pairs, labels) of a pass at the rows: pairs lists every pair that it
     evaluates as (key, bits of d2), with key = min * n + max and d2 as read
@@ -231,8 +259,8 @@ def _walk_pairs(points, side, rows, walk, lo2, hi2):
     def pair(l, hit, i, j):
         key, real = keys(hit, i, j)
         d2 = seen[-1][hit]
-        # An image slot pair with an empty slot evaluates to exactly 0.
-        assert not d2[~real].any()
+        # An image slot pair with an empty slot evaluates to NaN.
+        assert np.isnan(d2[~real]).all()
         pairs.extend(zip(key[real].tolist(), d2[real].view(np.int64).tolist()))
 
     counting._visit_hits(coords, grid, rows, walk, lo2, hi2, label)
@@ -266,6 +294,26 @@ class TestImagePass:
         for walk in ("image", "runs"):
             assert _walk_pairs(points, side, rows, walk, lo2, hi2)[1] == labels
 
+    @given(data=sparse_deep_grids())
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_deep_image_matches_brute_and_oracle(self, data):
+        # Empty slots hold NaN and must never qualify, on every layer.
+        points, side, t, alpha = data
+        ps, iv = PointSet(points), IntervalFamily(t, alpha)
+
+        def choose(coords, lo2, hi2):
+            grid = counting._bucket_cells(coords[:, 0], coords[:, 1], side)
+            m = int(np.diff(grid.starts).max())
+            assert m >= 3 and m * grid.nx * grid.ny >= 3 * len(coords)
+            return grid, counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2), "image"
+
+        with mock.patch.object(counting, "_choose_label_grid", choose):
+            got = label_pairs(ps, iv)
+            pruned = count_pairs(ps, iv, "pruned").per_interval
+        assert list(got) == oracle_labels(points, t, alpha)
+        assert pruned == count_pairs(ps, iv, "brute").per_interval == tuple(
+            oracle_count(points, t, alpha)[1])
+
     def test_chooser_takes_the_image_on_a_dense_grid_only(self):
         iv = IntervalFamily([3.0, 13.0, 45.0, 150.0, 500.0], 1.0)
         grid_like = random_separated(2000, 2 * math.sqrt(2000), seed=1)
@@ -283,6 +331,30 @@ class TestImagePass:
         # grid, for the count and label_pairs alike: priced without it, the
         # pick would be the coarse all-pairs grid.
         assert counting._choose_label_grid(columns.ps.coords, *columns.iv.sq_bounds)[0].side == 8.0
+
+    @pytest.mark.parametrize("workload, pick", [
+        ("verify-uniform", (2.0, "image", 214, 1022, "d48ff3dbb8c14a3b")),
+        ("verify-columns", (8.0, "runs", 7, 3037, "15a785466c125549")),
+        ("analyze-uniform", (2.0, "image", 214, 1022, "d48ff3dbb8c14a3b")),
+    ])
+    def test_chooser_picks_on_the_benchmark_inputs(self, workload, pick):
+        # The seed-0 inputs of perfbench/workloads.py (search-small has no
+        # point file): side, pass, the number of row runs and of offsets,
+        # and a digest of the rows. Work on the chooser's speed must leave
+        # them as they are, or list the move as a change of pick.
+        spec = importlib.util.spec_from_file_location("_perfbench_workloads", WORKLOADS)
+        wl = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(wl)
+        n = {"verify-uniform": 16000, "verify-columns": 12000, "analyze-uniform": 10000}[workload]
+        layout = "columns" if workload == "verify-columns" else "grid"
+        rng = np.random.default_rng([0, wl.LAYOUT_SALT[layout], n])
+        if layout == "columns":
+            xy, (t, alpha) = wl.two_columns(n, 5, 0.1, rng), (wl.columns_params(n, 5, 0.1)[3], 0.1)
+        else:
+            xy, (t, alpha) = wl.jittered_grid(n, rng), ([3.0, 13.0, 45.0, 150.0, 500.0], 1.0)
+        grid, rows, walk = counting._choose_label_grid(xy, *IntervalFamily(t, alpha).sq_bounds)
+        digest = hashlib.sha256(np.stack(rows).astype("<i8").tobytes()).hexdigest()[:16]
+        assert (grid.side, walk, len(rows[0]), int((rows[2] - rows[1] + 1).sum()), digest) == pick
 
     @pytest.mark.parametrize("shape", ["columns", "clusters"])
     def test_label_pairs_evaluates_the_counts_pairs_and_its_own_at_most(self, shape):

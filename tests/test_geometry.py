@@ -100,6 +100,72 @@ class TestTypes:
             assert iv.smallest_label(d2) == oracle_label(d2, t, alpha), d2
 
 
+def _label_hits_reference(d2, lo2, hi2):
+    """The smallest-label rule with an all-true mask of the unlabelled
+    squared distances, updated after every interval: the reference (l, hit)
+    sequence, and the point where it stops, for geometry._label_hits."""
+    remaining = np.ones(d2.shape, dtype=bool)
+    for l in range(len(lo2)):
+        hit = remaining & (d2 >= lo2[l]) & (d2 <= hi2[l])
+        yield l, hit
+        remaining &= ~hit
+        if not remaining.any():
+            return
+
+
+@st.composite
+def label_kernel_inputs(draw):
+    """(d2, t, alpha, l0, l1): a family, one slice [l0, l1) of it as the
+    image pass takes, and squared distances on every squared end of the
+    family, one ulp either side, between, NaN, 0 and inf, in an array of
+    one to three dimensions."""
+    t, alpha = draw(st.sampled_from([
+        ([3.0], 1.0), ([1.0], 1e-12), ([3.0, 4.0], 1.5), ([2.0, 3.0, 5.0, 6.0], 1.0),
+        ([1.0, 3.0, 10000.0], 0.1), ([1e9, 1e9 + 1.0], 3.0), ([3.0, 13.0, 45.0, 150.0, 500.0], 1.0),
+    ]) | st.tuples(
+        st.lists(st.floats(1.0, 60.0), min_size=1, max_size=6, unique=True).map(sorted),
+        st.sampled_from([1e-12, 0.3, 1.0, 8.0, 50.0])))
+    l0 = draw(st.integers(0, len(t) - 1))
+    l1 = draw(st.integers(l0 + 1, len(t)))
+    lo2, hi2 = IntervalFamily(t, alpha).sq_bounds
+    ends = np.concatenate((lo2, hi2))
+    probe = st.sampled_from(sorted({*ends.tolist(), *np.nextafter(ends, 0.0).tolist(),
+                                    *np.nextafter(ends, math.inf).tolist(), 0.0, math.inf}))
+    value = probe | st.just(math.nan) | st.floats(0.0, float(hi2[-1]) * 1.5)
+    shape = draw(st.sampled_from([(1,), (2,), (7,), (3, 4), (2, 1, 5)]))
+    d2 = np.array(draw(st.lists(value, min_size=math.prod(shape), max_size=math.prod(shape))))
+    return d2.reshape(shape), t, alpha, l0, l1
+
+
+class TestLabelHits:
+    @given(data=label_kernel_inputs())
+    @settings(max_examples=400, deadline=None)
+    # Everything hits the first interval: one step, and no mask is needed.
+    @example(data=(np.array([9.0, 16.0]), [3.0, 4.0], 1.5, 0, 2))
+    # Nothing hits: the sequence runs through the last interval.
+    @example(data=(np.array([math.nan, 0.0, math.inf]), [3.0, 4.0, 5.0], 1.0, 0, 3))
+    # The last pair left hits the second of three: the sequence stops there.
+    @example(data=(np.array([9.0, 25.0]), [3.0, 5.0, 7.0], 1.0, 0, 3))
+    # alpha = 1e-12: only the exact ends of [1, 1 + 1e-12] squared hit.
+    @example(data=(np.array([1.0, float(np.nextafter(1.0, 0.0)), (1.0 + 1e-12) ** 2]), [1.0], 1e-12,
+                   0, 1))
+    def test_matches_the_reference_and_the_oracle(self, data):
+        d2, t, alpha, l0, l1 = data
+        lo2, hi2 = (b[l0:l1] for b in IntervalFamily(t, alpha).sq_bounds)
+        got = [(l, hit.copy()) for l, hit in geometry._label_hits(d2, lo2, hi2)]
+        want = [(l, hit.copy()) for l, hit in _label_hits_reference(d2, lo2, hi2)]
+        assert [l for l, _ in got] == [l for l, _ in want]
+        for (_, hit), (_, ref) in zip(got, want):
+            assert hit.dtype == bool and hit.shape == d2.shape
+            assert np.array_equal(hit, ref)
+        label = np.full(d2.shape, -1)
+        for l, hit in got:
+            assert not (hit & (label >= 0)).any(), "a squared distance hits twice"
+            label[hit] = l
+        oracle = [oracle_label(v, t[l0:l1], alpha) for v in d2.ravel().tolist()]
+        assert label.ravel().tolist() == [-1 if l is None else l - 1 for l in oracle]
+
+
 class TestMinPairwiseDistance:
     def test_single_point(self):
         dist, separated = min_pairwise_distance(PointSet([(0, 0)]))
@@ -310,6 +376,18 @@ def cell_bound_sets(draw):
     return draw(hard_point_sets()) + draw(st.lists(st.tuples(coordinate, coordinate), max_size=8))
 
 
+def _chooser_sides(points):
+    """Every side _choose_label_grid may try, coarsest first."""
+    coords = np.array(points)
+    extent = max(float(np.ptp(coords[:, 0])), float(np.ptp(coords[:, 1])), geometry._MIN_EXTENT)
+    side = math.ldexp(1.0, math.frexp(extent)[1] + 1)
+    sides = []
+    while side >= extent / _MAX_CELLS:
+        sides.append(side)
+        side /= 2
+    return sides
+
+
 class TestExactCells:
     """Every pair's computed dx*dx + dy*dy lies in counting._sq_bracket of
     its two cells' offset, with no slack, on the power-of-two sides of both
@@ -319,13 +397,6 @@ class TestExactCells:
     def _sides(points):
         """Every side _choose_label_grid may try, and the sides
         min_pairwise_distance takes, each checked to be a power of two."""
-        coords = np.array(points)
-        extent = max(float(np.ptp(coords[:, 0])), float(np.ptp(coords[:, 1])), geometry._MIN_EXTENT)
-        side = math.ldexp(1.0, math.frexp(extent)[1] + 1)
-        sides = []
-        while side >= extent / _MAX_CELLS:
-            sides.append(side)
-            side /= 2
         taken = []
 
         def record(xs, ys, side, bucket=geometry._bucket_cells):
@@ -335,7 +406,7 @@ class TestExactCells:
         with mock.patch.object(geometry, "_bucket_cells", record):
             min_pairwise_distance(PointSet(points))
         assert all(math.frexp(side)[0] == 0.5 for side in taken)
-        return sides + taken
+        return _chooser_sides(points) + taken
 
     @given(points=cell_bound_sets())
     @example(points=[(-5e-324, 0.0), (0.0, 5e-324), (2.0, -2.0), (-4.0, 5e-324)])
@@ -358,6 +429,50 @@ class TestExactCells:
                            for x, c in zip(v.tolist(), cell.tolist()) if abs(x) >= 2.0**-1022 * side)
             low, high = counting._sq_bracket(np.abs(ix[p] - ix[q]), np.abs(iy[p] - iy[q]), side)
             assert np.all(low <= d2) and np.all(d2 <= high), side
+
+
+class TestSeededCellSort:
+    """_bucket_cells seeded with a coarser side's order, as the grid chooser
+    seeds it, gives the fresh sort's cells field by field."""
+
+    @staticmethod
+    def _check(points):
+        xs, ys = np.array(points, dtype=np.float64).T
+        coarser = None
+        for side in _chooser_sides(points):
+            fresh = geometry._bucket_cells(xs, ys, side)
+            if coarser is not None:
+                seeded = geometry._bucket_cells(xs, ys, side, coarser.order)
+                for name, want in fresh._asdict().items():
+                    got = getattr(seeded, name)
+                    assert type(got) is type(want), name
+                    if isinstance(want, np.ndarray):
+                        assert got.dtype == want.dtype and np.array_equal(got, want), (name, side)
+                    else:
+                        assert got == want, (name, side)
+            coarser = fresh
+
+    @given(points=cell_bound_sets())
+    @example(points=[(-5e-324, 0.0), (-0.5, 0.0), (2.0**29, 0.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_fresh_sort(self, points):
+        self._check(points)
+
+    @given(points=cell_bound_sets().flatmap(
+        lambda pts: st.lists(st.sampled_from(pts), min_size=1, max_size=3 * len(pts))))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_fresh_sort_with_duplicate_points(self, points):
+        # Duplicates share a cell at every side: only the stable ties order them.
+        self._check(points)
+
+    def test_underflow_out_of_its_nest_sorts_afresh(self):
+        # At side 1, -2**-1074 lies in cell -1 with -0.5; at side 2, x / side
+        # rounds to -0.0 and puts it in cell 0, after -0.5's cell -1. Sorted
+        # from that order, the two would tie at side 1 out of index order.
+        xs, ys = np.array([-5e-324, -0.5, 2.0**29]), np.zeros(3)
+        coarse, fresh = (geometry._bucket_cells(xs, ys, side) for side in (2.0, 1.0))
+        assert coarse.order.tolist() == [1, 0, 2] and fresh.order.tolist() == [0, 1, 2]
+        assert geometry._bucket_cells(xs, ys, 1.0, coarse.order).order.tolist() == [0, 1, 2]
 
 
 class TestExactAgainstOracle:
