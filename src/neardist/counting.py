@@ -1,81 +1,64 @@
 """Exact counting of point pairs whose distance falls in an interval family.
 
-Points are bucketed into square cells, and both counts and label_pairs walk
-the pairs of cells at a set of cell offsets, with one of two passes
-(_visit_hits). "brute" walks every unordered pair: one cell, and the one
-offset row (0, 0, 0). "pruned" and label_pairs use the fixed-radius
-cell-list search of Bentley, Stanat and Williams, 1977, over a union of thin
-annuli: _offset_rows enumerates the cell offsets whose distance bracket meets
-some interval, row by row from the annuli, on the cell side and with the
-pass that _choose_label_grid's cost model picks. At its coarsest it is the
-all-pairs walk, so no input costs more than O(n^2) time.
+"brute" evaluates every unordered pair, as one run set of geometry's
+_run_pairs: each point with every later one. "pruned", label_pairs and the
+point-set graph's degrees take one walk, _visit_hits, with one of two passes.
 
-The run path (_candidate_pairs) serves every grid: a batch of offset rows at
-a time, geometry's _join_cells pairs every occupied cell with the points of
-the cells at a run of offsets, which _block_runs and _run_pairs expand a
-fixed-size chunk at a time. The join finds a run's points by a search on the
-sorted cell keys. The image pass (_image_hits) serves dense grids, whose
-cells hold few points each: it lays the cells out as arrays with one layer
-per point of a cell and evaluates each offset as two shifted slices of them,
-the usual cell-list layout of molecular simulation (Allen and Tildesley,
-Computer Simulation of Liquids, 1987). Memory stays O(n + chunk) for both
-counts and O(n + chunk + output) for label_pairs, which holds one int64 a
-pair while it walks and sorts them in place: about 24 bytes a pair at its
-peak on the image pass.
-
-Neither pruned walk evaluates every candidate pair. The join pairs each
-occupied cell with a run of partner cells per offset row; when the squared
-distances of such a (row, cell) block are bracketed, from the actual extremes
-of its points, away from every interval, both drop the block, and when they
-are bracketed inside one interval and away from every earlier one, the count
-adds the block's pairs to that label in bulk (_block_labels, _add_decided).
-label_pairs expands such a block: all its pairs are output. The column
-constructions put nearly all of their pairs into decided blocks.
+The tree is dual-tree pair counting on a quadtree (Gray and Moore, "N-body
+problems in statistical learning", NIPS 2000; Moore et al., "Fast
+algorithms and efficient statistics: N-point correlation functions", 2001):
+node pairs, from the root paired with itself down, are dropped, added in
+bulk, evaluated or split by geometry._block_bracket on their points' actual
+extremes. The column constructions put nearly all of their pairs into bulk
+node pairs, and far clusters are dropped at a coarse level. The image pass
+(_image_hits) serves dense grids, whose cells hold few points each: it lays
+the cells out as arrays with one layer per point of a cell and evaluates
+each cell offset (_offset_rows, the fixed-radius search of Bentley, Stanat
+and Williams, 1977, over a union of thin annuli) as two shifted slices of
+them, the usual cell-list layout of molecular simulation (Allen and
+Tildesley, Computer Simulation of Liquids, 1987). Memory stays O(n + chunk)
+for both counts and O(n + chunk + output) for label_pairs, which holds one
+int64 a pair while it walks and sorts them in place: about 24 bytes a pair
+at its peak on the image pass.
 
 Every evaluated pair's squared distance is the expression dx*dx + dy*dy
-(geometry._sq_dists on the run path), and is labelled by
-geometry._label_hits, the package's one smallest-label rule, so the methods
-and passes agree exactly, including on interval endpoints. No bracket
-carries slack: cell sides are powers of two, so every point lies exactly in
-its cell, and rounding is monotone.
+(geometry._sq_dists on the tree), and is labelled by geometry._label_hits,
+the package's one smallest-label rule, so the methods and passes agree
+exactly, including on interval endpoints. The tree's exactness is one rule:
+every node pair it drops or adds in bulk is decided by _block_bracket on
+actual extremes, so its cells only group points. The image's cells are
+exact, their sides being powers of two, so its offset bracket (_sq_bracket)
+carries no slack either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import (
-    _MAX_CELLS, _MIN_EXTENT, IntervalFamily, PointSet, _block_bracket, _block_runs, _bucket_cells,
-    _cell_extremes, _join_cells, _label_hits, _run_pairs, _sq_dists,
+    _MIN_EXTENT, _PAIR_CHUNK, IntervalFamily, PointSet, _block_bracket, _bucket_cells, _Cells,
+    _cell_extremes, _label_hits, _run_pairs, _sq_dists,
 )
 
 __all__ = ["PairCountReport", "LabeledPairs", "count_pairs", "label_pairs"]
 
 _METHODS = ("brute", "pruned")
 
-# Offset row runs are joined a batch at a time, about this many points' runs.
-_LABEL_BATCH = 1 << 17
-# Relative costs of the run path: per occupied cell and per point for each
-# offset row run, and per candidate pair evaluated.
-_COST_CELL = 4.0
-_COST_POINT = 1.0
-_COST_PAIR = 1.5
-# Relative costs of the image pass, in the same unit: per (offset, layer)
-# call, and per slot pair evaluated. Measured in process on jittered grids of
-# 500 to 16000 points at sides 2 to 8, with k = 3 and 5: a unit of the run
-# path took 4-19 ns (about 10), a call about 30 us and a slot pair 2-4 ns.
-# All five constants are kept as fitted, so that no pick moves: on the same
-# grids, with a visitor that does nothing, a least-squares fit of the image
-# pass now gives about 2.0 ns a slot pair and 4 us a call (2 shared vCPUs,
-# numpy 2.4), so the model overprices it a little.
+# Relative costs of the image pass: per (offset, layer) call, and per slot
+# pair evaluated. Fitted in process on jittered grids of 500 to 16000 points
+# at sides 2 to 8, with k = 3 and 5, in a unit of about 10 ns: a call about
+# 30 us and a slot pair 2-4 ns. They are kept as fitted, so that no pick
+# moves; with a visitor that does nothing, a least-squares fit now gives
+# about 2.0 ns a slot pair and 4 us a call (2 shared vCPUs, numpy 2.4), so
+# the model overprices the calls a little.
 _COST_CALL = 3000.0
 _COST_SLOT = 0.4
-# A (row, cell) block of the join is checked for a bulk add only when it holds
-# at least this many pairs, so that the check costs less than the pairs.
-_BULK_MIN_PAIRS = 64
+# The tree evaluates a node pair's pairs once it holds at most this many.
+_LEAF_PAIRS = 256
 
 
 @dataclass(frozen=True)
@@ -111,27 +94,24 @@ def count_pairs(ps: PointSet, iv: IntervalFamily, method: str = "brute") -> Pair
     """Count unordered pairs with distance in some closed interval [t_l, t_l + alpha].
 
     Returns the total together with the per-interval breakdown by smallest
-    qualifying index. Both methods produce identical counts from the same
-    walk (_visit_hits). "brute" walks every pair on the run path, on one cell
-    (a side of inf) with the one offset row (0, 0, 0); "pruned" walks the
-    offset rows whose distance range meets an interval, on the grid and with
-    the pass that label_pairs uses, adds the cell blocks whose pairs share one
-    label in bulk on the run path, and is the faster path on large inputs.
+    qualifying index. Both methods produce identical counts. "brute"
+    evaluates every pair, each point with every later one; "pruned" takes
+    the walk of label_pairs (_visit_hits), adds the node pairs whose pairs
+    share one label in bulk, and is the faster path on large inputs.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     lo2, hi2 = iv.sq_bounds
     per = np.zeros(iv.k, dtype=np.int64)
-    if method == "brute":
-        row = np.zeros(1, dtype=np.int64)
-        walk = _bucket_cells(*ps.coords.T, math.inf), (row, row, row), "runs"
-    else:
-        walk = _choose_label_grid(ps.coords, lo2, hi2)
 
     def count(l, hit, i, j):
         per[l] += int(np.count_nonzero(hit))
 
-    _visit_hits(ps.coords, *walk, lo2, hi2, count, None if method == "brute" else per)
+    if method == "brute":
+        pos = np.arange(ps.n - 1)
+        _visit_runs(*ps.coords.T, (np.arange(ps.n), pos, pos + 1, ps.n - 1 - pos), lo2, hi2, count)
+    else:
+        _visit_hits(ps.coords, lo2, hi2, count, per)
     per_tuple = tuple(int(c) for c in per)
     return PairCountReport(total=sum(per_tuple), per_interval=per_tuple, method=method)
 
@@ -234,156 +214,205 @@ def _offset_labels(rows, side: float, lo2: np.ndarray, hi2: np.ndarray):
     return a, b, *_meeting(*_sq_bracket(a, np.abs(b), side), lo2, hi2)
 
 
-def _choose_label_grid(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray):
-    """The cheapest label grid and pass by a cost model, with its offset rows.
+def _image_pick(coords: np.ndarray, sides, lo2: np.ndarray, hi2: np.ndarray):
+    """The cheapest image pass (_image_hits) by the cost model at one of the
+    power-of-two sides, coarsest first, as (grid, rows), or None where no
+    image fits.
 
-    Sides are powers of two, from 2**(e + 1) for an extent below 2**e (at
-    most two cells per axis: the all-pairs walk) down by halves to extent /
-    _MAX_CELLS, the closest-pair grid's limit. Each side prices two passes.
-    The run path (_candidate_pairs) costs, per offset row run, a key search
-    per occupied cell and a run per point, and per offset the candidate
-    pairs, bounded by the sum of squared cell counts (Cauchy-Schwarz) times
-    the share of the join's pairs left undecided by _block_labels, as the
-    count walks it: measured where the join has at most n (row, cell) blocks
-    and taken as 1 elsewhere. The image pass (_image_hits) costs, per
-    offset, layer of its m-layer image and interval checked there, a call
-    and the m * nx * ny slots it evaluates; it is priced only where the
-    image holds at most 4n slots, so that its memory stays O(n). Halving the
-    side never removes a row run or an occupied cell, nor shrinks nx * ny,
-    so the search stops once the run path's overhead alone reaches the best
-    cost and the image no longer fits.
-
-    Returns (grid, rows, walk): walk is "image" for the image pass and
-    "runs" for the run path.
+    An image costs, per offset, layer of its m-layer image and interval
+    checked there, a call and the m * nx * ny slots it evaluates; it fits
+    where it holds at most 4n slots, so that its memory stays O(n). Halving
+    the side never shrinks nx * ny, so the search stops once that passes 4n.
     """
-    n = coords.shape[0]
-    extent = max(float(np.ptp(coords[:, 0])), float(np.ptp(coords[:, 1])), _MIN_EXTENT)
-    best, best_cost, order = None, math.inf, None
-    side = math.ldexp(1.0, math.frexp(extent)[1] + 1)
-    while side >= extent / _MAX_CELLS:
-        grid = _bucket_cells(coords[:, 0], coords[:, 1], side, order)
-        order = grid.order
-        rows = _offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
-        a, b_lo, b_hi = rows
-        offsets = float((b_hi - b_lo + 1).sum())
-        size = np.diff(grid.starts)
-        m = int(size.max())
-        if m * grid.nx * grid.ny <= 4 * n:
-            l0, l1 = _offset_labels(rows, grid.side, lo2, hi2)[2:]
-            checks = float((l1 - l0).sum())
-            cost = checks * m * (_COST_CALL + _COST_SLOT * m * grid.nx * grid.ny)
-            if cost < best_cost:
-                best, best_cost = (grid, rows, "image"), cost
-        overhead = len(a) * (_COST_CELL * len(grid.keys) + _COST_POINT * n)
-        if overhead < best_cost:
-            pair_cost = _COST_PAIR * offsets * float((size**2).sum())
-            if len(a) * len(grid.keys) <= n:
-                lo, hi = _join_cells(grid, *rows)
-                ext = _cell_extremes(coords[grid.order], grid.starts)
-                decided = _block_labels(grid, ext, a, b_lo, lo, hi, lo2, hi2)[2]
-                same = ((a == 0) & (b_lo == 0))[:, None]
-                total = int(_block_pairs(size, same, hi - lo).sum())
-                pair_cost *= 1.0 - int(decided.sum()) / total if total else 0.0
-            cost = overhead + pair_cost
-            if cost < best_cost:
-                best, best_cost = (grid, rows, "runs"), cost
-        elif grid.nx * grid.ny > 4 * n:
+    n = len(coords)
+    best, best_cost = None, math.inf
+    for side in sides:
+        grid = _bucket_cells(coords[:, 0], coords[:, 1], side)
+        if grid.nx * grid.ny > 4 * n:
             break
-        side /= 2.0
+        m = int(np.diff(grid.starts).max())
+        if m * grid.nx * grid.ny <= 4 * n:
+            rows = _offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
+            l0, l1 = _offset_labels(rows, grid.side, lo2, hi2)[2:]
+            cost = float((l1 - l0).sum()) * m * (_COST_CALL + _COST_SLOT * m * grid.nx * grid.ny)
+            if cost < best_cost:
+                best, best_cost = (grid, rows), cost
     return best
 
 
-def _block_pairs(size, same, partners):
-    """Pairs in a block of a cell of size points with partners partner points.
-
-    On the row through (0, 0) (same), the partners include the cell itself,
-    and a point pairs only with the later points of its cell.
+class _Tree:
+    """The points sorted once by a Morton key, as a quadtree: the nodes of
+    level L, 0 <= L <= 31, are the occupied cells of side top / 2**L, each a
+    contiguous range of the sorted points. On an axis, a point's finest cell
+    is floor(x / fine), fine = top / 2**31, less the multiple of 2**30 at or
+    below the least such cell; the division by a power of two, the floors and
+    their difference are exact, so the index lies in [0, 2**31). The key
+    interleaves the two indices' bits, so a level-L node's points share
+    key >> 2 * (31 - L).
     """
-    return size * partners - same * (size * (size + 1) // 2)
+
+    def __init__(self, coords: np.ndarray):
+        extent = max(float(np.ptp(coords[:, 0])), float(np.ptp(coords[:, 1])), _MIN_EXTENT)
+        self.top = math.ldexp(1.0, math.frexp(extent)[1] + 1)
+        fine = math.ldexp(self.top, -31)
+        key = np.zeros(len(coords), dtype=np.int64)
+        for axis in (0, 1):
+            cell = np.floor(coords[:, axis] / fine)
+            v = (cell - np.floor(cell.min() / 2.0**30) * 2.0**30).astype(np.int64)
+            for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                                (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                                (1, 0x5555555555555555)):
+                v = (v | (v << shift)) & mask
+            key |= v << (1 - axis)
+        self.order = np.argsort(key, kind="stable")
+        self.key = key[self.order]
+        self.pts = coords[self.order]
+        self.levels = {}
+
+    def level(self, level: int):
+        """(bounds, ext) of the level's nodes: node c holds the points
+        order[bounds[c]:bounds[c + 1]], and ext is their _cell_extremes."""
+        if level not in self.levels:
+            prefix = self.key >> (62 - 2 * level)
+            bounds = np.flatnonzero(np.diff(prefix, prepend=-1, append=-1))
+            self.levels[level] = bounds, _cell_extremes(self.pts, bounds)
+        return self.levels[level]
+
+    def runs(self, level: int, a: np.ndarray, b: np.ndarray):
+        """The pairs of the node pairs (a, b) as _run_pairs runs, one per
+        point of the smaller node (inside one node, each point with the
+        later ones)."""
+        bounds = self.level(level)[0]
+        size = np.diff(bounds)
+        swap = size[a] > size[b]
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        r = np.repeat(np.arange(len(a)), size[a])
+        pos = _spans(bounds[a], size[a])
+        same = (a == b)[r]
+        lo = np.where(same, pos + 1, bounds[b][r])
+        length = np.where(same, bounds[a + 1][r] - pos - 1, size[b][r])
+        keep = length > 0
+        return self.order, pos[keep], lo[keep], length[keep]
 
 
-def _block_labels(grid, ext, a, b_lo, lo, hi, lo2: np.ndarray, hi2: np.ndarray):
-    """The (row, cell) blocks of a _join_cells join whose pairs share one label.
+def _child_pairs(fa: np.ndarray, fb: np.ndarray, ca: np.ndarray, cb: np.ndarray):
+    """The child pairs (i, j) of node pairs whose children are the nodes fa
+    to fa + ca - 1 and fb to fb + cb - 1, each child with each: a node with
+    itself takes each pair of its children once (i <= j), and of two nodes
+    the first one's children all come first."""
+    r = np.repeat(np.arange(len(fa)), ca * cb)
+    q = _spans(np.zeros_like(ca), ca * cb)
+    i, j = fa[r] + q // cb[r], fb[r] + q % cb[r]
+    keep = i <= j
+    return i[keep], j[keep]
 
-    ext is _cell_extremes of the grid; only blocks of at least
-    _BULK_MIN_PAIRS pairs are checked. A block is decided when its bracket
-    by geometry._block_bracket, which holds every pair's computed squared
-    distance with no slack, meets no interval (label len(lo2)), or lies
-    inside the first one it meets (_meeting), whose 0-based label all its
-    pairs then take; every other block must be expanded to its pairs.
-    Returns (r, c, pairs, label) for the decided blocks (r[m], c[m]).
+
+class _Walk(NamedTuple):
+    """What _visit_hits walked: "image" with its grid and rows, or "tree";
+    the node pairs the tree took (before any image) and pairs it evaluated."""
+
+    walk: str
+    grid: _Cells | None
+    rows: tuple | None
+    node_pairs: int
+    pairs: int
+
+
+def _visit_runs(xs: np.ndarray, ys: np.ndarray, runs, lo2: np.ndarray, hi2: np.ndarray, visit):
+    """Call visit(l, hit, i, j) for the pairs of the _run_pairs runs, as _visit_hits does."""
+    for i, j in _run_pairs(*runs):
+        for l, hit in _label_hits(_sq_dists(xs, ys, i, j), lo2, hi2):
+            visit(l, hit, i, j)
+
+
+def _visit_hits(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, visit, per: np.ndarray) -> _Walk:
+    """Call visit(l, hit, i, j) for the qualifying pairs of the points: the
+    pairs of the ids i and j (broadcast against hit) where hit holds have
+    the smallest qualifying 0-based label l, by geometry._label_hits. Each
+    qualifying pair is visited once, in one hit, except those the tree adds
+    to per in bulk; a per of no labels (label_pairs) takes no bulk add.
+
+    The tree (_Tree) takes node pairs, a node with itself included, from
+    the root down: it drops one whose _block_bracket meets no interval
+    (_meeting); one whose bracket lies inside the first interval it meets
+    it adds to per under that label, or evaluates whole where per has no
+    such label; it evaluates one of at most _LEAF_PAIRS pairs, or at the
+    finest level; and it splits the rest. It walks breadth first, holding
+    its bulk adds apart and visiting no pair, while the next level would
+    hold at most n node pairs. At the first level past n it prices the
+    image there and finer (_image_pick), and a fitting image walks every
+    pair in the tree's place. Otherwise the tree goes on depth first, n
+    child pairs at a time. A callback, not a generator, so that no caller
+    holds a chunk while the next is evaluated.
     """
-    size = np.diff(grid.starts)
-    # size * partners bounds a block's pairs from above, so this keeps every
-    # block that holds enough; the exact count trims the rest.
-    r, c = np.nonzero(hi - lo >= -(-_BULK_MIN_PAIRS // size))
-    q_lo, q_hi = lo[r, c], hi[r, c]
-    pairs = _block_pairs(size[c], (a[r] == 0) & (b_lo[r] == 0), q_hi - q_lo)
-    big = pairs >= _BULK_MIN_PAIRS
-    r, c, pairs = r[big], c[big], pairs[big]
-    # The partners' cells are consecutive.
-    b0, b1 = _block_bracket(ext, c, grid.cell_of[q_lo[big]], grid.cell_of[q_hi[big] - 1] + 1)
-    l0, l1 = _meeting(b0, b1, lo2, hi2)
-    at = np.minimum(l0, len(lo2) - 1)
-    label = np.where(l0 >= l1, len(lo2), np.where((b0 >= lo2[at]) & (b1 <= hi2[at]), l0, -1))
-    m = label >= 0
-    return r[m], c[m], pairs[m], label[m]
+    n = len(coords)
+    xs, ys = coords.T
+    tree = _Tree(coords)
+    held, deferred, deciding = np.zeros_like(per), [], True
+    node_pairs = pairs = 0
 
+    def evaluate(level, a, b, count):
+        """Visit the pairs of the node pairs (a, b), about _PAIR_CHUNK at a time."""
+        nonlocal pairs
+        pairs += int(count.sum())
+        group = np.cumsum(count) // _PAIR_CHUNK
+        cuts = [*np.flatnonzero(np.diff(group, prepend=-1)).tolist(), len(a)]
+        for s, e in zip(cuts, cuts[1:]):
+            _visit_runs(xs, ys, tree.runs(level, a[s:e], b[s:e]), lo2, hi2, visit)
 
-def _add_decided(grid, a, b_lo, lo, hi, ext, lo2: np.ndarray, hi2: np.ndarray, per: np.ndarray):
-    """Empties in place (hi = lo) each block of the join (lo, hi) that
-    _block_labels finds with no qualifying pair or with a label below
-    len(per), adding the latter's pairs to per in bulk."""
-    r, c, pairs, label = _block_labels(grid, ext, a, b_lo, lo, hi, lo2, hi2)
-    add = label < len(per)
-    np.add.at(per, label[add], pairs[add])
-    done = add | (label == len(lo2))
-    hi[r[done], c[done]] = lo[r[done], c[done]]
+    def settle():
+        """Add the held bulk adds to per and visit the deferred leaves."""
+        np.add(per, held, out=per)
+        held[:] = 0
+        for leaves in deferred:
+            evaluate(*leaves)
+        deferred.clear()
 
+    def take(level, a, b):
+        """Drop the node pairs (a, b), or hold them as bulk adds or leaves; return those to split."""
+        nonlocal node_pairs
+        node_pairs += len(a)
+        bounds, ext = tree.level(level)
+        size = np.diff(bounds)
+        count = np.where(a == b, size[a] * (size[a] - 1) // 2, size[a] * size[b])
+        b0, b1 = _block_bracket(ext, a, b)
+        l0, l1 = _meeting(b0, b1, lo2, hi2)
+        at = np.minimum(l0, len(lo2) - 1)
+        inside = (b0 >= lo2[at]) & (b1 <= hi2[at])
+        bulk = inside & (l0 < len(per))
+        live = (l0 < l1) & ~bulk
+        leaf = live & (inside | (count <= _LEAF_PAIRS) | (level == 31))
+        np.add.at(held, l0[bulk], count[bulk])
+        deferred.append((level, a[leaf], b[leaf], count[leaf]))
+        split = live & ~leaf
+        return a[split], b[split]
 
-def _candidate_pairs(grid, rows, adds=None):
-    """The run path: yield index arrays (i, j) that together hold, once each,
-    the pairs of points whose grid cells differ by an offset of the rows
-    (a, b_lo, b_hi), on any grid; _image_hits yields the same pairs on dense
-    grids, offset by offset.
-
-    _join_cells, _block_runs and _run_pairs expand a batch of rows at a time,
-    _PAIR_CHUNK pairs at a time. Pairs come in no particular order, and i < j
-    need not hold. Given adds = (ext, lo2, hi2, per), _add_decided first
-    drops the blocks with no qualifying pair and adds to per those whose
-    pairs all share a smallest label below len(per); only the rest are
-    yielded.
-
-    Why no qualifying pair is skipped on _choose_label_grid's grid and rows:
-    the cell side is a power of two, so _bucket_cells puts every point in its
-    cell exactly, and _sq_bracket holds every pair's computed dx*dx + dy*dy
-    at its cell offset with no slack, by the monotone rounding argument of
-    geometry._block_bracket. So a pair with its computed squared distance in
-    some [t_l^2, (t_l + alpha)^2] sits at an offset whose bracket meets that
-    interval. _offset_rows keeps every such offset (it trims a row run only
-    where _sq_bracket itself misses the interval), and the join, like the
-    image pass, returns every point of every cell at a kept offset. Each
-    unordered pair is met once: offsets cover a half-plane, and inside one
-    cell each point pairs with the later points only. A block that
-    _add_decided adds or drops is bracketed from its points' actual extremes
-    (see _block_labels), so its pairs are counted as their own evaluation
-    would count them.
-    """
-    a, b_lo, b_hi = rows
-    batch = max(1, _LABEL_BATCH // len(grid.order))
-    for r0 in range(0, len(a), batch):
-        part = a[r0 : r0 + batch], b_lo[r0 : r0 + batch], b_hi[r0 : r0 + batch]
-        lo, hi = _join_cells(grid, *part)
-        if adds is not None:
-            _add_decided(grid, *part[:2], lo, hi, *adds)
-        runs = _block_runs(grid, *part[:2], lo, hi)
-        # Free the batch's blocks, and after the last batch the grid, before
-        # the pairs are yielded; free the runs before the next batch is joined.
-        del lo, hi
-        if r0 + batch >= len(a):
-            del grid
-        yield from _run_pairs(*runs)
-        del runs
+    root = np.zeros(1, dtype=np.int64)
+    stack = [(0, *take(0, root, root))]
+    while stack:
+        level, a, b = stack.pop()
+        if not len(a):
+            continue
+        first = np.searchsorted(tree.level(level + 1)[0], tree.level(level)[0])
+        ca, cb = first[a + 1] - first[a], first[b + 1] - first[b]
+        ends = np.cumsum(np.where(a == b, ca * (ca + 1) // 2, ca * cb))
+        if ends[-1] > n:
+            if deciding:
+                sides = (math.ldexp(tree.top, -finer) for finer in range(level + 1, 32))
+                pick = _image_pick(coords, sides, lo2, hi2)
+                if pick is not None:
+                    del tree, stack, deferred, a, b, first, ca, cb, ends
+                    _image_hits(coords, *pick, lo2, hi2, visit)
+                    return _Walk("image", *pick, node_pairs, pairs)
+                deciding = False
+            cut = max(1, int(np.searchsorted(ends, n, side="right")))
+            stack.append((level, a[cut:], b[cut:]))
+            a, b, ca, cb = a[:cut], b[:cut], ca[:cut], cb[:cut]
+        stack.append((level + 1, *take(level + 1, *_child_pairs(first[a], first[b], ca, cb))))
+        if not deciding:
+            settle()
+    settle()
+    return _Walk("tree", None, None, node_pairs, pairs)
 
 
 def _image_hits(coords: np.ndarray, grid, rows, lo2: np.ndarray, hi2: np.ndarray, visit):
@@ -397,14 +426,22 @@ def _image_hits(coords: np.ndarray, grid, rows, lo2: np.ndarray, hi2: np.ndarray
     the offset (a, b) a slice of the cells (cx, cy) and the slice shifted by
     (a, b) hold the cells the offset pairs; each layer k of the first is
     evaluated against every layer of the second, or only the later layers
-    at (0, 0), so the pairs are exactly those the join yields at the offset,
-    with no join, no runs and no gathers. d2 is dx*dx + dy*dy, whatever the
+    at (0, 0), so the pairs are exactly those of the points whose cells
+    differ by the offset, with no join, no runs and no gathers. d2 is dx*dx + dy*dy, whatever the
     sign of dx, as fl(p - q) = -fl(q - p), evaluated in place; a slot pair
     with an empty slot gets d2 = NaN, and no comparison with NaN holds, so
     no interval holds it and it needs no mask. Every real pair's d2 is
     finite, as coordinates are at most 2**510. Only the intervals that meet
     the offset's _sq_bracket are checked: every pair at the offset lies
     inside it, so the smallest qualifying label is unchanged.
+
+    Why no qualifying pair is skipped at the rows of _offset_rows: the cell
+    side is a power of two, so _bucket_cells puts every point in its cell
+    exactly, and _sq_bracket holds every pair's computed dx*dx + dy*dy at
+    its cell offset with no slack. So a qualifying pair sits at an offset
+    whose bracket meets its interval, and _offset_rows keeps every such
+    offset. Each unordered pair is met once: the offsets cover a half-plane,
+    and inside one cell each point pairs with the later points only.
     """
     nx, ny = grid.nx, grid.ny
     m = int(np.diff(grid.starts).max())
@@ -431,39 +468,13 @@ def _image_hits(coords: np.ndarray, grid, rows, lo2: np.ndarray, hi2: np.ndarray
                 visit(l0 + l, hit, ids[p], ids[q])
 
 
-def _visit_hits(coords: np.ndarray, grid, rows, walk: str, lo2: np.ndarray, hi2: np.ndarray,
-                visit, per: np.ndarray | None = None) -> None:
-    """Call visit(l, hit, i, j) for the qualifying pairs of the grid's cells
-    at the offset rows, walked by the pass walk of _choose_label_grid: the
-    pairs of the ids i and j (broadcast against hit) where hit holds have
-    the smallest qualifying 0-based label l, by geometry._label_hits.
-
-    "image" walks the pairs with _image_hits, and "runs" with
-    _candidate_pairs and geometry._sq_dists; given per, the run path first
-    drops or adds to per the blocks that _add_decided decides, and visits
-    none of their pairs. Each qualifying pair that is not added in bulk is
-    visited once, in one hit. A callback, not a generator, so that no caller
-    holds a chunk while the next one is evaluated; the grid is not held
-    here, so that the run path can free it before its last batch.
-    """
-    if walk == "image":
-        return _image_hits(coords, grid, rows, lo2, hi2, visit)
-    xs, ys = coords.T
-    adds = None if per is None else (_cell_extremes(coords[grid.order], grid.starts), lo2, hi2, per)
-    pairs = _candidate_pairs(grid, rows, adds)
-    del grid
-    for i, j in pairs:
-        for l, hit in _label_hits(_sq_dists(xs, ys, i, j), lo2, hi2):
-            visit(l, hit, i, j)
-
-
 def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
     """All qualifying pairs (i, j, l) with i < j and l the smallest interval index.
 
     Entries are sorted by (i, j); l is 1-based. The result equals, bit for
     bit, a scan of all pairs with the package's membership test: the pairs
     come from the pruned count's walk, given a per of no labels, so that it
-    adds no block in bulk, and it skips none that qualifies.
+    adds no node pair in bulk, and it skips none that qualifies.
     """
     n = ps.n
     lo2, hi2 = iv.sq_bounds
@@ -479,8 +490,8 @@ def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
         q = np.broadcast_to(j, hit.shape)[hit]
         packed.append((np.minimum(p, q) * n + np.maximum(p, q)) * k1 + (l + 1))
 
-    # Only the walk holds the grid, so the grid is freed before the final sort.
-    _visit_hits(ps.coords, *_choose_label_grid(ps.coords, lo2, hi2), lo2, hi2, keep, np.empty(0))
+    # Only the walk holds its tree or grid, so both are freed before the final sort.
+    _visit_hits(ps.coords, lo2, hi2, keep, np.empty(0, dtype=np.int64))
     packed = np.concatenate(packed)
     return LabeledPairs(*_sort_pairs(packed, n, k1))
 

@@ -25,13 +25,16 @@ Neither min_pairwise_distance nor diameter scans all pairs, yet both return
 exactly what an all-pairs scan of dx*dx + dy*dy would, bit for bit. The
 minimum searches a grid of cells sized from an upper bound taken from
 neighbours in (x, y) order: O(n log n) plus the pairs in touching cells, O(n)
-memory, from the cell join of counting's run path (_join_cells, _block_runs
-and _run_pairs); counting walks dense grids with an image pass instead. The
-diameter takes a lower bound from two farthest-point sweeps, cuts the points
-into about sqrt(n) cells of about sqrt(n) points by x and y rank, and
-evaluates only the cell pairs whose _block_bracket, the slack-free bound
-that the pruned count's bulk adds also use, exceeds it: O(n log n) plus n
-pairs per cell pair evaluated, O(n) memory. Their docstrings give the
+memory, from a cell join (_join_cells, _block_runs) whose runs _run_pairs
+expands; _run_pairs also expands the brute count's all-pairs runs and the
+pruned count's tree leaves, and counting walks dense grids with an image
+pass on _bucket_cells' grid. The diameter takes a lower bound from two
+farthest-point sweeps, cuts the points into about sqrt(n) cells of about
+sqrt(n) points by x and y rank, and evaluates only the cell pairs whose
+_block_bracket exceeds it: O(n log n) plus n pairs per cell pair evaluated,
+O(n) memory. _block_bracket, the slack-free bound on the pairs of two groups
+of points from their actual extremes, also decides every node pair that
+the pruned count's tree drops or adds in bulk. Their docstrings give the
 exactness arguments.
 """
 
@@ -263,39 +266,28 @@ class _Cells(NamedTuple):
     cell_of: np.ndarray
 
 
-def _bucket_cells(xs: np.ndarray, ys: np.ndarray, side: float, order: np.ndarray | None = None) -> _Cells:
+def _bucket_cells(xs: np.ndarray, ys: np.ndarray, side: float) -> _Cells:
     """Cells of a power-of-two side (or inf, one cell) at its multiples: on
     an axis, cell floor(x / side) - floor(x_min / side). The division by a
     power of two, both floors and their small difference are exact, so every
     point lies in its cell, except that x / side underflows for
     |x| < 2**-1022 * side, which moves x by far less than half an ulp of any
-    nonzero cell bound.
-
-    The points are in cell-key order, ties in index order: a stable sort.
-    order, if given, is the cell order of the same points at a coarser
-    power-of-two side; the keys are then sorted stably from that order,
-    which is nearly sorted already and so sorts in about linear time.
-    Power-of-two cells nest, so the points of one cell here share a coarser
-    cell, where they stand in index order, and the result is the fresh
-    sort's. Underflow can break the nesting (at side 1, -2**-1074 lies in
-    cell -1, at side 2 in cell 0): if a tie then comes out of index order,
-    the keys are sorted afresh.
+    nonzero cell bound. The points are in cell-key order, ties in index
+    order: a stable sort.
     """
     ix = (np.floor(xs / side) - np.floor(xs.min() / side)).astype(np.int64)
     iy = (np.floor(ys / side) - np.floor(ys.min() / side)).astype(np.int64)
-    ny = int(iy.max()) + 1
-    stride = 2 * ny
-    key = ix * stride + iy
-    fresh = order is None
-    order = np.argsort(key, kind="stable") if fresh else order[np.argsort(key[order], kind="stable")]
+    nx, ny = int(ix.max()) + 1, int(iy.max()) + 1
+    key = ix * (2 * ny) + iy
+    # Free the indices, and then the unsorted keys, before the cells are built.
+    del ix, iy
+    order = np.argsort(key, kind="stable")
     skey = key[order]
+    del key
     new = np.concatenate(([True], skey[1:] != skey[:-1]))
-    if not fresh and (~new[1:] & (order[1:] < order[:-1])).any():
-        order = np.argsort(key, kind="stable")
     first = np.flatnonzero(new)
-    starts = np.append(first, len(skey))
-    cell_of = np.repeat(np.arange(len(first)), np.diff(starts))
-    return _Cells(side, int(ix.max()) + 1, ny, stride, order, skey[first], starts, cell_of)
+    cell_of = np.cumsum(new) - 1
+    return _Cells(side, nx, ny, 2 * ny, order, skey[first], np.append(first, len(skey)), cell_of)
 
 
 def _join_cells(cells: _Cells, a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray):
@@ -426,23 +418,20 @@ def _cell_extremes(pts: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.hstack((np.minimum.reduceat(pts, first), -np.maximum.reduceat(pts, first)))
 
 
-def _block_bracket(ext: np.ndarray, c: np.ndarray, q_lo: np.ndarray, q_hi: np.ndarray):
+def _block_bracket(ext: np.ndarray, c: np.ndarray, q: np.ndarray):
     """Bounds (low, high) on the computed dx*dx + dy*dy of every pair of a
-    point of cell c[m] and a point of the consecutive cells q_lo[m] to
-    q_hi[m] - 1, q_lo[m] < q_hi[m], given the cells' _cell_extremes ext.
+    point of cell c[m] and a point of cell q[m], given the cells'
+    _cell_extremes ext.
 
-    The bounds need no slack: for a point i of the cell and a partner j,
+    The bounds need no slack: for a point i of one cell and j of the other,
     fl(x_i - x_j) is monotone in both coordinates, so it lies between
     fl(x_min - x'_max) and fl(x_max - x'_min), from the actual extremes of
-    the cell and of its partners (likewise in y). Rounded squaring is
-    monotone in |dx| and rounded addition in both terms, so dx*dx + dy*dy
-    lies in [fl(near_x^2 + near_y^2), fl(far_x^2 + far_y^2)] for the nearest
-    and farthest |dx|, |dy| those ranges allow.
+    the two cells (likewise in y). Rounded squaring is monotone in |dx| and
+    rounded addition in both terms, so dx*dx + dy*dy lies in
+    [fl(near_x^2 + near_y^2), fl(far_x^2 + far_y^2)] for the nearest and
+    farthest |dx|, |dy| those ranges allow.
     """
-    # The padding row makes the end index len(ext) valid; odd entries span the gaps.
-    ends = np.stack((q_lo, q_hi), axis=1).ravel()
-    q = np.minimum.reduceat(np.vstack((ext, ext[:1])), ends, axis=0)[::2]
-    p = ext[c]
+    p, q = ext[c], ext[q]
     d_lo = p[:, :2] + q[:, 2:]
     d_hi = -(p[:, 2:] + q[:, :2])
     near = np.maximum(np.maximum(d_lo, -d_hi), 0.0)
@@ -481,7 +470,7 @@ def diameter(ps: PointSet) -> float:
     members = np.array([np.pad(run, (0, m - len(run)), mode="edge") for run in cells])
     ext = _cell_extremes(ps.coords[members.ravel()], np.arange(0, members.size + 1, m))
     c1, c2 = np.triu_indices(len(cells))
-    keep = np.flatnonzero(_block_bracket(ext, c1, c2, c2 + 1)[1] > best)
+    keep = np.flatnonzero(_block_bracket(ext, c1, c2)[1] > best)
     step = max(1, _PAIR_CHUNK // (m * m))
     for k in range(0, len(keep), step):
         part = keep[k : k + step]

@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .counting import _choose_label_grid, _sort_pairs, _spans, _visit_hits, label_pairs
+from .counting import _sort_pairs, _spans, _visit_hits, label_pairs
 from .geometry import IntervalFamily, PointSet, _label_hits, _run_pairs, _sq_dists
 
 __all__ = [
@@ -137,9 +137,9 @@ def build_graph(ps: PointSet, iv: IntervalFamily) -> NearEqualGraph:
 class _PointGraph:
     """The qualifying-pair graph of a point set, read from the points.
 
-    Holds no edge: the degrees come from one walk of the pruned count, on its
-    grid and pass (counting._choose_label_grid), dropping the cell blocks with
-    no qualifying pair and expanding the rest, as label_pairs does. A hub's
+    Holds no edge: the degrees come from one walk of the pruned count
+    (counting._visit_hits), which drops the node pairs with no qualifying
+    pair and evaluates the rest, as label_pairs does. A hub's
     neighbourhood N(x) comes from one pass of x against every point, and the
     edges inside it from its deg * (deg - 1) / 2 pairs, _PAIR_CHUNK at a time;
     label(i, j) evaluates its one pair. Every pair is evaluated with the
@@ -161,7 +161,7 @@ class _PointGraph:
             for ends in (i, j):
                 np.add.at(degrees, np.broadcast_to(ends, hit.shape)[hit], 1)
 
-        _visit_hits(coords, *_choose_label_grid(coords, lo2, hi2), lo2, hi2, add, np.empty(0))
+        _visit_hits(coords, lo2, hi2, add, np.empty(0, dtype=np.int64))
         self._degrees = degrees
         self.edge_count = int(degrees.sum()) // 2
 

@@ -1,20 +1,21 @@
-"""Exactness of the grid pair enumerator (behind label_pairs and the pruned
-count) and of the CSR graph built from it.
+"""Exactness of the pair walk (behind label_pairs, the pruned count and the
+point-set graph's degrees) and of the CSR graph built from it.
 
-The enumerator skips a cell offset only when its conservative distance
-bracket misses every interval, and the pruned count adds a cell block in bulk
-only when the exact bracket of its points' extremes decides every pair's
-label, so both must equal an all-pairs scan bit for bit, whatever cell side
-they run on. These tests compare them with the pure-Python oracle on inputs
-chosen to stress that claim, both at the side the cost model picks and at
-forced sides from one cell to thousands per axis, with bulk adds tried on
-every block or only on the large ones; the point-set graph's degree walk
-and labels are held to the same oracle. The graph's CSR must not depend on
-the order in which its edges are given, label_pairs and build_graph must
-stay within a memory budget per pair, and the point-set graph with its
-witness search within one per point.
+The tree drops or adds a node pair in bulk only when the exact bracket of
+its points' extremes decides every pair's label, and the image pass skips a
+cell offset only when its exact distance bracket misses every interval, so
+both must equal an all-pairs scan bit for bit. These tests compare them with
+the pure-Python oracle on inputs chosen to stress that claim: on the walk as
+picked, on the tree forced with leaves of 1 and 256 pairs, and on the image
+forced at sides from one cell to dozens per axis; the point-set graph's
+degree walk and labels are held to the same oracle, and the count and
+label_pairs must not move under exact symmetries of the input. The graph's
+CSR must not depend on the order in which its edges are given, label_pairs
+and build_graph must stay within a memory budget per pair, and the
+point-set graph with its witness search within one per point.
 """
 
+import contextlib
 import hashlib
 import importlib.util
 import math
@@ -25,7 +26,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from neardist import (
@@ -42,30 +43,28 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 
 
 def _level_side(coords, level):
-    """_choose_label_grid's cell side at the given level: the power of two
-    2**(e - level), for an extent in [2**(e - 1), 2**e)."""
+    """The tree's cell side at the given level, where the image pass is
+    priced: the power of two 2**(e - level), for an extent in [2**(e - 1), 2**e)."""
     extent = max(np.ptp(coords[:, 0]), np.ptp(coords[:, 1]), geometry._MIN_EXTENT)
     return math.ldexp(1.0, math.frexp(float(extent))[1] - level)
 
 
-def _forced_grid(level, image=False):
-    """A _choose_label_grid stand-in with the side of the given level, on
-    which the walk takes the image pass whatever the image's size, or else
-    the run path, where the count tries bulk adds, and label_pairs drops
-    blocks, whatever the grid's size."""
+def _forced_image(side_of):
+    """A _visit_hits stand-in that walks the image pass at the cell side
+    side_of(coords) whatever the image's size, with no tree and no bulk add."""
 
-    def choose(coords, lo2, hi2):
-        grid = counting._bucket_cells(coords[:, 0], coords[:, 1], _level_side(coords, level))
+    def visit_hits(coords, lo2, hi2, visit, per):
+        grid = counting._bucket_cells(coords[:, 0], coords[:, 1], side_of(coords))
         rows = counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
-        return grid, rows, "image" if image else "runs"
+        counting._image_hits(coords, grid, rows, lo2, hi2, visit)
 
-    return choose
+    return visit_hits
 
 
-# A forced side for each pass: the image pass evaluates a slice pair per
-# offset and layer, so it gets the coarser sides, where offsets are few.
-forced_sides = st.none() | st.tuples(st.integers(-1, 12), st.just(False)) | st.tuples(
-    st.integers(-1, 5), st.just(True))
+# The walk as picked, the tree forced (no image fits), or the image forced
+# at a side: the image pass evaluates a slice pair per offset and layer, so
+# it gets the coarser sides, where offsets are few.
+forced_walks = st.none() | st.just("tree") | st.integers(-1, 5)
 
 
 @st.composite
@@ -123,35 +122,41 @@ def labeled_inputs(draw):
     return points, [float(v) for v in t], alpha
 
 
+# Four points whose six pairs all lie in [1, 3].
+_SWITCH_AFTER_BULK = ([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (2.0, 1.0)], [1.0], 2.0)
+
+
 class TestLabelPairsExact:
-    @given(
-        data=labeled_inputs(),
-        forced=forced_sides,
-        bulk_min=st.sampled_from([1, counting._BULK_MIN_PAIRS]),
-    )
+    @given(data=labeled_inputs(), forced=forced_walks, leaf=st.sampled_from([1, 256]))
     @settings(max_examples=400, deadline=None)
     # One point: the smallest cell side meets the largest interval.
-    @example(data=([(0.0, 0.0)], [2.0**508, 2.0**509, 2.0**510], 2.0**508), forced=None, bulk_min=1)
-    # One block at distances 4 and 5, bracketed by [4, 5]: inside [4, 5.5],
-    # yet the pair at 4 takes the earlier, overlapping [3, 4.5].
-    @example(data=([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0)], [3.0, 4.0], 1.5), forced=(1, False),
-             bulk_min=1)
-    # Blocks whose every pair sits exactly on t, or exactly on t + alpha.
-    @example(data=([(0.0, 0.0)] * 3 + [(3.0, 0.0)] * 3, [3.0], 1e-12), forced=(1, False),
-             bulk_min=1)
-    @example(data=([(0.0, 0.0)] * 3 + [(3.0, 4.0)] * 3, [3.0], 2.0), forced=(1, False), bulk_min=1)
+    @example(data=([(0.0, 0.0)], [2.0**508, 2.0**509, 2.0**510], 2.0**508), forced=None, leaf=1)
+    # One node pair at distances 4 and 5, bracketed by [4, 5]: inside
+    # [4, 5.5], yet the pair at 4 takes the earlier, overlapping [3, 4.5].
+    @example(data=([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0)], [3.0, 4.0], 1.5), forced="tree", leaf=1)
+    # Node pairs whose every pair sits exactly on t, or exactly on t + alpha.
+    @example(data=([(0.0, 0.0)] * 3 + [(3.0, 0.0)] * 3, [3.0], 1e-12), forced="tree", leaf=1)
+    @example(data=([(0.0, 0.0)] * 3 + [(3.0, 4.0)] * 3, [3.0], 2.0), forced="tree", leaf=1)
     # The same blocks as image layers: three points to a cell.
-    @example(data=([(0.0, 0.0)] * 3 + [(3.0, 4.0)] * 3, [3.0], 2.0), forced=(1, True), bulk_min=1)
+    @example(data=([(0.0, 0.0)] * 3 + [(3.0, 4.0)] * 3, [3.0], 2.0), forced=1, leaf=1)
     # Coordinates at the 2**510 limit on the image: every real pair's d2 stays finite.
     @example(data=([(2.0**510, 0.0), (-(2.0**510), 2.0**509)], [2.0**509], 2.0**510),
-             forced=(3, True), bulk_min=1)
-    def test_matches_oracle_and_brute_count(self, data, forced, bulk_min):
+             forced=3, leaf=1)
+    # A coarse level adds a node pair in bulk, then the walk switches to the
+    # image, which counts that pair again: the bulk add must be dropped.
+    @example(data=_SWITCH_AFTER_BULK, forced=None, leaf=1)
+    def test_matches_oracle_and_brute_count(self, data, forced, leaf):
         points, t, alpha = data
         ps, iv = PointSet(points), IntervalFamily(t, alpha)
-        chooser = counting._choose_label_grid if forced is None else _forced_grid(*forced)
-        with mock.patch.object(counting, "_choose_label_grid", chooser), mock.patch.object(
-            graphs, "_choose_label_grid", chooser
-        ), mock.patch.object(counting, "_BULK_MIN_PAIRS", bulk_min):
+        patches = [mock.patch.object(counting, "_LEAF_PAIRS", leaf)]
+        if forced == "tree":
+            patches.append(mock.patch.object(counting, "_image_pick", lambda *args: None))
+        elif forced is not None:
+            image = _forced_image(lambda coords: _level_side(coords, forced))
+            patches += [mock.patch.object(module, "_visit_hits", image) for module in (counting, graphs)]
+        with contextlib.ExitStack() as stack:
+            for patch in patches:
+                stack.enter_context(patch)
             got = label_pairs(ps, iv)
             pruned = count_pairs(ps, iv, "pruned").per_interval
             degrees = _PointGraph(ps, iv)._degrees
@@ -160,6 +165,32 @@ class TestLabelPairsExact:
         assert degrees.tolist() == np.bincount(np.append(got.i, got.j), minlength=ps.n).tolist()
         per = tuple(np.bincount(got.label, minlength=iv.k + 1)[1:].tolist())
         assert per == count_pairs(ps, iv, "brute").per_interval == pruned
+
+    def test_switch_after_bulk_example_adds_then_switches(self):
+        # The example above does what it stands for: the count adds a node
+        # pair in bulk before it prices the image, then takes the image.
+        points, t, alpha = _SWITCH_AFTER_BULK
+        lo2, hi2 = IntervalFamily(t, alpha).sq_bounds
+        events = []
+
+        def meeting(b0, b1, lo2, hi2, real=counting._meeting):
+            l0, l1 = real(b0, b1, lo2, hi2)
+            at = np.minimum(l0, len(lo2) - 1)
+            if "pick" not in events and ((b0 >= lo2[at]) & (b1 <= hi2[at])).any():
+                events.append("bulk")
+            return l0, l1
+
+        def pick(*args, real=counting._image_pick):
+            events.append("pick")
+            return real(*args)
+
+        per = np.zeros(len(t), dtype=np.int64)
+        with mock.patch.object(counting, "_meeting", meeting), mock.patch.object(
+            counting, "_image_pick", pick
+        ), mock.patch.object(counting, "_LEAF_PAIRS", 1):
+            walk = counting._visit_hits(np.array(points), lo2, hi2, lambda *args: None, per)
+        assert walk.walk == "image" and events[:2] == ["bulk", "pick"]
+        assert per.tolist() == [0]
 
     @given(data=labeled_inputs())
     @settings(max_examples=100, deadline=None)
@@ -189,6 +220,43 @@ class TestLabelPairsExact:
         assert list(got) == [(0, 1, 2), (0, 2, 1), (0, 3, 2), (1, 2, 2), (1, 3, 1), (2, 3, 2)]
         assert all(type(v) is int for triple in got for v in triple)
         assert got.i.dtype == got.j.dtype == got.label.dtype == np.int64
+
+
+class TestExactSymmetry:
+    """The pruned count and label_pairs, relabelled, stay put when the axes
+    are swapped, an axis is negated, the points are permuted, or integer
+    points are translated by an integer: all four keep every computed
+    dx*dx + dy*dy, while the tree's origin, its cells and its switch to the
+    image may all move."""
+
+    @given(data=labeled_inputs(), transform=st.sampled_from(["swap", "negate", "permute", "translate"]),
+           seed=st.integers(0, 2**32 - 1), leaf=st.sampled_from([1, 256]))
+    @settings(max_examples=300, deadline=None)
+    def test_count_and_labels_do_not_move(self, data, transform, seed, leaf):
+        points, t, alpha = data
+        iv = IntervalFamily(t, alpha)
+        coords = np.array(points)
+        rng = np.random.default_rng(seed)
+        perm = np.arange(len(points))
+        if transform == "swap":
+            moved = coords[:, ::-1]
+        elif transform == "negate":
+            moved = coords * np.where(np.arange(2) == rng.integers(2), -1.0, 1.0)
+        elif transform == "permute":
+            perm = rng.permutation(len(points))
+            moved = coords[perm]
+        else:
+            # Integers below 2**52 and a shift below 2**30 add exactly.
+            assume(np.all(coords == np.round(coords)) and np.abs(coords).max() < 2.0**52)
+            moved = coords + rng.integers(-(2**30), 2**30, size=2)
+        with mock.patch.object(counting, "_LEAF_PAIRS", leaf):
+            base = label_pairs(PointSet(coords), iv)
+            got = label_pairs(PointSet(moved), iv)
+            counts = [count_pairs(PointSet(c), iv, "pruned").per_interval for c in (coords, moved)]
+        assert counts[0] == counts[1]
+        # Point q of the moved set is point perm[q] of the original.
+        relabelled = sorted((min(perm[i], perm[j]), max(perm[i], perm[j]), l) for i, j, l in got)
+        assert relabelled == list(base)
 
 
 @st.composite
@@ -236,10 +304,11 @@ def sparse_deep_grids(draw):
     return points, side, [v * step for v in t], alpha
 
 
-def _walk_pairs(points, side, rows, walk, lo2, hi2):
-    """(pairs, labels) of a pass at the rows: pairs lists every pair that it
-    evaluates as (key, bits of d2), with key = min * n + max and d2 as read
-    before the membership test; labels lists the qualifying ones as (key, label)."""
+def _image_pairs(points, side, rows, lo2, hi2):
+    """(pairs, labels) of the image pass at the rows: pairs lists every pair
+    that it evaluates as (key, bits of d2), with key = min * n + max and d2
+    as read before the membership test; labels lists the qualifying ones as
+    (key, label)."""
     n = len(points)
     coords = np.array(points)
     grid = counting._bucket_cells(coords[:, 0], coords[:, 1], side)
@@ -263,10 +332,16 @@ def _walk_pairs(points, side, rows, walk, lo2, hi2):
         assert np.isnan(d2[~real]).all()
         pairs.extend(zip(key[real].tolist(), d2[real].view(np.int64).tolist()))
 
-    counting._visit_hits(coords, grid, rows, walk, lo2, hi2, label)
+    counting._image_hits(coords, grid, rows, lo2, hi2, label)
     with mock.patch.object(counting, "_label_hits", everything):
-        counting._visit_hits(coords, grid, rows, walk, lo2, hi2, pair)
+        counting._image_hits(coords, grid, rows, lo2, hi2, pair)
     return sorted(pairs), sorted(labels)
+
+
+def _walk(coords, lo2, hi2):
+    """The walk _visit_hits takes for the pruned count, visiting nothing."""
+    return counting._visit_hits(coords, lo2, hi2, lambda *args: None,
+                                np.zeros(len(lo2), dtype=np.int64))
 
 
 class TestImagePass:
@@ -274,7 +349,7 @@ class TestImagePass:
     @settings(max_examples=300, deadline=None)
     # Three points in one cell, a pair on t there and one on t + alpha at the offset (1, -1).
     @example(data=([(0.0, 0.0), (0.0, 3.0), (3.0, 0.0), (4.0, -3.0)], 4.0, [3.0], 2.0))
-    def test_same_pairs_and_bits_as_the_run_path(self, data):
+    def test_same_pairs_and_bits_as_all_pairs(self, data):
         points, side, t, alpha = data
         coords = np.array(points)
         lo2, hi2 = IntervalFamily(t, alpha).sq_bounds
@@ -286,13 +361,11 @@ class TestImagePass:
         n = len(points)
         want = sorted((i * n + j, int(np.float64(_sq_dist(points[i], points[j])).view(np.int64)))
                       for i, j in combinations(range(n), 2))
-        for walk in ("image", "runs"):
-            assert _walk_pairs(points, side, whole, walk, lo2, hi2)[0] == want
+        assert _image_pairs(points, side, whole, lo2, hi2)[0] == want
         # At the rows that _offset_rows keeps, with labels checked per offset.
         rows = counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
         labels = [(i * n + j, l) for i, j, l in oracle_labels(points, t, alpha)]
-        for walk in ("image", "runs"):
-            assert _walk_pairs(points, side, rows, walk, lo2, hi2)[1] == labels
+        assert _image_pairs(points, side, rows, lo2, hi2)[1] == labels
 
     @given(data=sparse_deep_grids())
     @settings(max_examples=200, deadline=None)
@@ -300,48 +373,41 @@ class TestImagePass:
         # Empty slots hold NaN and must never qualify, on every layer.
         points, side, t, alpha = data
         ps, iv = PointSet(points), IntervalFamily(t, alpha)
-
-        def choose(coords, lo2, hi2):
-            grid = counting._bucket_cells(coords[:, 0], coords[:, 1], side)
-            m = int(np.diff(grid.starts).max())
-            assert m >= 3 and m * grid.nx * grid.ny >= 3 * len(coords)
-            return grid, counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2), "image"
-
-        with mock.patch.object(counting, "_choose_label_grid", choose):
+        grid = counting._bucket_cells(ps.coords[:, 0], ps.coords[:, 1], side)
+        m = int(np.diff(grid.starts).max())
+        assert m >= 3 and m * grid.nx * grid.ny >= 3 * ps.n
+        with mock.patch.object(counting, "_visit_hits", _forced_image(lambda coords: side)):
             got = label_pairs(ps, iv)
             pruned = count_pairs(ps, iv, "pruned").per_interval
         assert list(got) == oracle_labels(points, t, alpha)
         assert pruned == count_pairs(ps, iv, "brute").per_interval == tuple(
             oracle_count(points, t, alpha)[1])
 
-    def test_chooser_takes_the_image_on_a_dense_grid_only(self):
+    def test_walk_takes_the_image_on_a_dense_grid_only(self):
         iv = IntervalFamily([3.0, 13.0, 45.0, 150.0, 500.0], 1.0)
         grid_like = random_separated(2000, 2 * math.sqrt(2000), seed=1)
         columns = two_column(12000, 5, 359880010, 0.1)
         cluster = random_separated(1000, 2 * math.sqrt(1000), seed=2).coords
         clusters = PointSet(np.concatenate((cluster, cluster + (1e6, 3e5))))
-        for ps, fam, walk in ((grid_like, iv, "image"), (columns.ps, columns.iv, "runs"),
-                              (clusters, iv, "runs")):
-            grid, _, got = counting._choose_label_grid(ps.coords, *fam.sq_bounds)
-            assert got == walk
-            if walk == "image":
+        for ps, fam, want in ((grid_like, iv, "image"), (columns.ps, columns.iv, "tree"),
+                              (clusters, iv, "tree")):
+            walk = _walk(ps.coords, *fam.sq_bounds)
+            assert walk.walk == want
+            if want == "image":
                 # One point to a cell, as on the verify-uniform layout.
-                assert int(np.diff(grid.starts).max()) == 1
-        # The measured undecided share is what sends the columns to a fine
-        # grid, for the count and label_pairs alike: priced without it, the
-        # pick would be the coarse all-pairs grid.
-        assert counting._choose_label_grid(columns.ps.coords, *columns.iv.sq_bounds)[0].side == 8.0
+                assert int(np.diff(walk.grid.starts).max()) == 1
 
     @pytest.mark.parametrize("workload, pick", [
         ("verify-uniform", (2.0, "image", 214, 1022, "d48ff3dbb8c14a3b")),
-        ("verify-columns", (8.0, "runs", 7, 3037, "15a785466c125549")),
+        ("verify-columns", ("tree", 5262, 472434)),
         ("analyze-uniform", (2.0, "image", 214, 1022, "d48ff3dbb8c14a3b")),
     ])
-    def test_chooser_picks_on_the_benchmark_inputs(self, workload, pick):
+    def test_walk_on_the_benchmark_inputs(self, workload, pick):
         # The seed-0 inputs of perfbench/workloads.py (search-small has no
-        # point file): side, pass, the number of row runs and of offsets,
-        # and a digest of the rows. Work on the chooser's speed must leave
-        # them as they are, or list the move as a change of pick.
+        # point file). On the image: side, pass, the number of row runs and
+        # of offsets, and a digest of the rows. On the tree: the node pairs
+        # it takes and the pairs it evaluates. Work on the walk's speed must
+        # leave them as they are, or list the move as a change of pick.
         spec = importlib.util.spec_from_file_location("_perfbench_workloads", WORKLOADS)
         wl = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(wl)
@@ -352,15 +418,21 @@ class TestImagePass:
             xy, (t, alpha) = wl.two_columns(n, 5, 0.1, rng), (wl.columns_params(n, 5, 0.1)[3], 0.1)
         else:
             xy, (t, alpha) = wl.jittered_grid(n, rng), ([3.0, 13.0, 45.0, 150.0, 500.0], 1.0)
-        grid, rows, walk = counting._choose_label_grid(xy, *IntervalFamily(t, alpha).sq_bounds)
-        digest = hashlib.sha256(np.stack(rows).astype("<i8").tobytes()).hexdigest()[:16]
-        assert (grid.side, walk, len(rows[0]), int((rows[2] - rows[1] + 1).sum()), digest) == pick
+        walk = _walk(xy, *IntervalFamily(t, alpha).sq_bounds)
+        if walk.walk == "tree":
+            assert (walk.walk, walk.node_pairs, walk.pairs) == pick
+        else:
+            rows = walk.rows
+            digest = hashlib.sha256(np.stack(rows).astype("<i8").tobytes()).hexdigest()[:16]
+            assert (walk.grid.side, walk.walk, len(rows[0]), int((rows[2] - rows[1] + 1).sum()),
+                    digest) == pick
 
     @pytest.mark.parametrize("shape", ["columns", "clusters"])
     def test_label_pairs_evaluates_the_counts_pairs_and_its_own_at_most(self, shape):
-        # label_pairs walks the count's grid and drops the blocks the count
-        # drops; of the rest, it expands only those the count adds in bulk,
-        # whose pairs it lists. Neither walk evaluates every pair.
+        # label_pairs takes the count's tree: it drops the node pairs the
+        # count drops, and of the rest it evaluates, whole, only those the
+        # count adds in bulk, whose pairs it lists. Neither walk evaluates
+        # every pair.
         if shape == "columns":
             built = two_column(2000, 3, 1e6, 0.5)
             ps, iv = built.ps, built.iv
@@ -387,10 +459,10 @@ class TestImagePass:
     def test_image_never_exceeds_4n_slots(self, data):
         points, t, alpha = data
         coords = np.array(points)
-        lo2, hi2 = IntervalFamily(t, alpha).sq_bounds
-        grid, _, walk = counting._choose_label_grid(coords, lo2, hi2)
-        if walk == "image":
-            assert int(np.diff(grid.starts).max()) * grid.nx * grid.ny <= 4 * len(points)
+        with mock.patch.object(counting, "_LEAF_PAIRS", 1):
+            walk = _walk(coords, *IntervalFamily(t, alpha).sq_bounds)
+        if walk.walk == "image":
+            assert int(np.diff(walk.grid.starts).max()) * walk.grid.nx * walk.grid.ny <= 4 * len(points)
 
 
 # Families for _meeting, one with overlapping intervals, and every squared
@@ -601,8 +673,8 @@ class TestPairOutputMemory:
         # label_pairs holds one packed sort key per pair, and the graph build
         # sorts one packed key per edge direction: about 24 and 77 bytes a
         # pair at their peaks here, where label_pairs takes the image pass.
-        # label_pairs' budget also holds the run path, whose batch arrays come
-        # on top (about 63 bytes a pair on this input when it took it). The
+        # On the tree, whose leaves are evaluated about _PAIR_CHUNK pairs at a
+        # time, label_pairs also takes about 24 bytes a pair here. The
         # graph's budget leaves too little room for a 2E permutation and a
         # gather through it (89 bytes a pair).
         out, peak = _peak_bytes(lambda: build(*self._input()))
@@ -612,8 +684,8 @@ class TestPairOutputMemory:
 
     def test_point_graph_peak_bytes_per_point(self):
         # The point-set graph and the witness search hold no edge list: about
-        # 155 bytes a point at their peak here, most of it the pruned count's
-        # grid pick and walk, against about 2.6 kB a point for build_graph.
+        # 158 bytes a point at their peak here, most of it the pruned count's
+        # walk, against about 2.6 kB a point for build_graph.
         # One int32 per edge direction would take about 270 bytes a point.
         ps, iv = self._input()
 

@@ -311,18 +311,20 @@ def _joined_pairs(points, side):
 
 def _brute_codes(points, t):
     """The pairs of count_pairs(method="brute") under the family t, taken from
-    its walk (_candidate_pairs on the one-cell grid), each coded min * n + max,
-    sorted, with repeats kept."""
+    its one run set (each point with every later one), each coded
+    min * n + max, sorted, with repeats kept."""
     n = len(points)
     codes = [np.zeros(0, dtype=np.int64)]
 
-    def record(grid, rows, *args, walk=counting._candidate_pairs):
-        assert grid.side == math.inf and [r.tolist() for r in rows] == [[0]] * 3
-        for i, j in walk(grid, rows, *args):
+    def record(order, first, lo, length, runs=counting._run_pairs):
+        pos = np.arange(n - 1)
+        assert [v.tolist() for v in (order, first, lo, length)] == [
+            list(range(n)), pos.tolist(), (pos + 1).tolist(), (n - 1 - pos).tolist()]
+        for i, j in runs(order, first, lo, length):
             codes.append(np.minimum(i, j) * n + np.maximum(i, j))
             yield i, j
 
-    with mock.patch.object(counting, "_candidate_pairs", record):
+    with mock.patch.object(counting, "_run_pairs", record):
         count_pairs(PointSet(points), IntervalFamily(t, 1.0), "brute")
     return np.sort(np.concatenate(codes))
 
@@ -339,9 +341,8 @@ def _all_index_codes(n):
 
 
 class TestTouchingJoin:
-    """The shared cell join on the touching rows against a pure-Python cell
-    reference, and the brute count's walk, the one-cell grid with the row
-    (0, 0, 0), against all index pairs."""
+    """The cell join on the touching rows against a pure-Python cell
+    reference, and the brute count's run set against all index pairs."""
 
     @pytest.mark.parametrize("points", EXACT_CASES.values(), ids=EXACT_CASES.keys())
     def test_regression_sets(self, points):
@@ -376,8 +377,10 @@ def cell_bound_sets(draw):
     return draw(hard_point_sets()) + draw(st.lists(st.tuples(coordinate, coordinate), max_size=8))
 
 
-def _chooser_sides(points):
-    """Every side _choose_label_grid may try, coarsest first."""
+def _image_sides(points):
+    """Every side the pruned count's image pass may be priced at (the
+    tree's level sides), coarsest first, down to the closest-pair grid's
+    floor."""
     coords = np.array(points)
     extent = max(float(np.ptp(coords[:, 0])), float(np.ptp(coords[:, 1])), geometry._MIN_EXTENT)
     side = math.ldexp(1.0, math.frexp(extent)[1] + 1)
@@ -390,12 +393,12 @@ def _chooser_sides(points):
 
 class TestExactCells:
     """Every pair's computed dx*dx + dy*dy lies in counting._sq_bracket of
-    its two cells' offset, with no slack, on the power-of-two sides of both
-    grid searches."""
+    its two cells' offset, with no slack, on the power-of-two sides of the
+    image pass and of the closest-pair search."""
 
     @staticmethod
     def _sides(points):
-        """Every side _choose_label_grid may try, and the sides
+        """Every side the image pass may be priced at, and the sides
         min_pairwise_distance takes, each checked to be a power of two."""
         taken = []
 
@@ -406,7 +409,7 @@ class TestExactCells:
         with mock.patch.object(geometry, "_bucket_cells", record):
             min_pairwise_distance(PointSet(points))
         assert all(math.frexp(side)[0] == 0.5 for side in taken)
-        return _chooser_sides(points) + taken
+        return _image_sides(points) + taken
 
     @given(points=cell_bound_sets())
     @example(points=[(-5e-324, 0.0), (0.0, 5e-324), (2.0, -2.0), (-4.0, 5e-324)])
@@ -429,50 +432,6 @@ class TestExactCells:
                            for x, c in zip(v.tolist(), cell.tolist()) if abs(x) >= 2.0**-1022 * side)
             low, high = counting._sq_bracket(np.abs(ix[p] - ix[q]), np.abs(iy[p] - iy[q]), side)
             assert np.all(low <= d2) and np.all(d2 <= high), side
-
-
-class TestSeededCellSort:
-    """_bucket_cells seeded with a coarser side's order, as the grid chooser
-    seeds it, gives the fresh sort's cells field by field."""
-
-    @staticmethod
-    def _check(points):
-        xs, ys = np.array(points, dtype=np.float64).T
-        coarser = None
-        for side in _chooser_sides(points):
-            fresh = geometry._bucket_cells(xs, ys, side)
-            if coarser is not None:
-                seeded = geometry._bucket_cells(xs, ys, side, coarser.order)
-                for name, want in fresh._asdict().items():
-                    got = getattr(seeded, name)
-                    assert type(got) is type(want), name
-                    if isinstance(want, np.ndarray):
-                        assert got.dtype == want.dtype and np.array_equal(got, want), (name, side)
-                    else:
-                        assert got == want, (name, side)
-            coarser = fresh
-
-    @given(points=cell_bound_sets())
-    @example(points=[(-5e-324, 0.0), (-0.5, 0.0), (2.0**29, 0.0)])
-    @settings(max_examples=200, deadline=None)
-    def test_equals_the_fresh_sort(self, points):
-        self._check(points)
-
-    @given(points=cell_bound_sets().flatmap(
-        lambda pts: st.lists(st.sampled_from(pts), min_size=1, max_size=3 * len(pts))))
-    @settings(max_examples=200, deadline=None)
-    def test_equals_the_fresh_sort_with_duplicate_points(self, points):
-        # Duplicates share a cell at every side: only the stable ties order them.
-        self._check(points)
-
-    def test_underflow_out_of_its_nest_sorts_afresh(self):
-        # At side 1, -2**-1074 lies in cell -1 with -0.5; at side 2, x / side
-        # rounds to -0.0 and puts it in cell 0, after -0.5's cell -1. Sorted
-        # from that order, the two would tie at side 1 out of index order.
-        xs, ys = np.array([-5e-324, -0.5, 2.0**29]), np.zeros(3)
-        coarse, fresh = (geometry._bucket_cells(xs, ys, side) for side in (2.0, 1.0))
-        assert coarse.order.tolist() == [1, 0, 2] and fresh.order.tolist() == [0, 1, 2]
-        assert geometry._bucket_cells(xs, ys, 1.0, coarse.order).order.tolist() == [0, 1, 2]
 
 
 class TestExactAgainstOracle:

@@ -164,9 +164,11 @@ class TestPointGraph:
     def test_lattices_match_csr(self, w, h, shift):
         _assert_same_graph(_lattice(w, h, shift), IntervalFamily([2.0, 5.0], 1.0))
 
-    def test_column_construction_on_the_run_path(self):
+    def test_column_construction_on_the_tree(self):
         built = two_column(40, 3, 400, 0.5)
-        assert counting._choose_label_grid(built.ps.coords, *built.iv.sq_bounds)[2] == "runs"
+        lo2, hi2 = built.iv.sq_bounds
+        walk = counting._visit_hits(built.ps.coords, lo2, hi2, lambda *args: None, np.empty(0))
+        assert walk.walk == "tree"
         _assert_same_graph(built.ps, built.iv)
 
     def test_no_hub_of_degree_2s(self):
