@@ -434,6 +434,66 @@ class TestExactCells:
             assert np.all(low <= d2) and np.all(d2 <= high), side
 
 
+class TestTreeCells:
+    """counting._Tree, the pruned count's quadtree, on points at cell bounds:
+    its finest cells are the floor cells of side top / 2**31, each index in
+    [0, 2**31), and every level's nodes are the runs of the sorted points
+    that share a cell of that level, with their actual extremes."""
+
+    @staticmethod
+    def _tree(points):
+        coords = np.array(points, dtype=np.float64)
+        return coords, counting._Tree(coords)
+
+    @staticmethod
+    def _index(key, axis):
+        """The finest cell index on the axis, read back from the Morton key."""
+        v = key >> (1 - axis)
+        return sum(((v >> (2 * b)) & 1) << b for b in range(31))
+
+    @given(points=cell_bound_sets())
+    @example(points=[(-5e-324, 0.0), (-0.5, 0.0), (2.0**29, 0.0)])
+    @example(points=[(1e9, -1e9), (1e9 + 0.5, -1e9 - 0.5), (1e9 - 2.0**-30, -1e9)])
+    @settings(max_examples=200, deadline=None)
+    def test_finest_indices_are_the_floor_cells(self, points):
+        coords, tree = self._tree(points)
+        assert np.array_equal(np.sort(tree.order), np.arange(len(coords)))
+        assert np.array_equal(tree.pts, coords[tree.order])
+        assert np.all(np.diff(tree.key) >= 0)
+        fine = math.ldexp(tree.top, -31)
+        for axis in (0, 1):
+            index = self._index(tree.key, axis)
+            cell = np.floor(tree.pts[:, axis] / fine)
+            # The key holds 31 bits an axis: an index that did not fit would
+            # lose bits here, and its difference from the others would move.
+            # The cells' differences are exact floats, below 2**31.
+            assert np.all((0 <= index) & (index < 2**31)) and index.min() < 2**30
+            assert np.array_equal(index - index[0], cell - cell[0])
+        assert len(tree.level(0)[0]) == 2
+
+    @given(points=cell_bound_sets())
+    @example(points=[(-5e-324, 0.0), (0.0, 5e-324), (2.0, -2.0), (-4.0, 5e-324)])
+    @settings(max_examples=100, deadline=None)
+    def test_levels_nest_and_bound_their_points(self, points):
+        coords, tree = self._tree(points)
+        index = [self._index(tree.key, axis) for axis in (0, 1)]
+        coarser = None
+        for level in range(32):
+            bounds, ext = tree.level(level)
+            assert bounds[0] == 0 and bounds[-1] == len(coords) and np.all(np.diff(bounds) > 0)
+            cells = np.stack([i >> (31 - level) for i in index], axis=1)
+            starts = np.flatnonzero(np.any(np.diff(cells, axis=0, prepend=-1) != 0, axis=1))
+            assert np.array_equal(bounds[:-1], starts), level
+            if coarser is not None:
+                assert np.all(np.isin(coarser, bounds)), level
+            coarser = bounds
+            side = math.ldexp(tree.top, -level)
+            for c, (s, e) in enumerate(zip(bounds, bounds[1:])):
+                pts = tree.pts[s:e]
+                assert np.array_equal(ext[c], np.concatenate((pts.min(axis=0), -pts.max(axis=0))))
+                assert np.all(pts.max(axis=0) - pts.min(axis=0) <= side), (level, c)
+
+
 class TestExactAgainstOracle:
     @pytest.mark.parametrize("points", EXACT_CASES.values(), ids=EXACT_CASES.keys())
     def test_regression_sets(self, points):
