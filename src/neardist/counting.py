@@ -1,8 +1,9 @@
 """Exact counting of point pairs whose distance falls in an interval family.
 
 "brute" evaluates every unordered pair, as one run set of geometry's
-_run_pairs: each point with every later one. "pruned", label_pairs and the
-point-set graph's degrees take one walk, _visit_hits, with one of two passes.
+_run_pairs: each point with every later one. "pruned", label_pairs, the
+point-set graph's degrees and geometry.diameter take one walk, _visit_hits,
+with one of two passes.
 
 The tree is dual-tree pair counting on a quadtree (Gray and Moore, "N-body
 problems in statistical learning", NIPS 2000; Moore et al., "Fast
@@ -330,7 +331,8 @@ def _visit_hits(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, visit, per
     pairs of the ids i and j (broadcast against hit) where hit holds have
     the smallest qualifying 0-based label l, by geometry._label_hits. Each
     qualifying pair is visited once, in one hit, except those the tree adds
-    to per in bulk; a per of no labels (label_pairs) takes no bulk add.
+    to per in bulk; a per of no labels (label_pairs, geometry.diameter)
+    takes no bulk add.
 
     The tree (_Tree) takes node pairs, a node with itself included, from
     the root down: it drops one whose _block_bracket meets no interval

@@ -25,17 +25,15 @@ Neither min_pairwise_distance nor diameter scans all pairs, yet both return
 exactly what an all-pairs scan of dx*dx + dy*dy would, bit for bit. The
 minimum searches a grid of cells sized from an upper bound taken from
 neighbours in (x, y) order: O(n log n) plus the pairs in touching cells, O(n)
-memory, from a cell join (_join_cells, _block_runs) whose runs _run_pairs
-expands; _run_pairs also expands the brute count's all-pairs runs and the
-pruned count's tree leaves, and counting walks dense grids with an image
-pass on _bucket_cells' grid. The diameter takes a lower bound from two
-farthest-point sweeps, cuts the points into about sqrt(n) cells of about
-sqrt(n) points by x and y rank, and evaluates only the cell pairs whose
-_block_bracket exceeds it: O(n log n) plus n pairs per cell pair evaluated,
-O(n) memory. _block_bracket, the slack-free bound on the pairs of two groups
-of points from their actual extremes, also decides every node pair that
-the pruned count's tree drops or adds in bulk. Their docstrings give the
-exactness arguments.
+memory, as the runs of two fixed rows of cells (_touching_runs) that
+_run_pairs expands; _run_pairs also expands the brute count's all-pairs runs
+and the pruned count's tree leaves, and counting walks dense grids with an
+image pass on _bucket_cells' grid. The diameter takes a lower bound from two
+farthest-point sweeps and asks the pruned count's walk for the pairs above
+it, as one interval with an infinite upper end. _block_bracket, the
+slack-free bound on the pairs of two groups of points from their actual
+extremes, decides every node pair that walk drops or adds in bulk. Their
+docstrings give the exactness arguments.
 """
 
 from __future__ import annotations
@@ -290,56 +288,31 @@ def _bucket_cells(xs: np.ndarray, ys: np.ndarray, side: float) -> _Cells:
     return _Cells(side, nx, ny, 2 * ny, order, skey[first], np.append(first, len(skey)), cell_of)
 
 
-def _join_cells(cells: _Cells, a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray):
-    """The cell blocks of the offset rows (a, b), b_lo <= b <= b_hi.
-
-    The row runs cover the half-plane a > 0 or a == 0 <= b, with |b| <= ny.
-    The key stride 2 * ny keeps a key shifted by b out of the neighbouring
-    column, so a row's cells have consecutive keys and their points are
-    consecutive in the cell order: the block of the cell with key k holds
-    the points whose key is at least k + a * stride + b_lo and below
-    k + a * stride + b_hi + 1. A search on the sorted cell keys counts the
-    points below each end.
-    Returns (lo, hi), of shape (rows, occupied cells): row r pairs the points
-    of the occupied cell c with the points order[lo[r, c]:hi[r, c]].
-    """
-    ends = cells.keys + (a * cells.stride + np.stack((b_lo, b_hi + 1)))[:, :, None]
-    lo, hi = cells.starts[np.searchsorted(cells.keys, ends)]
-    return lo, hi
-
-
-def _block_runs(cells: _Cells, a: np.ndarray, b_lo: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """The cell blocks (lo, hi) of _join_cells as runs, one per point and row.
-
-    The row a == 0 from b == 0 starts after the point itself, so inside one
-    cell each point pairs with the later points only; a block with
-    hi <= lo yields nothing. Returns the nonempty runs
-    (order, first, lo, length) for _run_pairs.
-    """
-    pos = np.arange(len(cells.order))
-    lo = lo[:, cells.cell_of]
-    hi = hi[:, cells.cell_of]
-    lo[(a == 0) & (b_lo == 0)] = pos + 1
-    length = (hi - lo).ravel()
-    keep = np.flatnonzero(length > 0)
-    return cells.order, np.tile(pos, len(a))[keep], lo.ravel()[keep], length[keep]
-
-
 def _touching_runs(xs: np.ndarray, ys: np.ndarray, side: float):
     """Every pair of points whose grid cells are equal or adjacent, as runs.
 
     Cells are squares of the given side, a power of two at least
-    extent / _MAX_CELLS so that int64 cell keys stay exact. The offset rows
-    a = 0, b in [0, 1] and a = 1, b in [-1, 1], joined by _join_cells and
-    expanded by _block_runs, hold each unordered pair once, in <= 2n runs.
+    extent / _MAX_CELLS so that int64 cell keys stay exact. Two fixed rows
+    hold each unordered pair once: a point of the cell with key k pairs with
+    the later points of keys k to k + 1 (its own column), and with the
+    points of keys k + stride - 1 to k + stride + 1 (the next column). The
+    key stride 2 * ny keeps a key shifted by -1 or 1 out of the neighbouring
+    column, so each row's points are consecutive in the cell order, and one
+    search on the sorted cell keys finds the ends of both. Returns the
+    nonempty runs (order, first, lo, length) for _run_pairs, <= 2n of them.
     """
     cells = _bucket_cells(xs, ys, side)
-    a, b_lo, b_hi = np.array([0, 1]), np.array([0, -1]), np.array([1, 1])
-    return _block_runs(cells, a, b_lo, *_join_cells(cells, a, b_lo, b_hi))
+    pos = np.arange(len(cells.order))
+    ends = cells.keys + np.array([[2], [cells.stride - 1], [cells.stride + 2]])
+    own_hi, next_lo, next_hi = cells.starts[np.searchsorted(cells.keys, ends)][:, cells.cell_of]
+    lo = np.concatenate((pos + 1, next_lo))
+    length = np.concatenate((own_hi, next_hi)) - lo
+    keep = np.flatnonzero(length > 0)
+    return cells.order, np.tile(pos, 2)[keep], lo[keep], length[keep]
 
 
 def _run_pairs(order: np.ndarray, first: np.ndarray, lo: np.ndarray, length: np.ndarray):
-    """Yield the pairs of _block_runs' runs as index arrays (i, j), _PAIR_CHUNK at a time:
+    """Yield the pairs of runs as index arrays (i, j), _PAIR_CHUNK at a time:
     the point order[first[r]] pairs with order[lo[r] + k] for 0 <= k < length[r]."""
     run_end = np.cumsum(length)
     run_start = run_end - length
@@ -421,7 +394,8 @@ def _cell_extremes(pts: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def _block_bracket(ext: np.ndarray, c: np.ndarray, q: np.ndarray):
     """Bounds (low, high) on the computed dx*dx + dy*dy of every pair of a
     point of cell c[m] and a point of cell q[m], given the cells'
-    _cell_extremes ext.
+    _cell_extremes ext: the pair walk's one node-pair test, behind the
+    pruned count, label_pairs and the diameter.
 
     The bounds need no slack: for a point i of one cell and j of the other,
     fl(x_i - x_j) is monotone in both coordinates, so it lies between
@@ -443,40 +417,39 @@ def diameter(ps: PointSet) -> float:
     """Maximum pairwise distance; 0 for a single point.
 
     The result equals sqrt of the maximum of dx*dx + dy*dy over all pairs,
-    bit for bit. Two farthest-point sweeps give D, the squared distance of
-    an actual pair, a lower bound. The points fall into about sqrt(n) cells
-    of about sqrt(n) points, ceil(n^(1/4)) slabs by x rank each cut into
-    ceil(n^(1/4)) runs by y rank, and a pair of cells (a cell with itself
-    included) is evaluated only when the high end of its _block_bracket,
-    which holds every computed squared distance between the two, exceeds D.
-    Every pair that computes above D is thus evaluated, and the answer is D
-    or the largest of theirs.
+    bit for bit. Two farthest-point sweeps give D, the computed squared
+    distance of an actual pair, a lower bound. The pruned count's walk
+    (counting._visit_hits), given no label to add in bulk, then visits
+    exactly the pairs whose computed squared distance exceeds D, as the
+    pairs of the one interval [nextafter(D, inf), inf], and the answer is D
+    or the largest of theirs. The walk drops every node pair whose
+    _block_bracket lies below that interval; the lower end is above D, so
+    that the node pair holding the sweeps' own pair need not be split down
+    to it.
 
-    Cost: O(n log n) for the cells, O(n) for their brackets, and n pairs per
-    cell pair evaluated: a few on a jittered grid, about 0.05 n^2 pairs on a
-    circle of 16000 points, all pairs at worst. Memory is O(n).
+    Cost: O(n log n) for the sweeps and the tree, plus the node pairs the
+    walk takes and the pairs it evaluates. At n = 16000 that is 160 pairs
+    on a jittered grid, 42411 on a uniform disk and 3.8 million (0.015 n^2)
+    on a circle; on the two-column construction the root is dropped. All
+    pairs at worst. Memory is O(n).
     """
+    from .counting import _visit_hits
+
     n = ps.n
     if n == 1:
         return 0.0
     xs, ys = ps.coords.T
     every = np.arange(n)
     best = float(_sq_dists(xs, ys, int(np.argmax(_sq_dists(xs, ys, 0, every))), every).max())
-    s = math.ceil(n**0.25)
-    cells = [run for slab in np.array_split(np.lexsort((ys, xs)), s)
-             for run in np.array_split(slab[np.argsort(ys[slab], kind="stable")], s) if len(run)]
-    # Cells are padded to one size by repeating a point, which adds no new pair.
-    m = max(map(len, cells))
-    members = np.array([np.pad(run, (0, m - len(run)), mode="edge") for run in cells])
-    ext = _cell_extremes(ps.coords[members.ravel()], np.arange(0, members.size + 1, m))
-    c1, c2 = np.triu_indices(len(cells))
-    keep = np.flatnonzero(_block_bracket(ext, c1, c2)[1] > best)
-    step = max(1, _PAIR_CHUNK // (m * m))
-    for k in range(0, len(keep), step):
-        part = keep[k : k + step]
-        i, j = members[c1[part], :, None], members[c2[part], None, :]
-        best = max(best, float(_sq_dists(xs, ys, i, j).max()))
-    return math.sqrt(best)
+    above = [best]
+
+    def keep(l, hit, i, j):
+        i, j = (np.broadcast_to(v, hit.shape)[hit] for v in (i, j))
+        above.append(float(_sq_dists(xs, ys, i, j).max(initial=best)))
+
+    lo2, hi2 = np.array([np.nextafter(best, math.inf)]), np.array([math.inf])
+    _visit_hits(ps.coords, lo2, hi2, keep, np.empty(0, dtype=np.int64))
+    return math.sqrt(max(above))
 
 
 @dataclass(frozen=True)

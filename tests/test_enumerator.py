@@ -38,27 +38,9 @@ from neardist.constructions import two_column
 from neardist.graphs import _PointGraph
 
 from _oracles import _sq_dist, oracle_count, oracle_labels
+from conftest import forced_image, level_side
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
-def _level_side(coords, level):
-    """The tree's cell side at the given level, where the image pass is
-    priced: the power of two 2**(e - level), for an extent in [2**(e - 1), 2**e)."""
-    extent = max(np.ptp(coords[:, 0]), np.ptp(coords[:, 1]), geometry._MIN_EXTENT)
-    return math.ldexp(1.0, math.frexp(float(extent))[1] - level)
-
-
-def _forced_image(side_of):
-    """A _visit_hits stand-in that walks the image pass at the cell side
-    side_of(coords) whatever the image's size, with no tree and no bulk add."""
-
-    def visit_hits(coords, lo2, hi2, visit, per):
-        grid = counting._bucket_cells(coords[:, 0], coords[:, 1], side_of(coords))
-        rows = counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
-        counting._image_hits(coords, grid, rows, lo2, hi2, visit)
-
-    return visit_hits
 
 
 # The walk as picked, the tree forced (no image fits), or the image forced
@@ -152,7 +134,7 @@ class TestLabelPairsExact:
         if forced == "tree":
             patches.append(mock.patch.object(counting, "_image_pick", lambda *args: None))
         elif forced is not None:
-            image = _forced_image(lambda coords: _level_side(coords, forced))
+            image = forced_image(lambda coords: level_side(coords, forced))
             patches += [mock.patch.object(module, "_visit_hits", image) for module in (counting, graphs)]
         with contextlib.ExitStack() as stack:
             for patch in patches:
@@ -376,7 +358,7 @@ class TestImagePass:
         grid = counting._bucket_cells(ps.coords[:, 0], ps.coords[:, 1], side)
         m = int(np.diff(grid.starts).max())
         assert m >= 3 and m * grid.nx * grid.ny >= 3 * ps.n
-        with mock.patch.object(counting, "_visit_hits", _forced_image(lambda coords: side)):
+        with mock.patch.object(counting, "_visit_hits", forced_image(lambda coords: side)):
             got = label_pairs(ps, iv)
             pruned = count_pairs(ps, iv, "pruned").per_interval
         assert list(got) == oracle_labels(points, t, alpha)
@@ -530,47 +512,6 @@ class TestOffsetRows:
         lo2, hi2 = IntervalFamily(t, alpha).sq_bounds
         rows = counting._offset_rows(math.inf, 1, 1, lo2, hi2)
         assert [(r.dtype, r.tolist()) for r in rows] == [(np.int64, [0])] * 3
-
-
-class TestCellJoin:
-    @given(data=labeled_inputs(), level=st.none() | st.integers(-1, 12))
-    @settings(max_examples=300, deadline=None)
-    # The one-cell grid of side inf, where the offset rows once took 0 * inf.
-    @example(data=([(0.0, 0.0), (10000.0, 0.0)], [1.0, 3.0, 10000.0], 0.1), level=None)
-    def test_blocks_are_the_partner_cells(self, data, level):
-        points, t, alpha = data
-        coords = np.array(points)
-        side = math.inf if level is None else _level_side(coords, level)
-        grid = counting._bucket_cells(coords[:, 0], coords[:, 1], side)
-        lo2, hi2 = IntervalFamily(t, alpha).sq_bounds
-        rows = counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
-        # The edges of the half-plane, offset by offset and as whole runs:
-        # a = 0 with b >= 0, and the last column a = nx - 1 with every b.
-        top = grid.ny - 1
-        edges = [(0, b, b) for b in range(top + 1)] + [(0, 0, top)]
-        if grid.nx > 1:
-            edges += [(grid.nx - 1, b, b) for b in range(-top, top + 1)] + [(grid.nx - 1, -top, top)]
-        edges = np.array(edges, dtype=np.int64).T
-        a, b_lo, b_hi = (np.concatenate((r, e)) for r, e in zip(rows, edges))
-        lo, hi = geometry._join_cells(grid, a, b_lo, b_hi)
-        assert lo.dtype == hi.dtype == np.int64
-        # Each point's cell from its coordinates, in the join's point order,
-        # and a direct count of the points whose cell key lies in a row's range.
-        xs, ys = coords[grid.order, 0], coords[grid.order, 1]
-        ix = (np.floor(xs / side) - np.floor(coords[:, 0].min() / side)).astype(np.int64)
-        iy = (np.floor(ys / side) - np.floor(coords[:, 1].min() / side)).astype(np.int64)
-        key = ix * grid.stride + iy
-        pos = np.arange(len(key))
-        for c, k in enumerate(grid.keys.tolist()):
-            start = k + a * grid.stride + b_lo
-            assert np.array_equal(lo[:, c], (key < start[:, None]).sum(axis=1))
-            assert np.array_equal(hi[:, c], (key <= (start + b_hi - b_lo)[:, None]).sum(axis=1))
-            # The block holds exactly the points of the cells (cx + a, cy + b),
-            # b_lo <= b <= b_hi: no shifted key reaches a neighbouring column.
-            cx, cy = divmod(k, grid.stride)
-            b = iy - cy
-            partner = (ix == cx + a[:, None]) & (b >= b_lo[:, None]) & (b <= b_hi[:, None])
-            assert np.array_equal(partner, (lo[:, c, None] <= pos) & (pos < hi[:, c, None]))
 
 
 class TestGraphConstruction:

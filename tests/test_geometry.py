@@ -1,3 +1,4 @@
+import contextlib
 import math
 from dataclasses import asdict
 from unittest import mock
@@ -32,6 +33,7 @@ from _oracles import (
     oracle_min_distance,
     oracle_violations,
 )
+from conftest import forced_image, level_side
 
 GRID = [(float(x), float(y)) for x in range(3) for y in range(3)]
 
@@ -519,21 +521,68 @@ class TestExactAgainstOracle:
         assert min_pairwise_distance(ps)[0] == oracle_min_distance(points)
         assert diameter(ps) == oracle_diameter(points)
 
-    def test_diameter_evaluates_few_pairs_on_a_circle(self, monkeypatch):
+    def test_diameter_evaluates_few_pairs_on_a_circle(self):
         # Every point of a circle is extreme and has an antipode within a hair
-        # of the diameter, yet only the cell pairs whose bracket reaches beyond
-        # the sweeps' lower bound are evaluated: well under a quarter of all pairs.
+        # of the diameter, yet the walk evaluates only the pairs of the node
+        # pairs whose bracket reaches beyond the sweeps' lower bound: well
+        # under a quarter of all pairs. Every pair the walk evaluates, a tree
+        # leaf's or an image slot pair, goes through counting._label_hits.
         points = EXACT_CASES["circle-2000"]
         evaluated = []
 
-        def counted(xs, ys, i, j):
-            evaluated.append(np.broadcast(i, j).size)
-            return sq_dists(xs, ys, i, j)
+        def label_hits(d2, lo2, hi2, real=geometry._label_hits):
+            evaluated.append(d2.size)
+            return real(d2, lo2, hi2)
 
-        sq_dists = geometry._sq_dists
-        monkeypatch.setattr(geometry, "_sq_dists", counted)
-        assert diameter(PointSet(points)) == oracle_diameter(points)
-        assert sum(evaluated) < len(points) ** 2 / 4
+        with mock.patch.object(counting, "_label_hits", label_hits):
+            assert diameter(PointSet(points)) == oracle_diameter(points)
+        assert 0 < sum(evaluated) < len(points) ** 2 / 4
+
+
+def _forced_walk(forced):
+    """The pair walk as picked (None), forced onto the tree ("tree"), or
+    forced onto the image at the tree's cell side of the given level."""
+    if forced is None:
+        return contextlib.nullcontext()
+    if forced == "tree":
+        return mock.patch.object(counting, "_image_pick", lambda *args: None)
+    return mock.patch.object(counting, "_visit_hits", forced_image(lambda coords: level_side(coords, forced)))
+
+
+class TestDiameterOnBothPasses:
+    """diameter with the pair walk forced onto either pass (the walk as
+    picked is TestExactAgainstOracle's). The walk visits the pairs above the
+    sweeps' bound D as those of the one interval [nextafter(D, inf), inf],
+    whose infinite upper end reaches the cap in counting._offset_rows and,
+    near the 2**510 limit, the overflow of counting._sq_bracket."""
+
+    @pytest.mark.parametrize("forced", ["tree", 0, 2])
+    @pytest.mark.parametrize("points", EXACT_CASES.values(), ids=EXACT_CASES.keys())
+    def test_regression_sets(self, points, forced):
+        with _forced_walk(forced):
+            assert diameter(PointSet(points)) == oracle_diameter(points)
+
+    @given(points=cell_bound_sets(), forced=st.none() | st.just("tree") | st.integers(-1, 5))
+    @example(points=EXACT_CASES["corners-2**510"], forced="tree")
+    @example(points=EXACT_CASES["corners-2**510"], forced=-1)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_oracle(self, points, forced):
+        with _forced_walk(forced):
+            assert diameter(PointSet(points)) == oracle_diameter(points)
+
+    @pytest.mark.parametrize("level", [-1, 0, 1])
+    def test_corners_overflow_the_offset_bracket(self, level):
+        points = EXACT_CASES["corners-2**510"]
+        overflows = []
+
+        def sq_bracket(da, db, side, real=counting._sq_bracket):
+            low, high = real(da, db, side)
+            overflows.append(bool(np.isinf(high).any()))
+            return low, high
+
+        with _forced_walk(level), mock.patch.object(counting, "_sq_bracket", sq_bracket):
+            assert diameter(PointSet(points)) == oracle_diameter(points) == math.sqrt(2.0**1023)
+        assert any(overflows)
 
 
 class TestCheckHypothesis:

@@ -47,7 +47,7 @@ COMMANDS = {
     "verify": (["verify", "points.json", "intervals.json", "--delta", "0.2", "--C", "100"],
                {"counting"}, 1),
     "check-hypothesis": (["check-hypothesis", "intervals.json", "--delta", "0.2"], set(), 1),
-    "diameter": (["diameter", "points.json"], set(), 0),
+    "diameter": (["diameter", "points.json"], {"counting"}, 0),
     # s = m = 1 on emp1 finds a unique-max witness, so angle_diagnostic runs.
     "analyze": (["analyze", "points.json", "intervals.json", "--s", "1", "--m", "1"],
                 {"counting", "graphs"}, 0),
