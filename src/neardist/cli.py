@@ -56,9 +56,8 @@ _LAZY = {
     "two_column": "constructions",
     "count_pairs": "counting",
     "TriangleCase": "graphs",
-    "_PointGraph": "graphs",
     "angle_diagnostic": "graphs",
-    "build_graph": "graphs",  # unused here; perfbench/traced.py wraps cli.build_graph by name
+    "build_graph": "graphs",
     "classify_label_triple": "graphs",
     "find_tripartite": "graphs",
     "homogenize": "graphs",
@@ -232,7 +231,7 @@ def cmd_analyze(args) -> Result:
     _cli.triangle_angle_bounds(args.delta)
     ps = load_point_set(args.points)
     iv = load_intervals(args.intervals)
-    graph = _cli._PointGraph(ps, iv)
+    graph = _cli.build_graph(ps, iv)
     witness = _cli.find_tripartite(graph, args.s)
     payload: dict = {
         "n": graph.n,

@@ -2,8 +2,8 @@
 
 "brute" evaluates every unordered pair, as one run set of geometry's
 _run_pairs: each point with every later one. "pruned", label_pairs, the
-point-set graph's degrees and geometry.diameter take one walk, _visit_hits,
-with one of two passes.
+graph's degrees (graphs.NearEqualGraph) and geometry.diameter take one
+walk, _visit_hits, with one of two passes.
 
 The tree is dual-tree pair counting on a quadtree (Gray and Moore, "N-body
 problems in statistical learning", NIPS 2000; Moore et al., "Fast
@@ -494,14 +494,9 @@ def label_pairs(ps: PointSet, iv: IntervalFamily) -> LabeledPairs:
 
     # Only the walk holds its tree or grid, so both are freed before the final sort.
     _visit_hits(ps.coords, lo2, hi2, keep, np.empty(0, dtype=np.int64))
+    # Rebinding packed frees the chunks; the keys are sorted in place and reused for j.
     packed = np.concatenate(packed)
-    return LabeledPairs(*_sort_pairs(packed, n, k1))
-
-
-def _sort_pairs(key: np.ndarray, n: int, k1: int):
-    """(a, b, label) of the int64 keys (a * n + b) * k1 + label, 0 <= label <
-    k1, sorted by (a, b, label): key is sorted in place and reused for b."""
-    key.sort()
-    label = key % k1
-    key //= k1
-    return key // n, np.remainder(key, n, out=key), label
+    packed.sort()
+    label = packed % k1
+    packed //= k1
+    return LabeledPairs(packed // n, np.remainder(packed, n, out=packed), label)

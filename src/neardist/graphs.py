@@ -2,20 +2,17 @@
 
 The graph on a point set has an edge for every pair whose distance falls in
 the interval family, labeled with the smallest qualifying interval index.
-build_graph stores it as CSR arrays, built from label_pairs' arrays by one
-in-place sort of both edge directions packed with their labels (about 77
-bytes per edge at the peak). The point-set graph that `analyze` uses holds no
-edge: it takes the degrees from one walk of the pruned count and reads a
-hub's neighbourhood, the edges inside it and single labels from the points
-when asked, in O(n) memory beside one hub's edges. Witness extraction looks
-for a K(1, s, s): a hub x and two disjoint s-sets B, D with every x-B, x-D
-and B-D edge present; it reads only each tried hub's neighbourhood and the
-edges inside it, so one search body serves both graphs. Homogenization
-refines a witness to subsets on which each of the three edge classes carries
-a single label, and reads only the witness's own labels. Both searches are
-explicit and deterministic; they are meant for small witnesses (roughly
-s <= 4) and degrade to exponential enumeration in s and in the degree of
-dense neighbourhoods beyond that.
+NearEqualGraph holds no edge: it takes the degrees from one walk of the
+pruned count and reads a hub's neighbourhood, the edges inside it and single
+labels from the points when asked, in O(n) memory beside one hub's edges.
+Witness extraction looks for a K(1, s, s): a hub x and two disjoint s-sets
+B, D with every x-B, x-D and B-D edge present; it reads only each tried
+hub's neighbourhood and the edges inside it. Homogenization refines a
+witness to subsets on which each of the three edge classes carries a single
+label, and reads only the witness's own labels. Both searches are explicit
+and deterministic; they are meant for small witnesses (roughly s <= 4) and
+degrade to exponential enumeration in s and in the degree of dense
+neighbourhoods beyond that.
 """
 
 from __future__ import annotations
@@ -27,7 +24,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .counting import _sort_pairs, _spans, _visit_hits, label_pairs
+# label_pairs is unused here; perfbench/traced.py wraps graphs.label_pairs by name.
+from .counting import _visit_hits, label_pairs
 from .geometry import IntervalFamily, PointSet, _label_hits, _run_pairs, _sq_dists
 
 __all__ = [
@@ -51,101 +49,19 @@ _DEGENERATE_AREA_RATIO = 1e-9
 
 
 class NearEqualGraph:
-    """Graph of qualifying pairs with smallest-interval edge labels (1-based).
-
-    Stored as CSR with every edge in both directions: the neighbours of v are
-    indices[indptr[v]:indptr[v + 1]], in increasing order, and labels holds
-    the edge labels alongside. Built from parallel edge arrays (i, j, label)
-    with i != j, each unordered edge at most once, and every label >= 1 with
-    n * n * (max label + 1) <= 2**63; ValueError otherwise.
-    """
-
-    __slots__ = ("n", "indptr", "indices", "labels")
-
-    def __init__(self, n: int, i, j, labels):
-        i, j, labels = (np.asarray(v, dtype=np.int64) for v in (i, j, labels))
-        if not len(i) == len(j) == len(labels):
-            raise ValueError("edge arrays i, j and labels must have one length")
-        bad = (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)
-        if bad.any():
-            e = int(np.argmax(bad))
-            raise ValueError(f"edge ({i[e]}, {j[e]}) out of range for n={n}")
-        if (labels < 1).any():
-            raise ValueError("edge labels must be >= 1")
-        k1 = int(labels.max(initial=0)) + 1
-        if int(n) ** 2 * k1 > 2**63:
-            raise ValueError(f"need n * n * (max label + 1) <= 2**63: n={n}, max label {k1 - 1}")
-        # Both directions of every edge with its label, in one sort: rows in order.
-        key = np.concatenate(((i * n + j) * k1 + labels, (j * n + i) * k1 + labels))
-        rows, self.indices, self.labels = _sort_pairs(key, n, k1)
-        if ((rows[1:] == rows[:-1]) & (self.indices[1:] == self.indices[:-1])).any():
-            raise ValueError("each edge may be given only once")
-        self.n = n
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.indices) // 2
-
-    @property
-    def _degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    def _hub(self, x: int):
-        """N(x), sorted, and the edges inside it as id arrays (u, v), u < v."""
-        nbrs = self.indices[self.indptr[x]:self.indptr[x + 1]]
-        start = self.indptr[nbrs]
-        length = self.indptr[nbrs + 1] - start
-        u, v = np.repeat(nbrs, length), self.indices[_spans(start, length)]
-        keep = (u < v) & np.isin(v, nbrs)
-        return nbrs, u[keep], v[keep]
-
-    def _row(self, v: int) -> tuple[int, int]:
-        if not 0 <= v < self.n:
-            raise IndexError(f"vertex {v} out of range for n={self.n}")
-        return self.indptr[v], self.indptr[v + 1]
-
-    def _slot(self, i: int, j: int) -> int | None:
-        start, stop = self._row(i)
-        self._row(j)  # j must be a vertex as well
-        at = start + int(np.searchsorted(self.indices[start:stop], j))
-        return at if at < stop and self.indices[at] == j else None
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return self._slot(i, j) is not None
-
-    def label(self, i: int, j: int) -> int:
-        at = self._slot(i, j)
-        if at is None:
-            raise KeyError((i, j))
-        return int(self.labels[at])
-
-    def neighbors(self, i: int) -> frozenset[int]:
-        start, stop = self._row(i)
-        return frozenset(self.indices[start:stop].tolist())
-
-    def __repr__(self) -> str:
-        return f"NearEqualGraph(n={self.n}, edges={self.edge_count})"
-
-
-def build_graph(ps: PointSet, iv: IntervalFamily) -> NearEqualGraph:
-    """Build the qualifying-pair graph; edge count equals the pair count."""
-    pairs = label_pairs(ps, iv)
-    return NearEqualGraph(ps.n, pairs.i, pairs.j, pairs.label)
-
-
-class _PointGraph:
-    """The qualifying-pair graph of a point set, read from the points.
+    """The qualifying-pair graph of a point set, with smallest-interval edge
+    labels (1-based), read from the points.
 
     Holds no edge: the degrees come from one walk of the pruned count
     (counting._visit_hits), which drops the node pairs with no qualifying
     pair and evaluates the rest, as label_pairs does. A hub's
     neighbourhood N(x) comes from one pass of x against every point, and the
     edges inside it from its deg * (deg - 1) / 2 pairs, _PAIR_CHUNK at a time;
-    label(i, j) evaluates its one pair. Every pair is evaluated with the
-    walk's dx*dx + dy*dy and _label_hits, and fl(a - b) = -fl(b - a), so
-    degrees, edges and labels equal build_graph's bit for bit, in O(n) memory
-    beside a hub's edges.
+    has_edge(i, j) and label(i, j) evaluate their one pair. Every pair is
+    evaluated with the walk's dx*dx + dy*dy and _label_hits, and
+    fl(a - b) = -fl(b - a), so degrees, edges and labels equal label_pairs'
+    bit for bit, in O(n) memory beside a hub's edges. Vertex ids outside
+    0..n-1 raise IndexError.
     """
 
     __slots__ = ("n", "edge_count", "_degrees", "_xs", "_ys", "_lo2", "_hi2")
@@ -173,10 +89,19 @@ class _PointGraph:
             labels[hit] = l + 1
         return labels
 
+    def _check(self, *ids: int) -> None:
+        for v in ids:
+            if not 0 <= v < self.n:
+                raise IndexError(f"vertex {v} out of range for n={self.n}")
+
+    def _row(self, x: int) -> np.ndarray:
+        """N(x), sorted."""
+        # x itself is no neighbour: its d2 of 0 lies in no interval (t >= 1).
+        return np.flatnonzero(self._labels(x, np.arange(self.n)))
+
     def _hub(self, x: int):
         """N(x), sorted, and the edges inside it as id arrays (u, v), u < v."""
-        # x itself is no neighbour: its d2 of 0 lies in no interval (t >= 1).
-        nbrs = np.flatnonzero(self._labels(x, np.arange(self.n)))
+        nbrs = self._row(x)
         pos = np.arange(len(nbrs) - 1)
         u, v = [nbrs[:0]], [nbrs[:0]]
         for i, j in _run_pairs(nbrs, pos, pos + 1, len(nbrs) - 1 - pos):
@@ -185,14 +110,31 @@ class _PointGraph:
             v.append(j[keep])
         return nbrs, np.concatenate(u), np.concatenate(v)
 
+    def _pair(self, i: int, j: int) -> int:
+        """The label of the pair (i, j), 0 where it is no edge."""
+        self._check(i, j)
+        return int(self._labels(i, j))
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return self._pair(i, j) > 0
+
     def label(self, i: int, j: int) -> int:
-        for v in (i, j):
-            if not 0 <= v < self.n:
-                raise IndexError(f"vertex {v} out of range for n={self.n}")
-        label = int(self._labels(i, j))
+        label = self._pair(i, j)
         if not label:
             raise KeyError((i, j))
         return label
+
+    def neighbors(self, x: int) -> frozenset[int]:
+        self._check(x)
+        return frozenset(self._row(x).tolist())
+
+    def __repr__(self) -> str:
+        return f"NearEqualGraph(n={self.n}, edges={self.edge_count})"
+
+
+def build_graph(ps: PointSet, iv: IntervalFamily) -> NearEqualGraph:
+    """The qualifying-pair graph of ps; its edge count equals the pair count."""
+    return NearEqualGraph(ps, iv)
 
 
 @dataclass(frozen=True)
@@ -240,16 +182,15 @@ def _find_bipartite_in(adj, cand: list[int], s: int) -> tuple[list[int], list[in
     return extend([], 0, cand_set)
 
 
-def find_tripartite(g: NearEqualGraph | _PointGraph, s: int) -> TripartiteWitness | None:
+def find_tripartite(g: NearEqualGraph, s: int) -> TripartiteWitness | None:
     """Search for a K(1, s, s) witness; None when the graph contains none.
 
     Deterministic: returns the least witness under lexicographic order of
     (x, sorted B, sorted D). Exhaustive over hubs of degree at least 2s,
     branch and bound inside each hub's neighborhood. The search reads a
     graph's degrees and, per hub x tried, N(x) with the edges inside it, the
-    only edges it can use: every set it intersects is a subset of N(x). So it
-    serves both the CSR graph and the point-set graph, whose hub reads cost
-    O(n + deg(x)**2) time and O(n + edges in N(x)) memory.
+    only edges it can use: every set it intersects is a subset of N(x). A hub
+    read costs O(n + deg(x)**2) time and O(n + edges in N(x)) memory.
     """
     if s < 1:
         raise ValueError(f"witness part size must be >= 1, got {s}")
@@ -287,7 +228,7 @@ class HomogeneousWitness:
 
 
 def _largest_label_class(
-    g: NearEqualGraph | _PointGraph, x: int, members: tuple[int, ...]
+    g: NearEqualGraph, x: int, members: tuple[int, ...]
 ) -> tuple[int, list[int]]:
     """Partition members by their edge label to x; largest class wins, ties to
     the smaller label."""
@@ -298,9 +239,7 @@ def _largest_label_class(
     return label, sorted(classes[label])
 
 
-def homogenize(
-    g: NearEqualGraph | _PointGraph, w: TripartiteWitness, m: int
-) -> HomogeneousWitness | None:
+def homogenize(g: NearEqualGraph, w: TripartiteWitness, m: int) -> HomogeneousWitness | None:
     """Refine a witness to m-subsets with one label per edge class, or None.
 
     B is first restricted to its largest x-label class (ties to the smaller

@@ -9,6 +9,8 @@ comparable bit for bit.
 from itertools import combinations
 import math
 
+import numpy as np
+
 
 def _sq_dist(a, b):
     # x * x, not x ** 2: pow(x, 2) is not correctly rounded on every libm.
@@ -43,6 +45,39 @@ def oracle_labels(points, t_values, alpha):
         if l is not None:
             out.append((i, j, l))
     return out
+
+
+class OracleGraph:
+    """The graph of (i, j, label) triples as a dict of neighbour-to-label dicts.
+
+    It has what find_tripartite and homogenize read (n, edge_count, _degrees,
+    _hub, label) and what the validators read (has_edge, neighbors), built
+    with plain Python loops, so a package graph can be held to it.
+    """
+
+    def __init__(self, n, triples):
+        self.n = n
+        self.adj = {v: {} for v in range(n)}
+        for i, j, l in triples:
+            self.adj[i][j] = self.adj[j][i] = l
+        self._degrees = np.array([len(self.adj[v]) for v in range(n)], dtype=np.int64)
+        self.edge_count = sum(len(row) for row in self.adj.values()) // 2
+
+    def _hub(self, x):
+        nbrs = sorted(self.adj[x])
+        inside = set(nbrs)
+        edges = [(u, v) for u in nbrs for v in self.adj[u] if u < v and v in inside]
+        u, v = zip(*edges) if edges else ((), ())
+        return tuple(np.array(ids, dtype=np.int64) for ids in (nbrs, u, v))
+
+    def has_edge(self, i, j):
+        return j in self.adj[i]
+
+    def neighbors(self, i):
+        return frozenset(self.adj[i])
+
+    def label(self, i, j):
+        return self.adj[i][j]
 
 
 def oracle_min_distance(points):

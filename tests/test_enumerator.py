@@ -1,5 +1,5 @@
 """Exactness of the pair walk (behind label_pairs, the pruned count and the
-point-set graph's degrees) and of the CSR graph built from it.
+graph's degrees) and of the graph read from the points.
 
 The tree drops or adds a node pair in bulk only when the exact bracket of
 its points' extremes decides every pair's label, and the image pass skips a
@@ -7,12 +7,11 @@ cell offset only when its exact distance bracket misses every interval, so
 both must equal an all-pairs scan bit for bit. These tests compare them with
 the pure-Python oracle on inputs chosen to stress that claim: on the walk as
 picked, on the tree forced with leaves of 1 and 256 pairs, and on the image
-forced at sides from one cell to dozens per axis; the point-set graph's
-degree walk and labels are held to the same oracle, and the count and
-label_pairs must not move under exact symmetries of the input. The graph's
-CSR must not depend on the order in which its edges are given, label_pairs
-and build_graph must stay within a memory budget per pair, and the
-point-set graph with its witness search within one per point.
+forced at sides from one cell to dozens per axis; the graph's degree walk,
+neighbours and labels are held to the same oracle, and the count and
+label_pairs must not move under exact symmetries of the input. The graph
+checks its vertex ids, label_pairs must stay within a memory budget per
+pair, and the graph with its witness search within one per point.
 """
 
 import contextlib
@@ -30,12 +29,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from neardist import (
-    IntervalFamily, NearEqualGraph, PointSet, build_graph, count_pairs, find_tripartite, label_pairs,
-    random_separated,
+    IntervalFamily, PointSet, build_graph, count_pairs, find_tripartite, label_pairs, random_separated,
 )
 from neardist import counting, geometry, graphs
 from neardist.constructions import two_column
-from neardist.graphs import _PointGraph
 
 from _oracles import _sq_dist, oracle_count, oracle_labels
 from conftest import forced_image, level_side
@@ -141,7 +138,7 @@ class TestLabelPairsExact:
                 stack.enter_context(patch)
             got = label_pairs(ps, iv)
             pruned = count_pairs(ps, iv, "pruned").per_interval
-            degrees = _PointGraph(ps, iv)._degrees
+            degrees = build_graph(ps, iv)._degrees
         want = oracle_labels(points, t, alpha)
         assert list(got) == want
         assert degrees.tolist() == np.bincount(np.append(got.i, got.j), minlength=ps.n).tolist()
@@ -178,22 +175,21 @@ class TestLabelPairsExact:
     @settings(max_examples=100, deadline=None)
     def test_graph_agrees_with_oracle_dict(self, data):
         points, t, alpha = data
-        ps, iv = PointSet(points), IntervalFamily(t, alpha)
-        g, pg = build_graph(ps, iv), _PointGraph(ps, iv)
+        g = build_graph(PointSet(points), IntervalFamily(t, alpha))
         want = {(i, j): l for i, j, l in oracle_labels(points, t, alpha)}
-        assert g.edge_count == pg.edge_count == len(want)
+        assert g.edge_count == len(want)
         for a in range(g.n):
             nbrs = {b for b in range(g.n) if (min(a, b), max(a, b)) in want}
             assert g.neighbors(a) == frozenset(nbrs)
-            assert pg._hub(a)[0].tolist() == sorted(nbrs)
+            assert g._hub(a)[0].tolist() == sorted(nbrs)
             for b in range(g.n):
                 key = (min(a, b), max(a, b))
                 assert g.has_edge(a, b) == (key in want)
                 if key in want:
-                    assert g.label(a, b) == pg.label(a, b) == want[key]
+                    assert g.label(a, b) == want[key]
                 else:
                     with pytest.raises(KeyError):
-                        pg.label(a, b)
+                        g.label(a, b)
 
     def test_types_and_order(self):
         ps = PointSet([(0.0, 0.0), (3.0, 0.0), (0.0, 1.0), (3.0, 1.0)])
@@ -515,41 +511,15 @@ class TestOffsetRows:
 
 
 class TestGraphConstruction:
-    def test_unsorted_edges_give_sorted_rows(self):
-        g = NearEqualGraph(4, [3, 0, 2, 1], [1, 2, 3, 0], [5, 7, 6, 8])
-        assert g.indptr.tolist() == [0, 2, 4, 6, 8]
-        assert g.indices.tolist() == [1, 2, 0, 3, 0, 3, 1, 2]
-        assert g.labels.tolist() == [8, 7, 8, 5, 7, 6, 5, 6]
-        assert g.label(2, 0) == 7 and g.edge_count == 4
-
-    @pytest.mark.parametrize(
-        "i, j, labels",
-        [([0], [0], [1]), ([0], [4], [1]), ([-1], [2], [1]), ([0, 1], [1, 0], [1, 1]),
-         ([0, 1], [1, 0], [2, 1])],
-        ids=["loop", "beyond-n", "negative", "duplicate", "duplicate-relabeled"],
-    )
-    def test_bad_edges_rejected(self, i, j, labels):
-        with pytest.raises(ValueError):
-            NearEqualGraph(4, i, j, labels)
-
-    @pytest.mark.parametrize("labels, rule", [
-        ([0], "labels must be >= 1"),
-        # (3 * 4 + 2) * (2**61 + 1) + 2**61 wraps past int64.
-        ([2**61], r"n \* n \* \(max label \+ 1\) <= 2\*\*63"),
-    ], ids=["label-zero", "packed-key-beyond-2**63"])
-    def test_labels_the_packed_sort_cannot_hold_rejected(self, labels, rule):
-        with pytest.raises(ValueError, match=rule):
-            NearEqualGraph(4, [3], [2], labels)
-
-    def test_largest_packable_label_kept(self):
-        # n * n * (max label + 1) == 2**63: the largest key is 2**63 - 1.
-        g = NearEqualGraph(4, [3, 0], [2, 1], [2**59 - 1, 1])
-        assert g.labels.tolist() == [1, 1, 2**59 - 1, 2**59 - 1]
-        assert g.indices.tolist() == [1, 0, 3, 2]
+    @staticmethod
+    def _graph():
+        # Edges (0, 1) and (0, 3) only.
+        ps = PointSet([(0.0, 0.0), (3.0, 0.0), (20.0, 0.0), (0.0, 3.0)])
+        return build_graph(ps, IntervalFamily([3.0], 0.5))
 
     def test_missing_edge_label_raises(self):
-        g = NearEqualGraph(3, [0], [1], [1])
-        assert not g.has_edge(0, 2)
+        g = self._graph()
+        assert g.has_edge(0, 1) and not g.has_edge(0, 2)
         with pytest.raises(KeyError):
             g.label(0, 2)
 
@@ -566,30 +536,9 @@ class TestGraphConstruction:
         ids=["has_edge-first", "has_edge-second", "label-first", "label-second", "neighbors"],
     )
     def test_vertex_out_of_range_raises(self, call, v):
-        # A negative id must not wrap to a row counted from the end.
-        g = NearEqualGraph(4, [0, 1, 2], [3, 3, 3], [1, 2, 1])
+        # A negative id must not wrap to a point counted from the end.
         with pytest.raises(IndexError, match=f"vertex {v} out of range for n=4"):
-            call(g, v)
-
-    @given(data=st.data(), n=st.integers(2, 12))
-    @settings(max_examples=200, deadline=None)
-    def test_csr_matches_reference_in_any_edge_order(self, data, n):
-        edges = sorted(data.draw(st.sets(st.sampled_from(list(combinations(range(n), 2))))))
-        labels = data.draw(st.lists(st.integers(1, 5), min_size=len(edges), max_size=len(edges)))
-        adj = {v: {} for v in range(n)}
-        for (a, b), l in zip(edges, labels):
-            adj[a][b] = adj[b][a] = l
-        order = data.draw(st.permutations(range(len(edges))))
-        swap = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
-        i = [edges[e][s] for e, s in zip(order, swap)]
-        j = [edges[e][1 - s] for e, s in zip(order, swap)]
-        shuffled = NearEqualGraph(n, i, j, [labels[e] for e in order])
-        presorted = NearEqualGraph(n, [a for a, _ in edges], [b for _, b in edges], labels)
-        for g in (shuffled, presorted):
-            assert g.indptr.tolist() == [0, *np.cumsum([len(adj[v]) for v in range(n)]).tolist()]
-            assert g.indices.tolist() == [w for v in range(n) for w in sorted(adj[v])]
-            assert g.labels.tolist() == [adj[v][w] for v in range(n) for w in sorted(adj[v])]
-            assert g.indptr.dtype == g.indices.dtype == g.labels.dtype == np.int64
+            call(self._graph(), v)
 
 
 def _peak_bytes(fn):
@@ -608,30 +557,24 @@ class TestPairOutputMemory:
         return random_separated(5000, 2 * math.sqrt(5000), seed=5), IntervalFamily(
             [3.0, 13.0, 45.0, 150.0, 500.0], 1.0)
 
-    @pytest.mark.parametrize("build, budget", [(label_pairs, 80), (build_graph, 88)],
-                             ids=["label_pairs", "build_graph"])
-    def test_peak_bytes_per_pair(self, build, budget):
-        # label_pairs holds one packed sort key per pair, and the graph build
-        # sorts one packed key per edge direction: about 24 and 77 bytes a
-        # pair at their peaks here, where label_pairs takes the image pass.
-        # On the tree, whose leaves are evaluated about _PAIR_CHUNK pairs at a
-        # time, label_pairs also takes about 24 bytes a pair here. The
-        # graph's budget leaves too little room for a 2E permutation and a
-        # gather through it (89 bytes a pair).
+    @pytest.mark.parametrize("build", [label_pairs], ids=["label_pairs"])
+    def test_peak_bytes_per_pair(self, build):
+        # label_pairs holds one packed sort key per pair: about 24 bytes a
+        # pair at its peak here, where it takes the image pass. On the tree,
+        # whose leaves are evaluated about _PAIR_CHUNK pairs at a time, it
+        # also takes about 24 bytes a pair here.
         out, peak = _peak_bytes(lambda: build(*self._input()))
-        pairs = len(out) if build is label_pairs else out.edge_count
-        assert pairs > 150_000
-        assert peak / pairs <= budget
+        assert len(out) > 150_000
+        assert peak / len(out) <= 80
 
     def test_point_graph_peak_bytes_per_point(self):
-        # The point-set graph and the witness search hold no edge list: about
-        # 158 bytes a point at their peak here, most of it the pruned count's
-        # walk, against about 2.6 kB a point for build_graph.
-        # One int32 per edge direction would take about 270 bytes a point.
+        # The graph and the witness search hold no edge list: about 158 bytes
+        # a point at their peak here, most of it the pruned count's walk. One
+        # int32 per edge direction would take about 270 bytes a point.
         ps, iv = self._input()
 
         def search():
-            g = _PointGraph(ps, iv)
+            g = build_graph(ps, iv)
             return g, find_tripartite(g, 3)
 
         (g, w), peak = _peak_bytes(search)

@@ -24,9 +24,10 @@ from neardist import (
 )
 
 from neardist import counting
-from neardist.graphs import _PointGraph
 
 from _oracles import (
+    OracleGraph,
+    oracle_labels,
     oracle_tripartite_exists,
     validate_homogeneous,
     validate_tripartite,
@@ -40,6 +41,7 @@ class TestBuildGraph:
         assert g.edge_count == 1
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert g.label(0, 1) == 1
+        assert repr(g) == "NearEqualGraph(n=2, edges=1)"
 
     def test_chain_edge_count_matches_pair_count(self):
         built = augmented_chain(30, 3, 2000)
@@ -124,24 +126,25 @@ class TestFindTripartite:
 
 
 def _assert_same_graph(ps, iv):
-    """The point-set graph reads the CSR graph's degrees, hubs, labels,
+    """The graph reads the pure-Python oracle's degrees, hubs, labels,
     witnesses and refinements, bit for bit."""
-    csr, g = build_graph(ps, iv), _PointGraph(ps, iv)
-    assert (g.n, g.edge_count) == (csr.n, csr.edge_count)
-    np.testing.assert_array_equal(g._degrees, np.diff(csr.indptr))
+    g = build_graph(ps, iv)
+    want = OracleGraph(ps.n, oracle_labels(ps.coords.tolist(), iv.t, iv.alpha))
+    assert (g.n, g.edge_count) == (want.n, want.edge_count)
+    np.testing.assert_array_equal(g._degrees, want._degrees)
     for x in range(min(ps.n, 40)):
-        (nbrs, *edges), (want, *want_edges) = g._hub(x), csr._hub(x)
-        np.testing.assert_array_equal(nbrs, want)
+        (nbrs, *edges), (want_nbrs, *want_edges) = g._hub(x), want._hub(x)
+        np.testing.assert_array_equal(nbrs, want_nbrs)
         assert set(zip(*edges)) == set(zip(*want_edges))
     for s in (1, 2, 3):
         w = find_tripartite(g, s)
-        assert w == find_tripartite(csr, s)
+        assert w == find_tripartite(want, s)
         if w is None:
             continue
         pairs = [(w.x, v) for v in w.B + w.D] + [(b, d) for b in w.B for d in w.D]
-        assert [g.label(*p) for p in pairs] == [csr.label(*p) for p in pairs]
+        assert [g.label(*p) for p in pairs] == [want.label(*p) for p in pairs]
         for m in range(1, s + 1):
-            assert homogenize(g, w, m) == homogenize(csr, w, m)
+            assert homogenize(g, w, m) == homogenize(want, w, m)
 
 
 def _lattice(w, h, shift):
@@ -151,7 +154,7 @@ def _lattice(w, h, shift):
 class TestPointGraph:
     @given(seed=st.integers(0, 3000), n=st.integers(2, 40), t2=st.floats(2.2, 6.0))
     @settings(max_examples=40, deadline=None)
-    def test_random_sets_match_csr(self, seed, n, t2):
+    def test_random_sets_match_oracle(self, seed, n, t2):
         ps = random_separated(n, max(6.0, 2.6 * math.sqrt(n)), seed)
         _assert_same_graph(ps, IntervalFamily([1.0, t2], 1.0))
 
@@ -161,7 +164,7 @@ class TestPointGraph:
     @given(w=st.integers(1, 9), h=st.integers(2, 9),
            shift=st.sampled_from([(0.0, 0.0), (1e9, -1e9), (1e9 + 0.37, -1e9 + 0.11)]))
     @settings(max_examples=40, deadline=None)
-    def test_lattices_match_csr(self, w, h, shift):
+    def test_lattices_match_oracle(self, w, h, shift):
         _assert_same_graph(_lattice(w, h, shift), IntervalFamily([2.0, 5.0], 1.0))
 
     def test_column_construction_on_the_tree(self):
@@ -174,12 +177,12 @@ class TestPointGraph:
     def test_no_hub_of_degree_2s(self):
         # A path of four points: degrees 1, 2, 2, 1, so no hub for s = 2.
         ps = PointSet([(0.0, 0.0), (3.0, 0.0), (6.0, 0.0), (9.0, 0.0)])
-        g = _PointGraph(ps, IntervalFamily([3.0], 0.5))
+        g = build_graph(ps, IntervalFamily([3.0], 0.5))
         assert g._degrees.tolist() == [1, 2, 2, 1]
         assert find_tripartite(g, 1) is None and find_tripartite(g, 2) is None
 
     def test_label_of_a_non_edge_or_a_non_vertex(self):
-        g = _PointGraph(PointSet([(0.0, 0.0), (3.0, 0.0), (9.0, 0.0)]), IntervalFamily([3.0], 0.5))
+        g = build_graph(PointSet([(0.0, 0.0), (3.0, 0.0), (9.0, 0.0)]), IntervalFamily([3.0], 0.5))
         assert g.label(1, 0) == g.label(0, 1) == 1
         with pytest.raises(KeyError):
             g.label(0, 2)
