@@ -14,13 +14,13 @@ extremes. The column constructions put nearly all of their pairs into bulk
 node pairs, and far clusters are dropped at a coarse level. The image pass
 (_image_hits) serves dense grids, whose cells hold few points each: it lays
 the cells out as arrays with one layer per point of a cell and evaluates
-each cell offset (_offset_rows, the fixed-radius search of Bentley, Stanat
-and Williams, 1977, over a union of thin annuli) as two shifted slices of
-them, the usual cell-list layout of molecular simulation (Allen and
-Tildesley, Computer Simulation of Liquids, 1987). Memory stays O(n + chunk)
-for both counts and O(n + chunk + output) for label_pairs, which holds one
-int64 a pair while it walks and sorts them in place: about 24 bytes a pair
-at its peak on the image pass.
+each cell offset whose bracket meets an interval (_offsets, one bracket
+over every offset of the grid, n at a time) as two shifted slices of them,
+the usual cell-list layout of molecular simulation (Allen and Tildesley,
+Computer Simulation of Liquids, 1987). Memory stays O(n + chunk) for both
+counts and O(n + chunk + output) for label_pairs, which holds one int64 a
+pair while it walks and sorts them in place: about 24 bytes a pair at its
+peak on the image pass.
 
 Every evaluated pair's squared distance is the expression dx*dx + dy*dy
 (geometry._sq_dists on the tree), and is labelled by geometry._label_hits,
@@ -136,64 +136,6 @@ class LabeledPairs:
         return zip(self.i.tolist(), self.j.tolist(), self.label.tolist())
 
 
-def _offset_rows(side: float, nx: int, ny: int, lo2: np.ndarray, hi2: np.ndarray):
-    """Every cell offset whose _sq_bracket meets an interval, as row runs.
-
-    Returns (a, b_lo, b_hi): offsets (a, b) for b_lo <= b <= b_hi, over the
-    half-plane a > 0 or a == 0 <= b, with |a| < nx and |b| < ny. The offset
-    (0, 0) stands for the pairs inside one cell. Each interval's offsets in a
-    row form one run of |b| (both bracket ends grow with |b|); the runs of
-    every (interval, row) pair are found at once from the annuli by square
-    roots, widened by two, then trimmed with _sq_bracket itself, so nothing
-    proportional to nx * ny is built.
-    """
-    # No offset inside the grid is farther than this many cells; capping the
-    # radii there changes no run and keeps their squares finite. In cell units:
-    # bmin2 <= hi2 needs max(a-1, 0)^2 + max(b-1, 0)^2 <= top, and bmax2 >= lo2
-    # needs (a+1)^2 + (b+1)^2 >= bottom.
-    cap = nx + ny + 4.0
-    top = np.minimum(np.sqrt(hi2) / side, cap) ** 2
-    bottom = np.minimum(np.sqrt(lo2) / side, cap) ** 2
-    a_hi = np.minimum(nx - 1.0, np.sqrt(top) + 2.0)
-    a_lo = np.maximum(0.0, np.sqrt(np.maximum(bottom - float(ny) * ny, 0.0)) - 2.0)
-    first = a_lo.astype(np.int64)
-    length = np.where(a_lo > a_hi, 0, a_hi.astype(np.int64) + 1 - first)
-    l = np.repeat(np.arange(len(lo2)), length)
-    a = _spans(first, length).astype(np.float64)
-    ga = np.maximum(a - 1.0, 0.0)
-    b_hi = np.minimum(np.floor(np.sqrt(np.maximum(top[l] - ga * ga, 0.0))) + 2.0, ny - 1.0)
-    b_lo = np.maximum(np.ceil(np.sqrt(np.maximum(bottom[l] - (a + 1.0) ** 2, 0.0))) - 2.0, 0.0)
-    lo2, hi2 = lo2[l], hi2[l]
-    while True:
-        live = b_lo <= b_hi
-        high = live & (_sq_bracket(a, b_hi, side)[0] > hi2)
-        low = live & (_sq_bracket(a, b_lo, side)[1] < lo2)
-        if not (high.any() or low.any()):
-            break
-        b_hi -= high
-        b_lo += low
-    a, b_lo, b_hi = np.stack((a, b_lo, b_hi))[:, live].astype(np.int64)
-    if not len(a):
-        return a, b_lo, b_hi
-    # Merge the runs of different intervals that overlap or touch in a row.
-    by = np.lexsort((b_lo, a))
-    a, b_lo, b_hi = a[by], b_lo[by], b_hi[by]
-    # Keys grow with the row first, so a running max never crosses rows.
-    reach = np.maximum.accumulate(a * (ny + 1) + b_hi) - a * (ny + 1)
-    new = np.ones(len(a), dtype=bool)
-    new[1:] = (a[1:] != a[:-1]) | (b_lo[1:] > reach[:-1] + 1)
-    a, b_lo = a[new], b_lo[new]
-    b_hi = reach[np.append(np.flatnonzero(new)[1:], len(new)) - 1]
-    # Rows a > 0 take the mirror image too; a run through b = 0 stays whole.
-    mirror = (a > 0) & (b_lo > 0)
-    whole = (a > 0) & (b_lo == 0)
-    return (
-        np.concatenate((a, a[mirror])),
-        np.concatenate((np.where(whole, -b_hi, b_lo), -b_hi[mirror])),
-        np.concatenate((b_hi, -b_lo[mirror])),
-    )
-
-
 def _spans(start, length):
     """start[r], start[r] + 1, ..., start[r] + length[r] - 1 for every r, in one array."""
     return np.arange(length.sum()) - np.repeat(np.cumsum(length) - length - start, length)
@@ -206,19 +148,31 @@ def _meeting(b0, b1, lo2: np.ndarray, hi2: np.ndarray):
     return np.searchsorted(hi2, b0), np.searchsorted(lo2, b1, side="right")
 
 
-def _offset_labels(rows, side: float, lo2: np.ndarray, hi2: np.ndarray):
-    """The offsets (a, b) of the offset rows one by one, each with the range
-    [l0, l1) of the intervals that meet its _sq_bracket (_meeting)."""
-    a, b_lo, b_hi = rows
-    length = b_hi - b_lo + 1
-    a, b = np.repeat(a, length), _spans(b_lo, length)
-    return a, b, *_meeting(*_sq_bracket(a, np.abs(b), side), lo2, hi2)
+def _offsets(grid: _Cells, lo2: np.ndarray, hi2: np.ndarray):
+    """Every cell offset of the grid whose _sq_bracket meets an interval,
+    with the range [l0, l1) of the intervals it meets (_meeting), as int64
+    arrays (a, b, l0, l1) over the half-plane a > 0 or a == 0 <= b, with
+    a < nx and |b| < ny. The offset (0, 0) stands for the pairs inside one
+    cell. The bracket is taken at every (a, |b|), a block of rows of at most
+    n offsets at a time, and rows a > 0 take the mirror image (a, -b) too.
+    """
+    b = np.arange(grid.ny)
+    step = max(1, len(grid.order) // grid.ny)
+    parts = []
+    for first in range(0, grid.nx, step):
+        a = np.arange(first, min(first + step, grid.nx))[:, None]
+        l0, l1 = _meeting(*_sq_bracket(a, b, grid.side), lo2, hi2)
+        keep = l0 < l1
+        for sign, take in ((1, keep), (-1, keep & (a > 0) & (b > 0))):
+            ka, kb = np.nonzero(take)
+            parts.append((ka + first, sign * kb, l0[take], l1[take]))
+    return tuple(np.concatenate(v) for v in zip(*parts))
 
 
 def _image_pick(coords: np.ndarray, sides, lo2: np.ndarray, hi2: np.ndarray):
     """The cheapest image pass (_image_hits) by the cost model at one of the
-    power-of-two sides, coarsest first, as (grid, rows), or None where no
-    image fits.
+    power-of-two sides, coarsest first, as (grid, offsets) with the grid's
+    _offsets, or None where no image fits.
 
     An image costs, per offset, layer of its m-layer image and interval
     checked there, a call and the m * nx * ny slots it evaluates; it fits
@@ -233,11 +187,11 @@ def _image_pick(coords: np.ndarray, sides, lo2: np.ndarray, hi2: np.ndarray):
             break
         m = int(np.diff(grid.starts).max())
         if m * grid.nx * grid.ny <= 4 * n:
-            rows = _offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
-            l0, l1 = _offset_labels(rows, grid.side, lo2, hi2)[2:]
+            offsets = _offsets(grid, lo2, hi2)
+            l0, l1 = offsets[2:]
             cost = float((l1 - l0).sum()) * m * (_COST_CALL + _COST_SLOT * m * grid.nx * grid.ny)
             if cost < best_cost:
-                best, best_cost = (grid, rows), cost
+                best, best_cost = (grid, offsets), cost
     return best
 
 
@@ -309,12 +263,12 @@ def _child_pairs(fa: np.ndarray, fb: np.ndarray, ca: np.ndarray, cb: np.ndarray)
 
 
 class _Walk(NamedTuple):
-    """What _visit_hits walked: "image" with its grid and rows, or "tree";
+    """What _visit_hits walked: "image" with its grid and _offsets, or "tree";
     the node pairs the tree took (before any image) and pairs it evaluated."""
 
     walk: str
     grid: _Cells | None
-    rows: tuple | None
+    offsets: tuple | None
     node_pairs: int
     pairs: int
 
@@ -417,10 +371,10 @@ def _visit_hits(coords: np.ndarray, lo2: np.ndarray, hi2: np.ndarray, visit, per
     return _Walk("tree", None, None, node_pairs, pairs)
 
 
-def _image_hits(coords: np.ndarray, grid, rows, lo2: np.ndarray, hi2: np.ndarray, visit):
+def _image_hits(coords: np.ndarray, grid, offsets, lo2: np.ndarray, hi2: np.ndarray, visit):
     """Call visit(l, hit, i, j) for the pairs of points whose grid cells
-    differ by an offset of the rows, as _visit_hits does, from an image of
-    the grid.
+    differ by one of the offsets (a, b, l0, l1) of _offsets, as _visit_hits
+    does, from an image of the grid.
 
     The image lays the cells out as dense (m, nx, ny) arrays of x, y and
     point id, m the largest cell count: layer k holds each cell's k-th point
@@ -433,17 +387,17 @@ def _image_hits(coords: np.ndarray, grid, rows, lo2: np.ndarray, hi2: np.ndarray
     sign of dx, as fl(p - q) = -fl(q - p), evaluated in place; a slot pair
     with an empty slot gets d2 = NaN, and no comparison with NaN holds, so
     no interval holds it and it needs no mask. Every real pair's d2 is
-    finite, as coordinates are at most 2**510. Only the intervals that meet
-    the offset's _sq_bracket are checked: every pair at the offset lies
-    inside it, so the smallest qualifying label is unchanged.
+    finite, as coordinates are at most 2**510. Only the intervals [l0, l1)
+    that meet the offset's _sq_bracket are checked: every pair at the offset
+    lies inside it, so the smallest qualifying label is unchanged.
 
-    Why no qualifying pair is skipped at the rows of _offset_rows: the cell
-    side is a power of two, so _bucket_cells puts every point in its cell
-    exactly, and _sq_bracket holds every pair's computed dx*dx + dy*dy at
-    its cell offset with no slack. So a qualifying pair sits at an offset
-    whose bracket meets its interval, and _offset_rows keeps every such
-    offset. Each unordered pair is met once: the offsets cover a half-plane,
-    and inside one cell each point pairs with the later points only.
+    Why no qualifying pair is skipped: the cell side is a power of two, so
+    _bucket_cells puts every point in its cell exactly, and _sq_bracket
+    holds every pair's computed dx*dx + dy*dy at its cell offset with no
+    slack. So a qualifying pair sits at an offset whose bracket meets its
+    interval, and _offsets keeps every such offset. Each unordered pair is
+    met once: the offsets cover a half-plane, and inside one cell each
+    point pairs with the later points only.
     """
     nx, ny = grid.nx, grid.ny
     m = int(np.diff(grid.starts).max())
@@ -453,7 +407,6 @@ def _image_hits(coords: np.ndarray, grid, rows, lo2: np.ndarray, hi2: np.ndarray
     ids[slot] = grid.order
     xs, ys = np.full((2, m, nx, ny), np.nan)
     xs[slot], ys[slot] = coords[grid.order].T
-    offsets = _offset_labels(rows, grid.side, lo2, hi2)
     for a, b, l0, l1 in zip(*(v.tolist() for v in offsets)):
         cells = slice(0, nx - a), slice(max(0, -b), ny - max(0, b))
         partners = slice(a, nx), slice(max(0, b), ny - max(0, -b))

@@ -43,7 +43,6 @@ def forced_image(side_of):
 
     def visit_hits(coords, lo2, hi2, visit, per):
         grid = counting._bucket_cells(coords[:, 0], coords[:, 1], side_of(coords))
-        rows = counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
-        counting._image_hits(coords, grid, rows, lo2, hi2, visit)
+        counting._image_hits(coords, grid, counting._offsets(grid, lo2, hi2), lo2, hi2, visit)
 
     return visit_hits

@@ -509,6 +509,20 @@ class TestInputContract:
         assert name in res.stderr
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("args", [
+        ["diameter", "deep.json"],
+        ["count", "pts.json", "deep.json"],
+        ["search", "--config", "deep.json"],
+    ], ids=["points", "intervals", "config"])
+    def test_deeply_nested_json_exits_two(self, tmp_path, args):
+        # Nested past the decoder's recursion limit: an input error, not a crash.
+        (tmp_path / "pts.json").write_text(PTS, encoding="utf-8")
+        (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        res = run_cli("--output-dir", "out", *args, cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr, res.stderr
+        assert "deep.json" in res.stderr
+
     @pytest.mark.parametrize(
         "hole", ["search-seed-negative", "random-seed-negative", "column-seed-negative"])
     def test_negative_seed_error_names_seed(self, tmp_path, hole):

@@ -21,6 +21,7 @@ import math
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -282,8 +283,8 @@ def sparse_deep_grids(draw):
     return points, side, [v * step for v in t], alpha
 
 
-def _image_pairs(points, side, rows, lo2, hi2):
-    """(pairs, labels) of the image pass at the rows: pairs lists every pair
+def _image_pairs(points, side, offsets, lo2, hi2):
+    """(pairs, labels) of the image pass at the offsets: pairs lists every pair
     that it evaluates as (key, bits of d2), with key = min * n + max and d2
     as read before the membership test; labels lists the qualifying ones as
     (key, label)."""
@@ -310,9 +311,9 @@ def _image_pairs(points, side, rows, lo2, hi2):
         assert np.isnan(d2[~real]).all()
         pairs.extend(zip(key[real].tolist(), d2[real].view(np.int64).tolist()))
 
-    counting._image_hits(coords, grid, rows, lo2, hi2, label)
+    counting._image_hits(coords, grid, offsets, lo2, hi2, label)
     with mock.patch.object(counting, "_label_hits", everything):
-        counting._image_hits(coords, grid, rows, lo2, hi2, pair)
+        counting._image_hits(coords, grid, offsets, lo2, hi2, pair)
     return sorted(pairs), sorted(labels)
 
 
@@ -332,18 +333,19 @@ class TestImagePass:
         coords = np.array(points)
         lo2, hi2 = IntervalFamily(t, alpha).sq_bounds
         grid = counting._bucket_cells(coords[:, 0], coords[:, 1], side)
-        # Every offset of the half-plane: (0, 0), b < 0, and the far corners.
-        top = grid.ny - 1
-        whole = (np.arange(grid.nx), np.where(np.arange(grid.nx) > 0, -top, 0),
-                 np.full(grid.nx, top))
+        # Every offset of the half-plane, each with every interval [0, k).
+        a, b = np.meshgrid(np.arange(grid.nx), np.arange(1 - grid.ny, grid.ny), indexing="ij")
+        half = (a > 0) | (b >= 0)
+        whole = (a[half], b[half], np.zeros(half.sum(), dtype=np.int64),
+                 np.full(half.sum(), len(lo2)))
         n = len(points)
         want = sorted((i * n + j, int(np.float64(_sq_dist(points[i], points[j])).view(np.int64)))
                       for i, j in combinations(range(n), 2))
         assert _image_pairs(points, side, whole, lo2, hi2)[0] == want
-        # At the rows that _offset_rows keeps, with labels checked per offset.
-        rows = counting._offset_rows(grid.side, grid.nx, grid.ny, lo2, hi2)
+        # At the offsets that _offsets keeps, with labels checked per offset.
+        offsets = counting._offsets(grid, lo2, hi2)
         labels = [(i * n + j, l) for i, j, l in oracle_labels(points, t, alpha)]
-        assert _image_pairs(points, side, rows, lo2, hi2)[1] == labels
+        assert _image_pairs(points, side, offsets, lo2, hi2)[1] == labels
 
     @given(data=sparse_deep_grids())
     @settings(max_examples=200, deadline=None)
@@ -376,16 +378,17 @@ class TestImagePass:
                 assert int(np.diff(walk.grid.starts).max()) == 1
 
     @pytest.mark.parametrize("workload, pick", [
-        ("verify-uniform", (2.0, "image", 214, 1022, "d48ff3dbb8c14a3b")),
+        ("verify-uniform", (2.0, "image", 1022, "e76daa090e2e19fb")),
         ("verify-columns", ("tree", 5262, 472434)),
-        ("analyze-uniform", (2.0, "image", 214, 1022, "d48ff3dbb8c14a3b")),
+        ("analyze-uniform", (2.0, "image", 1022, "e76daa090e2e19fb")),
     ])
     def test_walk_on_the_benchmark_inputs(self, workload, pick):
         # The seed-0 inputs of perfbench/workloads.py (search-small has no
-        # point file). On the image: side, pass, the number of row runs and
-        # of offsets, and a digest of the rows. On the tree: the node pairs
-        # it takes and the pairs it evaluates. Work on the walk's speed must
-        # leave them as they are, or list the move as a change of pick.
+        # point file). On the image: side, pass, the number of offsets, and
+        # a digest of their (a, b, l0, l1) in (a, b) order. On the tree: the
+        # node pairs it takes and the pairs it evaluates. Work on the walk's
+        # speed must leave them as they are, or list the move as a change of
+        # pick.
         spec = importlib.util.spec_from_file_location("_perfbench_workloads", WORKLOADS)
         wl = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(wl)
@@ -400,10 +403,10 @@ class TestImagePass:
         if walk.walk == "tree":
             assert (walk.walk, walk.node_pairs, walk.pairs) == pick
         else:
-            rows = walk.rows
-            digest = hashlib.sha256(np.stack(rows).astype("<i8").tobytes()).hexdigest()[:16]
-            assert (walk.grid.side, walk.walk, len(rows[0]), int((rows[2] - rows[1] + 1).sum()),
-                    digest) == pick
+            a, b, l0, l1 = walk.offsets
+            by = np.stack((a, b, l0, l1))[:, np.lexsort((b, a))]
+            digest = hashlib.sha256(by.astype("<i8").tobytes()).hexdigest()[:16]
+            assert (walk.grid.side, walk.walk, len(a), digest) == pick
 
     @pytest.mark.parametrize("shape", ["columns", "clusters"])
     def test_label_pairs_evaluates_the_counts_pairs_and_its_own_at_most(self, shape):
@@ -472,42 +475,57 @@ class TestMeeting:
             assert list(range(first, stop)) == meets
 
 
-class TestOffsetRows:
-    @given(
-        side=st.sampled_from([0.3, 1.0, 2.5, 7.0, 1e-3]),
-        nx=st.integers(1, 40),
-        ny=st.integers(1, 40),
-        t=st.lists(st.floats(1.0, 60.0), min_size=1, max_size=4, unique=True),
-        alpha=st.sampled_from([1e-12, 0.3, 1.0, 8.0]),
-    )
+@st.composite
+def bracket_grids(draw):
+    """(side, nx, ny, n): a grid's cell side and shape, and its point count
+    from 1 to 3 * nx * ny, so that the bracket's blocks of at most n offsets
+    split the rows or take them all at once."""
+    nx, ny = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    side = draw(st.sampled_from([0.3, 1.0, 2.5, 7.0, 1e-3]))
+    return side, nx, ny, draw(st.integers(1, 3 * nx * ny))
+
+
+def _checked_offsets(side, nx, ny, n, lo2, hi2):
+    """_offsets of the grid, checked against a loop over every offset of the
+    half-plane and every interval, with scalar brackets."""
+    grid = SimpleNamespace(side=side, nx=nx, ny=ny, order=np.empty(n))
+    offsets = counting._offsets(grid, lo2, hi2)
+    assert [v.dtype for v in offsets] == [np.int64] * 4
+    rows = list(zip(*(v.tolist() for v in offsets)))
+    got = {(a, b): list(range(l0, l1)) for a, b, l0, l1 in rows}
+    assert len(got) == len(rows), "an offset appears twice"
+    want = {}
+    for a in range(nx):
+        for b in range(0 if a == 0 else 1 - ny, ny):
+            x, y = (float(v) for v in counting._sq_bracket(a, abs(b), side))
+            meets = [l for l in range(len(lo2)) if x <= hi2[l] and y >= lo2[l]]
+            if meets:
+                want[a, b] = meets
+    assert got == want
+    return offsets
+
+
+class TestOffsets:
+    @given(grid=bracket_grids(),
+           t=st.lists(st.floats(1.0, 60.0), min_size=1, max_size=4, unique=True),
+           alpha=st.sampled_from([1e-12, 0.3, 1.0, 8.0]))
     @settings(max_examples=200, deadline=None)
     # No offset at all: the one cell's bracket [0, 98] lies below 60^2.
-    @example(side=7.0, nx=1, ny=1, t=[60.0], alpha=1.0)
-    # In row 0 the two intervals' runs of b overlap ([2, 4] and [3, 5]), or
-    # touch ([1, 4] and [5, 5]), and merge into one.
-    @example(side=1.0, nx=6, ny=6, t=[3.0, 4.0], alpha=1e-12)
-    @example(side=1.0, nx=6, ny=6, t=[2.0, 6.0], alpha=1.0)
-    def test_rows_are_the_non_skip_offsets(self, side, nx, ny, t, alpha):
-        iv = IntervalFamily(sorted(t), alpha)
-        lo2, hi2 = iv.sq_bounds
-        a, b_lo, b_hi = counting._offset_rows(side, nx, ny, lo2, hi2)
-        got = [(int(x), int(b)) for x, lo, hi in zip(a, b_lo, b_hi) for b in range(lo, hi + 1)]
-        assert len(got) == len(set(got)), "an offset is enumerated twice"
-        # Non-skip: the offset's bracket meets some [lo2[l], hi2[l]].
-        x, b = np.meshgrid(np.arange(nx), np.arange(-ny + 1, ny), indexing="ij")
-        bmin2, bmax2 = counting._sq_bracket(x, np.abs(b), side)
-        meets = ((bmin2[..., None] <= hi2) & (bmax2[..., None] >= lo2)).any(axis=-1)
-        keep = meets & ((x > 0) | (b >= 0))
-        want = set(zip(x[keep].tolist(), b[keep].tolist()))
-        assert set(got) == want
+    @example(grid=(7.0, 1, 1, 1), t=[60.0], alpha=1.0)
+    # In row 0 the two intervals' offsets overlap (b in [2, 4] and [3, 5]),
+    # or touch ([1, 4] and [5, 5]); one row a block, or all rows at once.
+    @example(grid=(1.0, 6, 6, 1), t=[3.0, 4.0], alpha=1e-12)
+    @example(grid=(1.0, 6, 6, 108), t=[2.0, 6.0], alpha=1.0)
+    def test_offsets_are_those_whose_bracket_meets_an_interval(self, grid, t, alpha):
+        _checked_offsets(*grid, *IntervalFamily(sorted(t), alpha).sq_bounds)
 
     @pytest.mark.parametrize("t, alpha", [([1.0, 3.0, 10000.0], 0.1), ([1.0], 1e-12),
                                           ([2.0**400], 1.0), ([2.0**509, 2.0**510], 2.0**509)])
     def test_one_cell_grid_keeps_only_the_cell_itself(self, t, alpha):
         # A side of inf: every bracket is [0, inf], with no 0 * inf on the way.
         lo2, hi2 = IntervalFamily(t, alpha).sq_bounds
-        rows = counting._offset_rows(math.inf, 1, 1, lo2, hi2)
-        assert [(r.dtype, r.tolist()) for r in rows] == [(np.int64, [0])] * 3
+        offsets = _checked_offsets(math.inf, 1, 1, 1, lo2, hi2)
+        assert [v.tolist() for v in offsets] == [[0], [0], [0], [len(t)]]
 
 
 class TestGraphConstruction:
@@ -580,3 +598,21 @@ class TestPairOutputMemory:
         (g, w), peak = _peak_bytes(search)
         assert g.edge_count > 150_000 and w is not None
         assert peak / ps.n <= 192
+
+    def test_graph_peak_bytes_per_point_on_a_dense_grid(self):
+        # A jittered grid of pitch 2 takes the image pass at one point to a
+        # cell, near 4n cells, where the case above never gets: about 172
+        # bytes a point at build_graph's peak here, with the offsets
+        # bracketed a block of at most n at a time, and about 242 with the
+        # whole grid bracketed at once.
+        n, pitch = 10_000, 2.0
+        rng = np.random.default_rng(0)
+        g, idx = math.ceil(math.sqrt(n)), np.arange(n)
+        rad = (pitch - 1.02) / 2 * np.sqrt(rng.random(n))
+        ang = 2 * np.pi * rng.random(n)
+        ps = PointSet(np.column_stack(((idx % g + 0.5) * pitch + rad * np.cos(ang),
+                                       (idx // g + 0.5) * pitch + rad * np.sin(ang))))
+        iv = IntervalFamily([3.0, 13.0, 45.0, 150.0, 500.0], 1.0)
+        graph, peak = _peak_bytes(lambda: build_graph(ps, iv))
+        assert graph.edge_count > 500_000
+        assert peak / n <= 200

@@ -553,8 +553,9 @@ class TestDiameterOnBothPasses:
     """diameter with the pair walk forced onto either pass (the walk as
     picked is TestExactAgainstOracle's). The walk visits the pairs above the
     sweeps' bound D as those of the one interval [nextafter(D, inf), inf],
-    whose infinite upper end reaches the cap in counting._offset_rows and,
-    near the 2**510 limit, the overflow of counting._sq_bracket."""
+    whose infinite upper end meets every offset's bracket in
+    counting._offsets and, near the 2**510 limit, the overflow of
+    counting._sq_bracket."""
 
     @pytest.mark.parametrize("forced", ["tree", 0, 2])
     @pytest.mark.parametrize("points", EXACT_CASES.values(), ids=EXACT_CASES.keys())
