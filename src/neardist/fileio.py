@@ -69,8 +69,10 @@ def load_json(path: str | Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    # RecursionError: arrays or objects nested too deep for the decoder.
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError: JSONDecodeError, UnicodeDecodeError and an integer literal
+    # over the interpreter's digit limit. RecursionError: arrays or objects
+    # nested too deep for the decoder.
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputFormatError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise InputFormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")

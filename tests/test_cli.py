@@ -523,6 +523,22 @@ class TestInputContract:
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr, res.stderr
         assert "deep.json" in res.stderr
 
+    @pytest.mark.parametrize("text, args", [
+        ('{"dim": 2, "points": [[%s, 0], [0, 3]]}', ["diameter", "long.json"]),
+        ('{"alpha": 1.0, "t": [%s]}', ["count", "pts.json", "long.json"]),
+        ('{"n": 3, "iterations": 20, "intervals": {"alpha": 1.0, "t": [%s]}}',
+         ["search", "--config", "long.json"]),
+    ], ids=["points", "intervals", "config"])
+    def test_integer_beyond_digit_limit_error_names_file(self, tmp_path, text, args):
+        # json.load refuses an integer literal over the interpreter's
+        # 4300-digit limit with a plain ValueError: an input error of the file.
+        (tmp_path / "pts.json").write_text(PTS, encoding="utf-8")
+        (tmp_path / "long.json").write_text(text % ("9" * 5000), encoding="utf-8")
+        res = run_cli("--output-dir", "out", *args, cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+        assert "long.json" in res.stderr
+
     @pytest.mark.parametrize(
         "hole", ["search-seed-negative", "random-seed-negative", "column-seed-negative"])
     def test_negative_seed_error_names_seed(self, tmp_path, hole):

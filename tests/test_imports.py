@@ -1,8 +1,12 @@
-"""What each command imports, and that commands call the names patched on `neardist.cli`.
+"""What each command imports, that commands call the names patched on
+`neardist.cli`, and what the command-line entry adds to `cli.main`.
 
 `import neardist` loads no library module, and each command loads only the
 modules it runs. perfbench's traced runs replace names of `neardist.cli` with
-timing wrappers, so every command must call what is set there.
+timing wrappers, so every command must call what is set there. The entry,
+`neardist.__main__`, freezes what its imports built for the garbage collector
+and changes nothing else: the library leaves the collector alone, and a
+command run through the entry writes what `cli.main` writes in process.
 """
 
 import contextlib
@@ -19,7 +23,7 @@ import pytest
 import neardist
 from neardist import cli
 
-from conftest import SRC_DIR
+from conftest import SRC_DIR, run_cli
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
 
@@ -160,3 +164,61 @@ def test_commands_call_the_names_patched_on_cli(emp1, tmp_path, monkeypatch):
         assert _main(["--output-dir", str(tmp_path / command), *argv]) == exit_code
     assert calls == {"anneal": 1, "find_tripartite": 1, "homogenize": 1, "angle_diagnostic": 1,
                      "verify_bound": 1, "load_point_set": 2}
+
+
+# Runs in a fresh interpreter: the collector's state ([enabled, freeze count])
+# after `import neardist`, after `from neardist import cli` and after an
+# in-process `cli.main(argv)`, as one JSON line.
+GC_CHILD = """
+import contextlib, gc, io, json, sys
+state = lambda: [gc.isenabled(), gc.get_freeze_count()]
+import neardist
+states = [state()]
+from neardist import cli
+states.append(state())
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sys.argv[1:])
+states.append(state())
+print(json.dumps(states))
+"""
+
+
+def test_library_leaves_the_collector_alone(emp1, tmp_path):
+    argv = COMMANDS["verify"][0]
+    argv = [str(emp1 / a) if a.endswith(".json") else a for a in argv]
+    states = json.loads(_child(GC_CHILD, "--output-dir", "out", *argv, cwd=tmp_path))
+    assert states == [[True, 0]] * 3
+
+
+def test_entry_freezes_its_imports(tmp_path):
+    child = """
+import gc, json
+import neardist.__main__ as entry
+from neardist import cli
+print(json.dumps([gc.isenabled(), gc.get_freeze_count(), entry.main is cli.main]))
+"""
+    enabled, frozen, same = json.loads(_child(child, cwd=tmp_path))
+    assert enabled and frozen > 0 and same
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze", "search"])
+def test_entry_writes_what_cli_main_writes(emp1, tmp_path, monkeypatch, command):
+    argv, _, exit_code = COMMANDS[command]
+    argv = ["--output-dir", "out", *argv]
+    entry, in_process = tmp_path / "entry", tmp_path / "in-process"
+    for work in (entry, in_process):
+        work.mkdir()
+        for name in ("points.json", "intervals.json"):
+            (work / name).write_bytes((emp1 / name).read_bytes())
+    res = run_cli(*argv, cwd=entry)
+    monkeypatch.chdir(in_process)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+
+    def outputs(work):
+        return {p.name: p.read_bytes() for p in (work / "out").iterdir()}
+
+    assert res.returncode == code == exit_code
+    assert res.stdout == stdout.getvalue()
+    assert "manifest.json" in outputs(entry) and outputs(entry) == outputs(in_process)
