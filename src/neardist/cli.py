@@ -402,6 +402,3 @@ def main(argv: list[str] | None = None) -> int:
     defaults = argparse.Namespace(output_dir=".", format="json", seed=None)
     return run(build_parser().parse_args(argv, defaults))
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -26,6 +26,7 @@ from neardist import cli
 from conftest import SRC_DIR, run_cli
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 # Runs in a fresh interpreter: the neardist modules loaded after `import
 # neardist`, then after `cli.main(argv)`, and the exit code, as one JSON line.
@@ -199,6 +200,26 @@ print(json.dumps([gc.isenabled(), gc.get_freeze_count(), entry.main is cli.main]
 """
     enabled, frozen, same = json.loads(_child(child, cwd=tmp_path))
     assert enabled and frozen > 0 and same
+
+
+def test_installed_script_is_the_entry(tmp_path):
+    """pyproject's `[project.scripts] neardist` names the entry's `main`, which is `cli.main`."""
+    section, target = None, None
+    for line in PYPROJECT.read_text().splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and line.partition("=")[0].strip() == "neardist":
+            target = line.partition("=")[2].strip().strip('"')
+    assert target == "neardist.__main__:main"
+    child = """
+import importlib, json, sys
+module, _, name = sys.argv[1].partition(":")
+main = getattr(importlib.import_module(module), name)
+from neardist import cli
+print(json.dumps(main is cli.main))
+"""
+    assert json.loads(_child(child, target, cwd=tmp_path))
 
 
 @pytest.mark.parametrize("command", ["verify", "analyze", "search"])
